@@ -42,7 +42,7 @@ def _numpy_facts() -> dict:
 def cmd_setup(args) -> dict:
     spec = workloads.SPECS[args.workload]
     stages = workloads.run_setup(spec, Path(args.dir), args.seed, args.index, args.toy)
-    return {"ok": True, "stages": stages, "setups": spec.setups}
+    return {"ok": True, "stages": stages, "setups": spec.setups, "before": spec.setups_before}
 
 
 class Loop:
@@ -54,12 +54,12 @@ class Loop:
 
     def __init__(self, contexts):
         self.contexts = contexts
-        self.op = workloads.OPS[contexts[0].spec.name]
         self.attempted = 0
         self.failed = 0
         self.problems: list[str] = []
         self.digests: dict[int, str] = {}
         self.walls = {c: [] for c in range(len(contexts))}  # untraced, per cohort
+        self.stage_walls = {c: [] for c in range(len(contexts))}  # untraced, per cohort
         self.rounds: list[list] = []  # traced rounds: one op record per cohort
 
     def run_one(self, tracer, traced: bool):
@@ -70,7 +70,7 @@ class Loop:
         first_span = tracer.reset_op() if traced else 0
         res = record = None
         try:
-            res = self.op(ctx, tracer, index)
+            res = workloads.run_op(ctx, tracer, index)
             record = tracing.op_record(tracer, first_span, res.wall) if traced else None
             problems = []
             if cohort not in self.digests:
@@ -90,6 +90,7 @@ class Loop:
             return None
         if not traced:
             self.walls[cohort].append(res.wall)
+            self.stage_walls[cohort].append(res.stages)
         return record
 
     def untraced(self, seconds: float, whole_rounds: bool) -> None:
@@ -149,6 +150,11 @@ def cmd_timed(args) -> dict:
         "work_unit": spec.work_unit,
         "work_per_cohort": [ctx.work for ctx in contexts],
         "cohort_walls": {c: _summary(w) for c, w in loop.walls.items() if w},
+        "cohort_stage_best_s": {
+            c: {s: min(op[s] for op in ops) for s in ops[0]}
+            for c, ops in loop.stage_walls.items()
+            if ops
+        },
     }
     if all(loop.walls.values()):
         # each cohort's fastest operation: host contention only ever adds time

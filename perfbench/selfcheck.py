@@ -2,10 +2,9 @@
 
     python3 perfbench/selfcheck.py
 
-Run from the repository root. For every workload `run.py` knows (those in
-BENCHMARK.json and those run by hand) it runs the benchmark command on tiny
-inputs, untraced and traced, and checks that
-the last line is the result object, that no operation failed, and that the
+Run from the repository root. For every workload it runs the benchmark
+command on tiny inputs, untraced and traced, and checks that the last line
+is the result object, that no operation failed, and that the
 metrics are exactly the ones BENCHMARK.json names, each with its unit and
 a finite value (non-zero for end-to-end metrics). It then runs the command
 in a directory holding only BENCHMARK.json and the benchmark's files, where
@@ -20,8 +19,6 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-
-from run import WORKLOADS
 
 RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 
@@ -96,7 +93,7 @@ def main() -> int:
     root = Path.cwd()
     bench = json.loads((root / "BENCHMARK.json").read_text())
     problems = []
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in bench["workloads"]):
         for trace in (0, 1):
             found = check_run(bench, workload, trace, root)
             print(f"{workload} trace={trace}: {'ok' if not found else 'FAIL'}", flush=True)

@@ -177,7 +177,6 @@ WRAPPED = (
     ("netresp.cli", "load_dataset", "datamodel.read", None),
     ("netresp.cli", "read_matrix", "datamodel.read", _obs_read),
     ("netresp.datamodel", "read_matrix", "datamodel.read", _obs_read),
-    ("netresp", "read_matrix", "datamodel.read", _obs_read),
     ("netresp.cli", "extract_subject", "scica.subject", _obs_subject),
     ("netresp.scica", "preprocess_subject", "scica.preprocess", None),
     ("netresp.scica", "constrained_unit_update", "scica.unit_updates", COUNT_ONLY),
@@ -187,7 +186,6 @@ WRAPPED = (
     ("netresp.cli", "run_experiment", "evaluation.experiment", _obs_experiment),
     ("netresp.selection", "run_experiment", "evaluation.experiment", _obs_experiment),
     ("netresp.evaluation", "build_kernel_matrix", "kernels.build", _obs_build),
-    ("netresp", "build_kernel_matrix", "kernels.build", _obs_build),
     ("netresp.evaluation", "apply_spectrum_fix", "kernels.spectrum_fix", _obs_fix),
     ("netresp.evaluation", "train_multiclass", "svm.train", None),
     ("netresp.svm", "solve_binary_smo", "svm.solve", _obs_solve),

@@ -1,24 +1,19 @@
-"""The four workloads: their inputs, the timed operation, and output checks.
+"""The two workloads: their inputs, the timed operation, and output checks.
 
 Every workload is a closed loop with one caller: the next operation starts
 when the previous one has returned, and operation i runs on cohort i mod m
 of the run's panel. Inputs come only from the workload seed: cohort c is
-simulated with master seed 1000 * seed + c, and component sets are drawn
-from the seed. The CLI workloads call `netresp.cli.main` in process, as the
-`netresp` command would; `kernel` calls the library API.
+simulated with master seed 1000 * seed + c. The operations call
+`netresp.cli.main` in process, as the `netresp` command would.
 
   ingest    simulate -> extract -> fnc on the multi-scale n105 template.
             The only workload where synth, datamodel writes and scica work.
-  select    SSFS (`select --features sm+fnc`): 6 components in 3 domains,
-            beam 2, 10 inner repeats, so each distinct candidate kernel is
-            rebuilt 10 times, the reuse ratio of the default configuration.
-  evaluate  `evaluate` + `report` with a fixed one-per-domain set of the
-            default 20-component template: SMO-bound, one kernel build.
-  kernel    library `build_kernel_matrix` over n105 features loaded from
-            disk: 63 distinct sets of 2-8 components, no reuse.
-
-SMO cost differs between cohorts of one size by up to 2x, which is why a run
-covers several cohorts.
+  select    SSFS (`select --features sm+fnc`): 60 subjects, 4 components in
+            2 domains, beam 2, 10 inner repeats, so each distinct candidate
+            kernel is rebuilt 10 times, the reuse ratio of the default
+            configuration; then `evaluate` (5 folds x 10 repeats, which
+            re-solve each fold's training problem with fresh SMO seeds) and
+            `report` on the selected set.
 """
 
 from __future__ import annotations
@@ -36,10 +31,11 @@ from time import perf_counter
 
 import numpy as np
 
-import netresp
 from netresp import cli
+from netresp.datamodel import SubjectFeatures
 from netresp.datamodel import read_matrix as _read
 from netresp.evaluation import chance_level
+from netresp.kernels import PabsKernelParams, build_kernel_matrix
 from tracing import NullTracer
 
 # Ingest floors: a recovered map tracks its planted template row through the
@@ -47,7 +43,13 @@ from tracing import NullTracer
 MAP_CORR_FLOOR = 0.5
 SUBJECT_MEDIAN_CORR_FLOOR = 0.9
 KERNEL_ENTRY_TOL = 1e-10
-KERNEL_SAMPLES_PER_BUILD = 3
+KERNEL_SAMPLES = 20  # entries of the selected set's kernel checked per cohort
+
+_SELECT_SYNTH = {
+    "n_components": 4,
+    "n_domains": 2,
+    "class_counts": {"AD": 20, "MS": 20, "NR": 20},
+}
 
 
 class OpError(RuntimeError):
@@ -61,6 +63,7 @@ class Spec:
     toy_config: dict  # tiny sizes for the self-check
     template: str
     setup_stages: tuple[str, ...]
+    stages: tuple[tuple[str, ...], ...]  # CLI stages of one operation, with extra args
     cohorts: int  # cohorts per run; operations cycle through them
     work_unit: str
 
@@ -68,6 +71,16 @@ class Spec:
     def setups(self) -> int:
         """Set-up processes per run: one per cohort, or bare ones for ingest."""
         return self.cohorts if self.setup_stages else BARE_SETUPS
+
+    @property
+    def setups_before(self) -> int:
+        """Set-ups run before the timed phase; the rest run after it.
+
+        Bare set-ups (process start and import) need no inputs, so half of
+        them are taken after the timed phase: the median then samples the
+        host at two points a run apart.
+        """
+        return self.cohorts if self.setup_stages else (BARE_SETUPS + 1) // 2
 
 
 SPECS = {
@@ -77,62 +90,35 @@ SPECS = {
         toy_config={"synth": {"count_scale": 0.1}},
         template="n105",
         setup_stages=(),
+        stages=(("simulate",), ("extract",), ("fnc",)),
         cohorts=4,
         work_unit="subjects",
     ),
     "select": Spec(
         name="select",
         config={
-            "synth": {
-                "n_components": 6,
-                "n_domains": 3,
-                "class_counts": {"AD": 5, "MS": 5, "NR": 5},
-            },
+            "synth": _SELECT_SYNTH,
             "selection": {"beam_width": 2},
+            "evaluation": {"repeats": 10},
         },
         toy_config={
-            "synth": {
-                "n_components": 6,
-                "n_domains": 3,
-                "class_counts": {"AD": 5, "MS": 5, "NR": 5},
-            },
+            "synth": dict(_SELECT_SYNTH, class_counts={"AD": 5, "MS": 5, "NR": 5}),
             "selection": {"beam_width": 2, "inner_repeats": 2},
-        },
-        template="default",
-        setup_stages=("simulate", "extract", "fnc"),
-        cohorts=6,
-        work_unit="candidates",
-    ),
-    "evaluate": Spec(
-        name="evaluate",
-        config={
-            "synth": {"class_counts": {"AD": 23, "MS": 22, "NR": 5}},
-            "evaluation": {"repeats": 20},
-        },
-        toy_config={
-            "synth": {"class_counts": {"AD": 6, "MS": 6, "NR": 5}},
             "evaluation": {"repeats": 2},
         },
         template="default",
         setup_stages=("simulate", "extract", "fnc"),
-        cohorts=6,
-        work_unit="cv_cells",
-    ),
-    "kernel": Spec(
-        name="kernel",
-        config={"synth": {"count_scale": 0.2}},  # 20 subjects
-        toy_config={"synth": {"count_scale": 0.1}},
-        template="n105",
-        setup_stages=("simulate", "extract", "fnc"),
-        cohorts=3,
-        work_unit="kernel_pairs",
+        stages=(
+            ("select", "--features", "sm+fnc"),
+            ("evaluate", "--features", "sm+fnc"),
+            ("report",),
+        ),
+        cohorts=2,
+        work_unit="candidates",
     ),
 }
 
-BARE_SETUPS = 5
-KERNEL_SET_SIZES = tuple(range(2, 9))
-KERNEL_SETS_PER_SIZE = 9
-KERNEL_SETS_PER_SIZE_TOY = 1
+BARE_SETUPS = 11
 
 
 def cohort_seed(seed: int, cohort: int) -> int:
@@ -150,12 +136,14 @@ class Context:
     """One cohort: everything an operation on it needs, fixed before timing."""
 
     spec: Spec
-    inputs: Path  # run.json plus, except for ingest, dataset and features
+    inputs: Path  # run.json plus, for select, dataset and features
     seed: int  # netresp master seed of the cohort
     toy: bool
-    fixed_set: tuple[int, ...] = ()
-    kernel_sets: tuple[tuple[tuple[int, ...], bool], ...] = ()
     work: float = 0.0
+
+    @property
+    def config(self) -> dict:
+        return self.spec.toy_config if self.toy else self.spec.config
 
     @property
     def config_path(self) -> Path:
@@ -172,9 +160,8 @@ class Context:
 @dataclasses.dataclass
 class OpResult:
     wall: float
-    out: Path | None = None
-    kernels: list = dataclasses.field(default_factory=list)
-    features: list = dataclasses.field(default_factory=list)
+    out: Path  # the directory the operation's artifacts are checked in
+    stages: dict  # CLI stage -> wall time
 
 
 def _cli(tracer, stage: str, args: list[str]) -> float:
@@ -194,121 +181,58 @@ def run_setup(spec: Spec, inputs: Path, seed: int, index: int, toy: bool) -> dic
     cohort = index if spec.setup_stages else 0
     ctx = Context(spec, cohort_dir(inputs, spec, cohort), cohort_seed(seed, cohort), toy)
     ctx.inputs.mkdir(parents=True, exist_ok=True)
-    ctx.config_path.write_text(json.dumps(spec.toy_config if toy else spec.config))
+    ctx.config_path.write_text(json.dumps(ctx.config))
     return {s: _cli(NullTracer(), s, ctx.cli_args(ctx.inputs)) for s in spec.setup_stages}
 
 
 def prepare(spec: Spec, inputs: Path, seed: int, toy: bool) -> list[Context]:
-    """One context per cohort, with the choices its operations need."""
-    contexts = []
-    for c in range(spec.cohorts):
-        ctx = Context(spec, cohort_dir(inputs, spec, c), cohort_seed(seed, c), toy)
-        if spec.name == "evaluate":
-            ctx.fixed_set = _one_per_domain_set(ctx.inputs)
-        elif spec.name == "kernel":
-            ctx.kernel_sets = _kernel_sets(ctx.inputs, ctx.seed, toy)
-        contexts.append(ctx)
-    return contexts
-
-
-def _one_per_domain_set(inputs: Path) -> tuple[int, ...]:
-    """One component per domain, the planted informative one where a domain has one.
-
-    This is the set a selection that found the signal would return, which
-    is what `evaluate` sees in the pipeline.
-    """
-    domains = json.loads((inputs / "features" / "features.json").read_text())["domains"]
-    truth = json.loads((inputs / "dataset" / "ground_truth.json").read_text())
-    chosen: dict[str, int] = {}
-    for i in sorted(truth["informative_indices"]):
-        chosen.setdefault(domains[i], i)
-    for i, d in enumerate(domains):
-        chosen.setdefault(d, i)
-    return tuple(sorted(chosen.values()))
-
-
-def _kernel_sets(inputs: Path, seed: int, toy: bool):
-    """Distinct component sets, equally many of each size, alternating sm / sm+fnc."""
-    n_comp = len(json.loads((inputs / "features" / "features.json").read_text())["domains"])
-    rng = np.random.default_rng([seed, 105])
-    per_size = KERNEL_SETS_PER_SIZE_TOY if toy else KERNEL_SETS_PER_SIZE
-    sets: list[tuple[int, ...]] = []
-    for size in KERNEL_SET_SIZES:
-        drawn: set[tuple[int, ...]] = set()
-        while len(drawn) < per_size:
-            drawn.add(tuple(sorted(int(i) for i in rng.choice(n_comp, size, replace=False))))
-        sets.extend(sorted(drawn))
-    order = rng.permutation(len(sets))
-    return tuple((sets[j], pos % 2 == 1) for pos, j in enumerate(order))
-
-
-# ---------------------------------------------------------------- operations
-
-
-def op_ingest(ctx: Context, tracer, index: int) -> OpResult:
-    out = ctx.inputs / f"op{index}"
-    args = ctx.cli_args(out)  # simulate makes the cohort from its seed
-    start = perf_counter()
-    for stage in ("simulate", "extract", "fnc"):
-        _cli(tracer, stage, args)
-    return OpResult(wall=perf_counter() - start, out=out)
-
-
-def op_select(ctx: Context, tracer, index: int) -> OpResult:
-    shutil.rmtree(ctx.inputs / "selection", ignore_errors=True)
-    start = perf_counter()
-    _cli(tracer, "select", ctx.cli_args(ctx.inputs) + ["--features", "sm+fnc"])
-    return OpResult(wall=perf_counter() - start, out=ctx.inputs / "selection")
-
-
-def op_evaluate(ctx: Context, tracer, index: int) -> OpResult:
-    shutil.rmtree(ctx.inputs / "eval", ignore_errors=True)
-    fixed = "fixed:" + ",".join(str(i) for i in ctx.fixed_set)
-    args = ctx.cli_args(ctx.inputs)
-    start = perf_counter()
-    _cli(tracer, "evaluate", args + ["--features", "sm+fnc", "--selection", fixed])
-    _cli(tracer, "report", args)
-    return OpResult(wall=perf_counter() - start, out=ctx.inputs / "eval")
-
-
-def op_kernel(ctx: Context, tracer, index: int) -> OpResult:
-    feat_dir = ctx.inputs / "features"
-    params = netresp.PabsKernelParams(spectrum_fix="none")
-    start = perf_counter()
-    with tracer.span("datamodel.read"):
-        doc = json.loads((feat_dir / "features.json").read_text())
-        features = [
-            netresp.SubjectFeatures(
-                spatial_maps=netresp.read_matrix(feat_dir / e["sm"]),
-                time_courses=netresp.read_matrix(feat_dir / e["tc"]),
-                fnc=netresp.read_matrix(feat_dir / e["fnc"]),
-            )
-            for e in doc["subjects"]
-        ]
-    ids = tuple(e["id"] for e in doc["subjects"])
-    kernels = [
-        netresp.build_kernel_matrix(features, sel, params, use_fnc=use_fnc, subject_ids=ids)
-        for sel, use_fnc in ctx.kernel_sets
+    """One context per cohort."""
+    return [
+        Context(spec, cohort_dir(inputs, spec, c), cohort_seed(seed, c), toy)
+        for c in range(spec.cohorts)
     ]
-    wall = perf_counter() - start
-    return OpResult(wall=wall, kernels=[k.values for k in kernels], features=features)
 
 
-OPS = {"ingest": op_ingest, "select": op_select, "evaluate": op_evaluate, "kernel": op_kernel}
+# ---------------------------------------------------------------- operation
+
+
+def run_op(ctx: Context, tracer, index: int) -> OpResult:
+    """One operation: the workload's CLI stages in order, timed as a whole.
+
+    ingest writes a fresh output directory per operation (simulate makes the
+    cohort from its seed); select works in the cohort's set-up directory and
+    first removes what the previous operation on it wrote.
+    """
+    if ctx.spec.name == "ingest":
+        out = ctx.inputs / f"op{index}"
+    else:
+        out = ctx.inputs
+        for sub in ("selection", "eval"):
+            shutil.rmtree(out / sub, ignore_errors=True)
+    args = ctx.cli_args(out)
+    stages = {}
+    start = perf_counter()
+    for stage, *extra in ctx.spec.stages:
+        stages[stage] = _cli(tracer, stage, args + extra)
+    return OpResult(wall=perf_counter() - start, out=out, stages=stages)
 
 
 # ------------------------------------------------------------ digest, checks
 
 
+def _artifact_dirs(ctx: Context, res: OpResult) -> list[Path]:
+    if ctx.spec.name == "ingest":
+        return [res.out]
+    return [res.out / "selection", res.out / "eval"]
+
+
 def digest(ctx: Context, res: OpResult) -> str:
-    """Digest of everything the operation produced, for run-to-run identity."""
+    """Digest of every artifact the operation wrote, for run-to-run identity."""
     h = hashlib.blake2b(digest_size=16)
-    if res.out is not None:
-        for path in sorted(p for p in res.out.rglob("*") if p.is_file()):
+    for d in _artifact_dirs(ctx, res):
+        for path in sorted(p for p in d.rglob("*") if p.is_file()):
             h.update(str(path.relative_to(res.out)).encode())
             h.update(path.read_bytes())
-    for values in res.kernels:
-        h.update(np.ascontiguousarray(values).tobytes())
     return h.hexdigest()
 
 
@@ -360,33 +284,33 @@ def _expected_candidates(domains, beam_width: int) -> int:
 
 
 def check_select(ctx: Context, res: OpResult):
+    """Selection, evaluation and report outputs, and the selected set's kernel."""
     problems = []
-    inputs = ctx.inputs
-    domains = json.loads((inputs / "features" / "features.json").read_text())["domains"]
-    cfg = ctx.spec.toy_config if ctx.toy else ctx.spec.config
-    beam_width = cfg["selection"]["beam_width"]
-    result = json.loads((res.out / "result.json").read_text())
+    doc = json.loads((ctx.inputs / "features" / "features.json").read_text())
+    domains = doc["domains"]
+    result = json.loads((res.out / "selection" / "result.json").read_text())
     best = result["best_set"]
     if not all(isinstance(i, int) and 0 <= i < len(domains) for i in best):
-        problems.append(f"best set {best} has an invalid component")
-    elif sorted(domains[i] for i in best) != sorted(set(domains)):
+        return [f"best set {best} has an invalid component"], 0.0
+    if sorted(domains[i] for i in best) != sorted(set(domains)):
         problems.append(f"best set {best} is not one component per domain")
     score = result["best_score"]
     if score is None or not 0.0 <= score <= 1.0:
         problems.append(f"best_score {score} outside [0, 1]")
-    rows = (res.out / "trace.csv").read_text().strip().splitlines()[1:]
-    expected = _expected_candidates(domains, beam_width)
+    rows = (res.out / "selection" / "trace.csv").read_text().strip().splitlines()[1:]
+    expected = _expected_candidates(domains, ctx.config["selection"]["beam_width"])
     if len(rows) != expected:
         problems.append(f"trace has {len(rows)} candidates, expected {expected}")
+    problems += _check_evaluation(ctx, res, doc)
+    problems += _check_kernel(ctx, best)
     return problems, float(len(rows))
 
 
-def check_evaluate(ctx: Context, res: OpResult):
+def _check_evaluation(ctx: Context, res: OpResult, doc: dict) -> list[str]:
     problems = []
-    cfg = ctx.spec.toy_config if ctx.toy else ctx.spec.config
-    folds = cfg["evaluation"].get("outer_folds", 5)
-    repeats = cfg["evaluation"]["repeats"]
-    with open(res.out / "report.csv", newline="") as fh:
+    folds = ctx.config["evaluation"].get("outer_folds", 5)
+    repeats = ctx.config["evaluation"]["repeats"]
+    with open(res.out / "eval" / "report.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     cells = {(r["fold"], r["repeat"]) for r in rows}
     if len(cells) != folds * repeats:
@@ -394,20 +318,31 @@ def check_evaluate(ctx: Context, res: OpResult):
     values = [float(r["value"]) for r in rows]
     if not values or not all(0.0 <= v <= 1.0 for v in values):
         problems.append("a report.csv metric lies outside [0, 1]")
-    doc = json.loads((ctx.inputs / "features" / "features.json").read_text())
     class_set = tuple(doc["class_set"])
     labels = [e["label"] for e in doc["subjects"] if e["label"] in class_set]
     prauc = [float(r["value"]) for r in rows if r["metric"] == "macro_pr_auc"]
     chance = chance_level(labels, class_set)
     if not prauc or statistics.median(prauc) <= chance:
         problems.append(f"median macro PR-AUC not above chance level {chance:.3f}")
-    if not (res.out / "report.svg").is_file():
+    if not (res.out / "eval" / "report.svg").is_file():
         problems.append("report.svg missing")
-    return problems, float(len(cells))
+    return problems
 
 
-def reference_entry(fi, fj, selected, use_fnc: bool, params) -> float:
-    """One kernel entry computed independently of netresp.kernels.
+def _load_features(feat_dir: Path) -> list[SubjectFeatures]:
+    doc = json.loads((feat_dir / "features.json").read_text())
+    return [
+        SubjectFeatures(
+            spatial_maps=_read(feat_dir / e["sm"]),
+            time_courses=_read(feat_dir / e["tc"]),
+            fnc=_read(feat_dir / e["fnc"]),
+        )
+        for e in doc["subjects"]
+    ]
+
+
+def reference_entry(fi, fj, selected, params) -> float:
+    """One sm+fnc kernel entry computed independently of netresp.kernels.
 
     QR bases instead of the SVD ones, singular values of their product, and
     the Fisher-z cosine written out directly.
@@ -416,7 +351,7 @@ def reference_entry(fi, fj, selected, use_fnc: bool, params) -> float:
     qi = np.linalg.qr(fi.spatial_maps[sel].T)[0]
     qj = np.linalg.qr(fj.spatial_maps[sel].T)[0]
     value = np.tanh(params.gamma * np.linalg.svd(qi.T @ qj, compute_uv=False).sum())
-    if use_fnc and len(sel) >= 2:
+    if len(sel) >= 2:
         iu = np.triu_indices(len(sel), k=1)
         zi = np.arctanh(fi.fnc[np.ix_(sel, sel)][iu])
         zj = np.arctanh(fj.fnc[np.ix_(sel, sel)][iu])
@@ -426,37 +361,29 @@ def reference_entry(fi, fj, selected, use_fnc: bool, params) -> float:
     return float(value)
 
 
-def check_kernel(ctx: Context, res: OpResult):
-    problems = []
-    features = res.features
+def _check_kernel(ctx: Context, selected) -> list[str]:
+    """The raw sm+fnc kernel of the selected set: finite, symmetric, and
+    matching the independent computation on seeded entries."""
+    features = _load_features(ctx.inputs / "features")
+    params = PabsKernelParams(spectrum_fix="none")
+    values = build_kernel_matrix(features, selected, params, use_fnc=True).values
     n = len(features)
-    params = netresp.PabsKernelParams(spectrum_fix="none")
+    if values.shape != (n, n) or not np.isfinite(values).all():
+        return [f"kernel of {selected}: wrong shape or non-finite entries"]
+    problems = [] if np.array_equal(values, values.T) else [f"kernel of {selected}: not symmetric"]
     rng = np.random.default_rng([ctx.seed, 7])
-    worst = 0.0
-    for (sel, use_fnc), values in zip(ctx.kernel_sets, res.kernels):
-        if values.shape != (n, n) or not np.isfinite(values).all():
-            problems.append(f"kernel {sel}: wrong shape or non-finite entries")
-            continue
-        if not np.array_equal(values, values.T):
-            problems.append(f"kernel {sel}: not symmetric")
-        for _ in range(KERNEL_SAMPLES_PER_BUILD):
-            i, j = (int(x) for x in rng.integers(0, n, size=2))
-            ref = reference_entry(features[i], features[j], sel, use_fnc, params)
-            worst = max(worst, abs(values[i, j] - ref))
+    pairs = rng.integers(0, n, size=(KERNEL_SAMPLES, 2))
+    worst = max(
+        abs(values[i, j] - reference_entry(features[i], features[j], selected, params)) for i, j in pairs
+    )
     if worst > KERNEL_ENTRY_TOL:
         problems.append(f"sampled kernel entries differ from the reference by {worst:.2e}")
-    pairs = sum(v.shape[0] * (v.shape[0] + 1) // 2 for v in res.kernels)
-    return problems, float(pairs)
+    return problems
 
 
-CHECKS = {
-    "ingest": check_ingest,
-    "select": check_select,
-    "evaluate": check_evaluate,
-    "kernel": check_kernel,
-}
+CHECKS = {"ingest": check_ingest, "select": check_select}
 
 
 def cleanup(ctx: Context, res: OpResult) -> None:
-    if ctx.spec.name == "ingest" and res.out is not None:
+    if ctx.spec.name == "ingest":
         shutil.rmtree(res.out, ignore_errors=True)
