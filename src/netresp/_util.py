@@ -5,8 +5,6 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 
 def derive_seed(master: int, *keys) -> int:
     """Derive a stable 64-bit sub-seed from a master seed and context keys.
@@ -16,10 +14,6 @@ def derive_seed(master: int, *keys) -> int:
     """
     text = repr((int(master),) + tuple(keys)).encode()
     return int.from_bytes(hashlib.sha256(text).digest()[:8], "little")
-
-
-def rng_for(master: int, *keys) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master, *keys))
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:

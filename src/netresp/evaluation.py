@@ -201,50 +201,55 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def run_experiment(
-    features,
+def raw_kernel(
+    features, selected, kernel_params: PabsKernelParams, use_fnc: bool
+) -> np.ndarray:
+    """The unrepaired kernel of `selected` over all subjects.
+
+    Entries are pairwise, so one matrix serves every fold partition; the
+    configured spectrum fix is applied later, per training block.
+    """
+    raw_params = replace(kernel_params, spectrum_fix="none")
+    return build_kernel_matrix(features, selected, raw_params, use_fnc=use_fnc).values
+
+
+def _fold_blocks(
+    raw: np.ndarray, labels: np.ndarray, kernel_params: PabsKernelParams, eval_cfg: EvalConfig
+):
+    """Per outer fold: train and test indices, the spectrum-fixed training
+    block and the unchanged test-vs-train block of `raw`."""
+    folds = stratified_kfold(labels, eval_cfg.outer_folds, derive_seed(eval_cfg.seed, "outer-folds"))
+    blocks = []
+    for f in range(eval_cfg.outer_folds):
+        te = np.flatnonzero(folds == f)
+        tr = np.flatnonzero(folds != f)
+        k_tr = apply_spectrum_fix(raw[np.ix_(tr, tr)], kernel_params)
+        blocks.append((tr, te, k_tr, raw[np.ix_(te, tr)]))
+    return blocks
+
+
+def cross_validate(
+    raw: np.ndarray,
     labels,
-    selected,
     kernel_params: PabsKernelParams,
     svm_cfg: SvmConfig,
     eval_cfg: EvalConfig,
-    use_fnc: bool = False,
     threads: int = 1,
-) -> ExperimentReport:
-    """Stratified outer CV with seeded repeats on a fixed component set.
-
-    The full raw kernel is assembled once; per fold, the training block gets
-    the configured spectrum fix while test-vs-train blocks pass through
-    unchanged. Fully deterministic given the master seed in `eval_cfg`.
-    """
+) -> tuple[FoldRepeatRow, ...]:
+    """Stratified CV with seeded repeats on a raw kernel: one row per
+    (fold, repeat) cell, deterministic given the master seed in `eval_cfg`."""
     labels = np.asarray([str(x) for x in labels])
     class_set = eval_cfg.class_set
     extra = sorted(set(labels.tolist()) - set(class_set))
     if extra:
         raise ValueError(f"labels outside class_set: {extra}")
-    raw_params = replace(kernel_params, spectrum_fix="none")
-    kernel = build_kernel_matrix(features, selected, raw_params, use_fnc=use_fnc)
-    folds = stratified_kfold(labels, eval_cfg.outer_folds, derive_seed(eval_cfg.seed, "outer-folds"))
-
-    fold_blocks = []
-    for f in range(eval_cfg.outer_folds):
-        te = np.flatnonzero(folds == f)
-        tr = np.flatnonzero(folds != f)
-        k_tr = apply_spectrum_fix(kernel.values[np.ix_(tr, tr)], kernel_params)
-        k_te = kernel.values[np.ix_(te, tr)]
-        fold_blocks.append((tr, te, k_tr, k_te))
+    fold_blocks = _fold_blocks(raw, labels, kernel_params, eval_cfg)
 
     def one_cell(cell):
         f, rep = cell
         tr, te, k_tr, k_te = fold_blocks[f]
         try:
-            cfg = SvmConfig(
-                C=svm_cfg.C,
-                class_weighted=svm_cfg.class_weighted,
-                smo_tol=svm_cfg.smo_tol,
-                max_passes=svm_cfg.max_passes,
-                seed=derive_seed(eval_cfg.seed, "repeat", rep, "fold", f),
-            )
+            cfg = replace(svm_cfg, seed=derive_seed(eval_cfg.seed, "repeat", rep, "fold", f))
             model = train_multiclass(k_tr, labels[tr], class_set, cfg)
             scores = predict_scores(model, k_te)
             preds = np.asarray(predict_labels(model, k_te))
@@ -264,10 +269,30 @@ def run_experiment(
             raise EvalError(f"fold {f}, repeat {rep}: {e}") from e
 
     cells = [(f, rep) for f in range(eval_cfg.outer_folds) for rep in range(eval_cfg.repeats)]
-    rows = parallel_map(one_cell, cells, threads)
+    return tuple(parallel_map(one_cell, cells, threads))
+
+
+def run_experiment(
+    features,
+    labels,
+    selected,
+    kernel_params: PabsKernelParams,
+    svm_cfg: SvmConfig,
+    eval_cfg: EvalConfig,
+    use_fnc: bool = False,
+    threads: int = 1,
+) -> ExperimentReport:
+    """Stratified outer CV with seeded repeats on a fixed component set.
+
+    The full raw kernel is assembled once; per fold, the training block gets
+    the configured spectrum fix while test-vs-train blocks pass through
+    unchanged. Fully deterministic given the master seed in `eval_cfg`.
+    """
+    raw = raw_kernel(features, selected, kernel_params, use_fnc)
+    rows = cross_validate(raw, labels, kernel_params, svm_cfg, eval_cfg, threads)
     return ExperimentReport(
-        rows=tuple(rows),
-        class_set=class_set,
+        rows=rows,
+        class_set=eval_cfg.class_set,
         seed=eval_cfg.seed,
         config={
             "outer_folds": eval_cfg.outer_folds,
@@ -286,27 +311,17 @@ class PermutationBaseline:
 
 
 def cross_validated_scores(
-    features,
+    raw: np.ndarray,
     labels,
-    selected,
     kernel_params: PabsKernelParams,
     svm_cfg: SvmConfig,
     eval_cfg: EvalConfig,
-    use_fnc: bool = False,
 ) -> np.ndarray:
-    """One held-out score row per subject from a single outer CV pass."""
-    labels = np.asarray([str(x) for x in labels])
-    raw_params = replace(kernel_params, spectrum_fix="none")
-    kernel = build_kernel_matrix(features, selected, raw_params, use_fnc=use_fnc)
-    folds = stratified_kfold(
-        labels, eval_cfg.outer_folds, derive_seed(eval_cfg.seed, "outer-folds")
-    )
+    """One held-out score row per subject from a single outer CV pass over
+    the raw kernel `raw`."""
+    labels = np.asarray(labels)
     scores = np.zeros((labels.size, len(eval_cfg.class_set)))
-    for f in range(eval_cfg.outer_folds):
-        te = np.flatnonzero(folds == f)
-        tr = np.flatnonzero(folds != f)
-        k_tr = apply_spectrum_fix(kernel.values[np.ix_(tr, tr)], kernel_params)
-        k_te = kernel.values[np.ix_(te, tr)]
+    for f, (tr, te, k_tr, k_te) in enumerate(_fold_blocks(raw, labels, kernel_params, eval_cfg)):
         cfg = replace(svm_cfg, seed=derive_seed(eval_cfg.seed, "cv-scores", f))
         model = train_multiclass(k_tr, labels[tr], eval_cfg.class_set, cfg)
         scores[te] = predict_scores(model, k_te)
@@ -332,19 +347,19 @@ def permutation_baseline(
     across folds (per-fold AP on a class with one member is biased far
     above prevalence, so pooling is what makes this comparable to the
     asymptotic chance level). The mean and 95th percentile calibrate where
-    chance sits for the experiment at hand.
+    chance sits for the experiment at hand. The raw kernel does not depend
+    on the labels, so it is built once and shared by every round.
     """
     labels = np.asarray([str(x) for x in labels])
     rounds = eval_cfg.permutation_rounds if rounds is None else rounds
     seed = eval_cfg.seed if seed is None else seed
+    raw = raw_kernel(features, selected, kernel_params, use_fnc)
 
     def one_round(r):
         rng = np.random.default_rng(derive_seed(seed, "permutation", r))
         permuted = labels[rng.permutation(labels.size)]
         cfg = replace(eval_cfg, repeats=1, seed=derive_seed(seed, "permutation-eval", r))
-        scores = cross_validated_scores(
-            features, permuted, selected, kernel_params, svm_cfg, cfg, use_fnc=use_fnc
-        )
+        scores = cross_validated_scores(raw, permuted, kernel_params, svm_cfg, cfg)
         return macro_pr_auc(permuted, scores, eval_cfg.class_set)
 
     scores = parallel_map(one_round, range(rounds), threads)

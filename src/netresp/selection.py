@@ -3,18 +3,22 @@
 One component per domain is chosen stage by stage; instead of keeping only
 the single best partial set (classic forward selection), the top
 `beam_width` sets survive each stage, so combinations that underperform
-early but pay off once later domains join are retained. Scores come from
-an inner stratified CV that is disjoint from any outer evaluation fold.
+early but pay off once later domains join are retained. Each candidate is
+scored by repeated stratified CV over the subjects it is given; keeping
+those subjects apart from any later evaluation is the caller's job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._util import derive_seed, parallel_map
-from .evaluation import EvalConfig, run_experiment
+
+# run_experiment is not called here; it stays bound so that perfbench's
+# traced run, which wraps netresp.selection.run_experiment, still finds it.
+from .evaluation import EvalConfig, cross_validate, raw_kernel, run_experiment  # noqa: F401
 from .kernels import PabsKernelParams
 from .svm import SvmConfig
 
@@ -86,15 +90,18 @@ def score_feature_set(
 ) -> float:
     """Mean inner-CV score of a candidate component set.
 
-    Folds are re-drawn per repeat from seeds derived from `seed`, so the
-    same (candidate, seed) pair always scores bit-identically no matter
-    where in a beam search it is evaluated.
+    The candidate's raw kernel is built once; each of the `inner_repeats`
+    repeats re-draws the fold partition from a seed derived from `seed` and
+    cross-validates on that one matrix, applying the spectrum fix per
+    training fold. The same (candidate, seed) pair therefore scores
+    bit-identically no matter where in a beam search it is evaluated.
     """
     selected = tuple(int(i) for i in selected)
     if not selected:
         raise SelectionError("candidate set is empty")
     scores = []
     try:
+        raw = raw_kernel(features, selected, kernel_params, use_fnc)
         for rep in range(cfg.inner_repeats):
             inner = EvalConfig(
                 outer_folds=cfg.inner_folds,
@@ -102,16 +109,8 @@ def score_feature_set(
                 class_set=tuple(class_set),
                 seed=derive_seed(seed, "inner", rep),
             )
-            report = run_experiment(
-                features,
-                labels,
-                selected,
-                kernel_params,
-                svm_cfg,
-                inner,
-                use_fnc=use_fnc,
-            )
-            scores.append(report.metric_values(cfg.scorer).mean())
+            rows = cross_validate(raw, labels, kernel_params, svm_cfg, inner)
+            scores.append(np.mean([getattr(row, cfg.scorer) for row in rows]))
     except Exception as e:
         raise SelectionError(f"candidate {list(selected)}: {e}") from e
     return float(np.mean(scores))
@@ -227,20 +226,11 @@ def sfs(
     threads: int = 1,
 ) -> SelectionResult:
     """Classic greedy forward selection: the beam_width=1 special case."""
-    greedy = SsfsConfig(
-        beam_width=1,
-        scorer=cfg.scorer,
-        inner_folds=cfg.inner_folds,
-        inner_repeats=cfg.inner_repeats,
-        domain_order=cfg.domain_order,
-        extra_passes=cfg.extra_passes,
-        seed=cfg.seed,
-    )
     return ssfs(
         features,
         labels,
         domains,
-        greedy,
+        replace(cfg, beam_width=1),
         kernel_params,
         svm_cfg,
         class_set=class_set,

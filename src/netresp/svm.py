@@ -9,7 +9,7 @@ what distinguishes "randomly initialized" models trained on the same fold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -339,13 +339,7 @@ def train_multiclass(k_train, labels, class_set, cfg: SvmConfig) -> MulticlassMo
             raise SingleClassError(f"class {cls!r} absent from training labels")
         if not (y < 0).any():
             raise SingleClassError(f"all training labels are {cls!r}")
-        sub_cfg = SvmConfig(
-            C=cfg.C,
-            class_weighted=cfg.class_weighted,
-            smo_tol=cfg.smo_tol,
-            max_passes=cfg.max_passes,
-            seed=derive_seed(cfg.seed, "ovr", idx),
-        )
+        sub_cfg = replace(cfg, seed=derive_seed(cfg.seed, "ovr", idx))
         models.append(solve_binary_smo(k_train, y, sub_cfg))
     return MulticlassModel(models=tuple(models), classes=class_set)
 

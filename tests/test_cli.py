@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import netresp
 from netresp.cli import main
 
 TINY_CONFIG = {
@@ -252,10 +255,14 @@ class TestHelp:
             assert flag in text
 
     def test_console_entry_point(self):
+        # the child must import the same package as this process
+        src = str(Path(netresp.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "netresp.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout

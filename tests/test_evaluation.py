@@ -296,3 +296,11 @@ class TestPermutationBaseline:
         assert abs(base.mean - chance_level(labels, cfg.class_set)) < 0.15
         assert len(base.scores) == 8
         assert base.p95 >= base.mean
+
+    def test_one_kernel_build_per_call(self, kernel_builds):
+        feats, labels = _planted_features({"AD": 4, "MS": 4, "NR": 4}, seed=8)
+        cfg = EvalConfig(outer_folds=2, repeats=1, seed=3)
+        permutation_baseline(
+            feats, labels, [1, 0], PabsKernelParams(), SvmConfig(), cfg, rounds=5, seed=2
+        )
+        assert kernel_builds == [(1, 0)]

@@ -3,6 +3,7 @@ import pytest
 
 from netresp._util import derive_seed
 from netresp.datamodel import SubjectFeatures
+from netresp.evaluation import EvalConfig, run_experiment
 from netresp.kernels import PabsKernelParams
 from netresp.selection import (
     SelectionError,
@@ -72,6 +73,46 @@ class TestScoreFeatureSet:
         with pytest.raises(SelectionError, match=r"\[0, 1\]"):
             # 2 per class cannot support 3 inner folds
             score_feature_set(feats, labels, ("P", "Q"), (0, 1), KP, SVM, FAST, 0)
+
+
+def _per_repeat_reference(features, labels, class_set, selected, kernel_params, cfg, seed):
+    """Candidate score computed as one full experiment per inner repeat,
+    each building its own kernel."""
+    scores = []
+    for rep in range(cfg.inner_repeats):
+        inner = EvalConfig(
+            outer_folds=cfg.inner_folds,
+            repeats=1,
+            class_set=tuple(class_set),
+            seed=derive_seed(seed, "inner", rep),
+        )
+        report = run_experiment(features, labels, selected, kernel_params, SVM, inner)
+        scores.append(report.metric_values(cfg.scorer).mean())
+    return float(np.mean(scores))
+
+
+class TestBuildOnce:
+    @pytest.mark.parametrize("scorer", ["macro_pr_auc", "macro_f1"])
+    @pytest.mark.parametrize("fix", ["clip", "none"])
+    def test_score_equals_per_repeat_experiments(self, scorer, fix):
+        feats, labels = _two_class_features(n_per_class=6, seed=21)
+        cfg = SsfsConfig(inner_folds=3, inner_repeats=3, scorer=scorer, seed=2)
+        kp = PabsKernelParams(spectrum_fix=fix)
+        args = (feats, labels, ("P", "Q"), (1, 2))
+        expected = _per_repeat_reference(*args, kp, cfg, 77)
+        assert score_feature_set(*args, kp, SVM, cfg, 77) == expected
+
+    def test_one_build_per_candidate(self, kernel_builds):
+        feats, labels = _two_class_features(n_per_class=6, seed=22)
+        cfg = SsfsConfig(inner_folds=3, inner_repeats=4, seed=2)
+        score_feature_set(feats, labels, ("P", "Q"), (2, 0), KP, SVM, cfg, 5)
+        assert kernel_builds == [(2, 0)]
+
+    def test_ssfs_one_build_per_trace_row(self, kernel_builds):
+        feats, labels, meta = generate_interaction_cohort(n_per_class=8, seed=23)
+        cfg = SsfsConfig(beam_width=2, inner_folds=3, inner_repeats=3, seed=4)
+        result = ssfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
+        assert kernel_builds == [c.indices for c in result.beam_trace]
 
 
 def _brute_force_best(feats, labels, class_set, domains, cfg):
