@@ -128,7 +128,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    """Apply CLI flags; the seed override re-seeds every section too."""
+    """Apply CLI flags; the seed override re-seeds every seeded section too."""
     updates: dict = {}
     for key in ("threads", "features", "selection_mode", "template"):
         if overrides.get(key) is not None:
@@ -137,7 +137,6 @@ def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
         seed = int(overrides["seed"])
         updates["seed"] = seed
         updates["synth"] = dataclasses.replace(cfg.synth, seed=seed)
-        updates["svm"] = dataclasses.replace(cfg.svm, seed=derive_seed(seed, "svm"))
         updates["selection"] = dataclasses.replace(
             cfg.selection, seed=derive_seed(seed, "selection")
         )
@@ -269,16 +268,17 @@ def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _class_filter(features, labels, ids, class_set):
+def _load_class_features(cfg: RunConfig, out_dir: Path):
+    """Features and labels of the subjects in the configured classes that
+    the data has, plus the features document and that class set."""
+    features, labels, ids, doc = _load_features(out_dir, need_fnc=cfg.features == "sm+fnc")
+    class_set = tuple(c for c in cfg.evaluation.class_set if c in set(labels))
+    if len(class_set) < 2:
+        raise ConfigError(
+            f"need at least 2 of the configured classes in the data, have {class_set}"
+        )
     kept = [i for i, lab in enumerate(labels) if lab in class_set]
-    missing = [c for c in class_set if c not in {labels[i] for i in kept}]
-    if missing:
-        raise ManifestError(f"classes missing from features: {missing}")
-    return (
-        [features[i] for i in kept],
-        [labels[i] for i in kept],
-        [ids[i] for i in kept],
-    )
+    return [features[i] for i in kept], [labels[i] for i in kept], doc, class_set
 
 
 def _parse_fixed(mode: str, n_components: int) -> list[int]:
@@ -296,13 +296,7 @@ def _parse_fixed(mode: str, n_components: int) -> list[int]:
 
 def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
     use_fnc = cfg.features == "sm+fnc"
-    features, labels, ids, doc = _load_features(out_dir, need_fnc=use_fnc)
-    class_set = tuple(c for c in cfg.evaluation.class_set if c in set(labels))
-    if len(class_set) < 2:
-        raise ConfigError(
-            f"need at least 2 of the configured classes in the data, have {class_set}"
-        )
-    features, labels, ids = _class_filter(features, labels, ids, class_set)
+    features, labels, doc, class_set = _load_class_features(cfg, out_dir)
     sel_dir = out_dir / "selection"
     sel_dir.mkdir(parents=True, exist_ok=True)
 
@@ -348,13 +342,7 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
     use_fnc = cfg.features == "sm+fnc"
-    features, labels, ids, doc = _load_features(out_dir, need_fnc=use_fnc)
-    class_set = tuple(c for c in cfg.evaluation.class_set if c in set(labels))
-    if len(class_set) < 2:
-        raise ConfigError(
-            f"need at least 2 of the configured classes in the data, have {class_set}"
-        )
-    features, labels, ids = _class_filter(features, labels, ids, class_set)
+    features, labels, doc, class_set = _load_class_features(cfg, out_dir)
 
     if cfg.selection_mode.startswith("fixed:"):
         selected = _parse_fixed(cfg.selection_mode, features[0].n_components)

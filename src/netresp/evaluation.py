@@ -1,8 +1,8 @@
-"""Outer evaluation protocol: stratified repeated CV, PR metrics, baselines.
+"""Outer evaluation protocol: repeated stratified k-fold CV, PR metrics, baselines.
 
-Folds are drawn once per experiment from the master seed; the configured
-repeats re-train the SVMs on the same splits with repeat-specific seeds
-that shuffle the SMO sweep order. Average precision uses step-wise
+Each of the configured repeats draws a fresh stratified fold partition
+from the master seed; the SVM solver is deterministic, so repeats differ
+only in how subjects are split. Average precision uses step-wise
 interpolation with ties broken by stable original order.
 """
 
@@ -44,11 +44,12 @@ class EvalConfig:
             raise ValueError("permutation_rounds must be at least 1")
 
 
-def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
+def stratified_kfold(labels, k: int, seed) -> np.ndarray:
     """Assign each sample to one of k folds, stratified by label.
 
     Per-class counts across folds differ by at most one. Classes smaller
-    than k raise, suggesting a smaller k.
+    than k raise, suggesting a smaller k. `seed` is an int or a numpy
+    Generator; successive calls on one Generator draw fresh partitions.
     """
     labels = np.asarray(labels)
     if k < 2:
@@ -213,19 +214,20 @@ def raw_kernel(
     return build_kernel_matrix(features, selected, raw_params, use_fnc=use_fnc).values
 
 
-def _fold_blocks(
-    raw: np.ndarray, labels: np.ndarray, kernel_params: PabsKernelParams, eval_cfg: EvalConfig
-):
-    """Per outer fold: train and test indices, the spectrum-fixed training
-    block and the unchanged test-vs-train block of `raw`."""
-    folds = stratified_kfold(labels, eval_cfg.outer_folds, derive_seed(eval_cfg.seed, "outer-folds"))
-    blocks = []
-    for f in range(eval_cfg.outer_folds):
-        te = np.flatnonzero(folds == f)
-        tr = np.flatnonzero(folds != f)
-        k_tr = apply_spectrum_fix(raw[np.ix_(tr, tr)], kernel_params)
-        blocks.append((tr, te, k_tr, raw[np.ix_(te, tr)]))
-    return blocks
+def _partitions(labels, eval_cfg: EvalConfig, count: int) -> list[np.ndarray]:
+    """`count` stratified fold assignments drawn in turn from one stream
+    seeded by the master seed, so the first is the same for every count."""
+    rng = np.random.default_rng(derive_seed(eval_cfg.seed, "outer-folds"))
+    return [stratified_kfold(labels, eval_cfg.outer_folds, rng) for _ in range(count)]
+
+
+def _fold_block(raw: np.ndarray, folds: np.ndarray, fold: int, kernel_params: PabsKernelParams):
+    """Train and test indices of one fold, the spectrum-fixed training block
+    and the unchanged test-vs-train block of `raw`."""
+    te = np.flatnonzero(folds == fold)
+    tr = np.flatnonzero(folds != fold)
+    k_tr = apply_spectrum_fix(raw[np.ix_(tr, tr)], kernel_params)
+    return tr, te, k_tr, raw[np.ix_(te, tr)]
 
 
 def cross_validate(
@@ -236,21 +238,21 @@ def cross_validate(
     eval_cfg: EvalConfig,
     threads: int = 1,
 ) -> tuple[FoldRepeatRow, ...]:
-    """Stratified CV with seeded repeats on a raw kernel: one row per
-    (fold, repeat) cell, deterministic given the master seed in `eval_cfg`."""
+    """Repeated stratified k-fold CV on a raw kernel: each repeat re-draws
+    the fold partition, and each (fold, repeat) cell gives one row.
+    Deterministic given the master seed in `eval_cfg`."""
     labels = np.asarray([str(x) for x in labels])
     class_set = eval_cfg.class_set
     extra = sorted(set(labels.tolist()) - set(class_set))
     if extra:
         raise ValueError(f"labels outside class_set: {extra}")
-    fold_blocks = _fold_blocks(raw, labels, kernel_params, eval_cfg)
+    partitions = _partitions(labels, eval_cfg, eval_cfg.repeats)
 
     def one_cell(cell):
         f, rep = cell
-        tr, te, k_tr, k_te = fold_blocks[f]
         try:
-            cfg = replace(svm_cfg, seed=derive_seed(eval_cfg.seed, "repeat", rep, "fold", f))
-            model = train_multiclass(k_tr, labels[tr], class_set, cfg)
+            tr, te, k_tr, k_te = _fold_block(raw, partitions[rep], f, kernel_params)
+            model = train_multiclass(k_tr, labels[tr], class_set, svm_cfg)
             scores = predict_scores(model, k_te)
             preds = np.asarray(predict_labels(model, k_te))
             te_labels = labels[te]
@@ -282,11 +284,12 @@ def run_experiment(
     use_fnc: bool = False,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Stratified outer CV with seeded repeats on a fixed component set.
+    """Repeated stratified outer CV on a fixed component set.
 
-    The full raw kernel is assembled once; per fold, the training block gets
-    the configured spectrum fix while test-vs-train blocks pass through
-    unchanged. Fully deterministic given the master seed in `eval_cfg`.
+    The full raw kernel is assembled once; per (repeat, fold), the training
+    block gets the configured spectrum fix while test-vs-train blocks pass
+    through unchanged. Fully deterministic given the master seed in
+    `eval_cfg`.
     """
     raw = raw_kernel(features, selected, kernel_params, use_fnc)
     rows = cross_validate(raw, labels, kernel_params, svm_cfg, eval_cfg, threads)
@@ -321,9 +324,10 @@ def cross_validated_scores(
     the raw kernel `raw`."""
     labels = np.asarray(labels)
     scores = np.zeros((labels.size, len(eval_cfg.class_set)))
-    for f, (tr, te, k_tr, k_te) in enumerate(_fold_blocks(raw, labels, kernel_params, eval_cfg)):
-        cfg = replace(svm_cfg, seed=derive_seed(eval_cfg.seed, "cv-scores", f))
-        model = train_multiclass(k_tr, labels[tr], eval_cfg.class_set, cfg)
+    [folds] = _partitions(labels, eval_cfg, 1)
+    for f in range(eval_cfg.outer_folds):
+        tr, te, k_tr, k_te = _fold_block(raw, folds, f, kernel_params)
+        model = train_multiclass(k_tr, labels[tr], eval_cfg.class_set, svm_cfg)
         scores[te] = predict_scores(model, k_te)
     return scores
 

@@ -1,21 +1,24 @@
 """Kernel SVM training on precomputed kernel matrices via SMO.
 
 The solver optimizes the standard soft-margin dual with per-sample box
-constraints (class-weighted C), two variables at a time. Randomness is
-confined to the seeded shuffling of the working-set sweep order, which is
-what distinguishes "randomly initialized" models trained on the same fold.
+constraints (class-weighted C), two variables at a time, choosing each pair
+by second-order working-set selection over the dual gradient (Fan, Chen &
+Lin 2005). It uses no randomness: the same training problem always gives
+the same model, bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datamodel import as_matrix
-from ._util import derive_seed
 from .kernels import KernelMatrix
+
+
+TAU = 1e-12  # curvature used in place of a non-positive a_ij
 
 
 class SingleClassError(ValueError):
@@ -24,11 +27,13 @@ class SingleClassError(ValueError):
 
 @dataclass(frozen=True)
 class SvmConfig:
+    """Soft-margin settings. `max_passes` caps the solver at max_passes * n
+    pair updates for n training points."""
+
     C: float = 1.0
     class_weighted: bool = True
     smo_tol: float = 1e-3
     max_passes: int = 10_000
-    seed: int = 0
 
     def __post_init__(self):
         if not self.C > 0:
@@ -102,34 +107,12 @@ def per_sample_c(y, cfg: SvmConfig) -> np.ndarray:
     return np.where(y > 0, cfg.C * n / (2.0 * n_pos), cfg.C * n / (2.0 * n_neg))
 
 
-def _refine_bias(u, y, alphas, box, fallback: float) -> float:
-    """Pick the bias minimizing the maximum KKT violation.
-
-    Every KKT condition is one-sided linear in b; the feasible interval is
-    [max lower, min upper] and its midpoint is optimal even when the
-    interval is (slightly) empty.
-    """
-    lower = -np.inf
-    upper = np.inf
-    for i in range(y.size):
-        bound = y[i] - u[i]  # b value putting sample i exactly on the margin
-        if y[i] > 0:
-            if alphas[i] < box[i]:
-                lower = max(lower, bound)
-            if alphas[i] > 0:
-                upper = min(upper, bound)
-        else:
-            if alphas[i] < box[i]:
-                upper = min(upper, bound)
-            if alphas[i] > 0:
-                lower = max(lower, bound)
-    if np.isfinite(lower) and np.isfinite(upper):
-        return (lower + upper) / 2.0
-    if np.isfinite(lower):
-        return lower
-    if np.isfinite(upper):
-        return upper
-    return fallback
+def _up_low(y, alphas, box) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of I_up and I_low: the points whose y*alpha may still grow,
+    and those whose y*alpha may still shrink, inside the box."""
+    below = alphas < box
+    above = alphas > 0
+    return np.where(y > 0, below, above), np.where(y > 0, above, below)
 
 
 def solve_binary_smo(
@@ -138,10 +121,19 @@ def solve_binary_smo(
     """Solve the binary soft-margin dual by sequential minimal optimization.
 
     `k_train` is the symmetric training kernel, `y` a vector in {-1, +1}
-    with both classes present. The sweep order over training points is
-    reshuffled from cfg.seed on every pass. Terminates when a full sweep
-    finds no KKT violation beyond cfg.smo_tol; if max_passes sweeps elapse
-    first, the best-so-far model is returned with converged=False.
+    with both classes present. The dual gradient G is kept as the vector
+    score = -y*G = y - K(alpha*y), the bias that would put each point on its
+    margin. Each step takes the maximal violating pair (i = argmax score over
+    I_up, j = argmin score over I_low) and replaces the end whose
+    second-order partner gains more, b^2 / a, by that partner (WSS2 of Fan,
+    Chen & Lin 2005, JMLR 6:1889); trying both ends makes flipped labels give
+    the exactly flipped model. A non-positive curvature a (the none and
+    ridge spectrum fixes leave the kernel indefinite) is replaced by TAU,
+    which sends the step to the box edge. No randomness is involved.
+
+    The solver stops when score[i] - score[j] is at most 2 * cfg.smo_tol, so
+    the midpoint bias leaves no KKT violation above cfg.smo_tol. After
+    cfg.max_passes * n steps it returns the current model, converged=False.
     """
     k = _kernel_values(k_train)
     y = np.asarray(y, dtype=np.float64)
@@ -155,134 +147,50 @@ def solve_binary_smo(
 
     box = per_sample_c(y, cfg)
     alphas = np.zeros(n)
-    u = np.zeros(n)  # u_i = sum_j alpha_j y_j K_ij (bias excluded)
-    b = 0.0
-    rng = np.random.default_rng(cfg.seed)
-    tol = cfg.smo_tol
+    score = y.copy()
+    diag = np.diag(k)
+    curvature = diag[:, None] + diag[None, :] - 2.0 * k
+    curvature[curvature <= 0] = TAU
     stats = SolverStats() if collect_stats else None
-
-    def take_step(i: int, j: int) -> bool:
-        nonlocal b, u
-        if i == j:
-            return False
-        a_i, a_j = alphas[i], alphas[j]
-        y_i, y_j = y[i], y[j]
-        e_i = u[i] + b - y_i
-        e_j = u[j] + b - y_j
-        s = y_i * y_j
-        if s < 0:
-            lo = max(0.0, a_j - a_i)
-            hi = min(box[j], box[i] + a_j - a_i)
+    converged = False
+    for _ in range(cfg.max_passes * n):
+        up, low = _up_low(y, alphas, box)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        j = int(np.argmin(np.where(low, score, np.inf)))
+        if score[i] - score[j] <= 2.0 * cfg.smo_tol:
+            converged = True
+            break
+        gain_j = np.where(low & (score < score[i]), (score[i] - score) ** 2 / curvature[i], -np.inf)
+        gain_i = np.where(up & (score > score[j]), (score - score[j]) ** 2 / curvature[j], -np.inf)
+        if gain_i.max() > gain_j.max():
+            i = int(np.argmax(gain_i))
         else:
-            lo = max(0.0, a_i + a_j - box[i])
-            hi = min(box[j], a_i + a_j)
-        if lo >= hi - 1e-12:
-            return False
-        k_ii, k_jj, k_ij = k[i, i], k[j, j], k[i, j]
-        eta = k_ii + k_jj - 2.0 * k_ij
-        if eta > 1e-12:
-            a_j_new = a_j + y_j * (e_i - e_j) / eta
-            a_j_new = min(max(a_j_new, lo), hi)
-        else:
-            # flat or concave direction: evaluate the dual at both box ends
-            gamma = a_i + s * a_j
-            v_i = u[i] - a_i * y_i * k_ii - a_j * y_j * k_ij
-            v_j = u[j] - a_i * y_i * k_ij - a_j * y_j * k_jj
-
-            def neg_dual(aj: float) -> float:
-                ai = gamma - s * aj
-                return (
-                    0.5 * ai * ai * k_ii
-                    + 0.5 * aj * aj * k_jj
-                    + s * ai * aj * k_ij
-                    + y_i * ai * v_i
-                    + y_j * aj * v_j
-                    - ai
-                    - aj
-                )
-
-            here = neg_dual(a_j)
-            lo_obj = neg_dual(lo)
-            hi_obj = neg_dual(hi)
-            best = min(lo_obj, hi_obj)
-            if best >= here - 1e-12:
-                return False
-            a_j_new = lo if lo_obj <= hi_obj else hi
-        if abs(a_j_new - a_j) < 1e-12:
-            return False
-
-        def snap(val: float, limit: float) -> float:
-            # collapse float dust onto the exact box edge
-            if val < 1e-10:
-                return 0.0
-            if val > limit - 1e-10:
-                return limit
-            return val
-
-        a_j_new = snap(a_j_new, box[j])
-        a_i_new = a_i + s * (a_j - a_j_new)
-        snapped = snap(a_i_new, box[i])
-        if snapped != a_i_new:
-            # re-derive the partner so the equality constraint stays exact
-            a_i_new = snapped
-            a_j_new = min(max(a_j + s * (a_i - a_i_new), 0.0), box[j])
-        d_i = a_i_new - a_i
-        d_j = a_j_new - a_j
-        u += y_i * d_i * k[:, i] + y_j * d_j * k[:, j]
-        alphas[i] = a_i_new
-        alphas[j] = a_j_new
-        b1 = b - e_i - y_i * d_i * k_ii - y_j * d_j * k_ij
-        b2 = b - e_j - y_i * d_i * k_ij - y_j * d_j * k_jj
-        if 0.0 < a_i_new < box[i]:
-            b = b1
-        elif 0.0 < a_j_new < box[j]:
-            b = b2
-        else:
-            b = (b1 + b2) / 2.0
+            j = int(np.argmax(gain_j))
+        # move y_i*alpha_i up and y_j*alpha_j down by t; each lands exactly
+        # on the box edge it is heading for when that edge stops the step
+        edge_i = box[i] if y[i] > 0 else 0.0
+        edge_j = 0.0 if y[j] > 0 else box[j]
+        room_i = abs(edge_i - alphas[i])
+        room_j = abs(edge_j - alphas[j])
+        t = min((score[i] - score[j]) / curvature[i, j], room_i, room_j)
+        new_i = edge_i if t == room_i else alphas[i] + y[i] * t
+        new_j = edge_j if t == room_j else alphas[j] - y[j] * t
+        score -= y[i] * (new_i - alphas[i]) * k[i] + y[j] * (new_j - alphas[j]) * k[j]
+        alphas[i] = new_i
+        alphas[j] = new_j
         if stats is not None:
             stats.objective.append(dual_objective(alphas, k, y))
             stats.equality_gap.append(abs(float(alphas @ y)))
-            stats.box_ok.append(
-                bool(np.all(alphas >= -1e-12) and np.all(alphas <= box + 1e-12))
-            )
-        return True
+            stats.box_ok.append(bool(np.all(alphas >= 0) and np.all(alphas <= box)))
 
-    def examine(i: int) -> int:
-        e_i = u[i] + b - y[i]
-        r_i = e_i * y[i]
-        if not ((r_i < -tol and alphas[i] < box[i]) or (r_i > tol and alphas[i] > 0)):
-            return 0
-        nonbound = np.flatnonzero((alphas > 0) & (alphas < box))
-        if nonbound.size > 1:
-            errs = u[nonbound] + b - y[nonbound]
-            j = int(nonbound[np.argmax(np.abs(e_i - errs))])
-            if take_step(i, j):
-                return 1
-        for j in rng.permutation(nonbound):
-            if take_step(i, int(j)):
-                return 1
-        for j in rng.permutation(n):
-            if take_step(i, int(j)):
-                return 1
-        return 0
-
-    converged = False
-    examine_all = True
-    for _ in range(cfg.max_passes):
-        if examine_all:
-            order = rng.permutation(n)
-        else:
-            order = rng.permutation(np.flatnonzero((alphas > 0) & (alphas < box)))
-        n_changed = sum(examine(int(i)) for i in order)
-        if examine_all:
-            if n_changed == 0:
-                converged = True
-                break
-            examine_all = False
-        elif n_changed == 0:
-            examine_all = True
-
-    b = _refine_bias(u, y, alphas, box, b)
+    # Each KKT condition bounds the bias on one side at its point's score:
+    # I_up from below, I_low from above (both are non-empty for a feasible
+    # alpha). The midpoint of [max lower, min upper] minimizes the largest
+    # violation, even when the interval is (slightly) empty. The scores are
+    # recomputed so that the bias carries no rounding from the updates.
+    score = y - k @ (alphas * y)
+    up, low = _up_low(y, alphas, box)
+    b = (score[up].max() + score[low].min()) / 2.0
     support = tuple(int(i) for i in np.flatnonzero(alphas > 0))
     return SvmModel(
         alphas=alphas,
@@ -333,14 +241,13 @@ def train_multiclass(k_train, labels, class_set, cfg: SvmConfig) -> MulticlassMo
     if len(class_set) < 2:
         raise ValueError("need at least 2 classes")
     models = []
-    for idx, cls in enumerate(class_set):
+    for cls in class_set:
         y = np.array([1.0 if lab == cls else -1.0 for lab in labels])
         if not (y > 0).any():
             raise SingleClassError(f"class {cls!r} absent from training labels")
         if not (y < 0).any():
             raise SingleClassError(f"all training labels are {cls!r}")
-        sub_cfg = replace(cfg, seed=derive_seed(cfg.seed, "ovr", idx))
-        models.append(solve_binary_smo(k_train, y, sub_cfg))
+        models.append(solve_binary_smo(k_train, y, cfg))
     return MulticlassModel(models=tuple(models), classes=class_set)
 
 

@@ -133,7 +133,7 @@ def test_c04_svm_against_qp_oracle():
         y = np.sign(rng.standard_normal(n))
         if np.all(y > 0) or np.all(y < 0):
             y[0] = -y[0]
-        cfg = SvmConfig(C=1.0, smo_tol=1e-3, seed=seed)
+        cfg = SvmConfig(C=1.0, smo_tol=1e-3)
         model = solve_binary_smo(kernel, y, cfg)
         gap = abs(
             dual_objective(model.alphas, kernel, y)

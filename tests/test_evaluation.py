@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from netresp import svm
 from netresp.datamodel import SubjectFeatures
 from netresp.evaluation import (
     EvalConfig,
@@ -15,8 +16,10 @@ from netresp.evaluation import (
     run_experiment,
     stratified_kfold,
 )
-from netresp.kernels import PabsKernelParams
-from netresp.svm import SvmConfig
+from netresp.fnc import compute_fnc
+from netresp.kernels import SPECTRUM_FIXES, PabsKernelParams
+from netresp.svm import SvmConfig, check_kkt
+from netresp.synth import SynthConfig, generate_cohort
 from oracles import ap_step_oracle, worst_case_ap
 
 
@@ -258,6 +261,29 @@ class TestRunExperiment:
         assert r1.to_report_csv() == r2.to_report_csv()
         assert r1.to_summary_csv() == r2.to_summary_csv()
 
+    def test_repeats_redraw_stratified_partitions(self, monkeypatch):
+        from netresp import evaluation
+
+        drawn = []
+        original = evaluation.stratified_kfold
+
+        def recorded(*args):
+            drawn.append(original(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(evaluation, "stratified_kfold", recorded)
+        feats, labels = _planted_features({"AD": 6, "MS": 5, "NR": 4}, seed=9)
+        cfg = EvalConfig(outer_folds=3, repeats=2, seed=4)
+        first = run_experiment(feats, labels, [0], PabsKernelParams(), SvmConfig(), cfg)
+        assert len(drawn) == 2
+        assert not np.array_equal(drawn[0], drawn[1])
+        for folds in drawn:
+            for cls in cfg.class_set:
+                counts = np.bincount(folds[np.asarray(labels) == cls], minlength=3)
+                assert counts.max() - counts.min() <= 1
+        second = run_experiment(feats, labels, [0], PabsKernelParams(), SvmConfig(), cfg)
+        assert first.to_report_csv() == second.to_report_csv()
+
     def test_aggregate_count_is_folds_times_repeats(self):
         feats, labels = _planted_features({"AD": 5, "MS": 5, "NR": 5}, seed=4)
         cfg = EvalConfig(outer_folds=3, repeats=4, seed=2)
@@ -304,3 +330,37 @@ class TestPermutationBaseline:
             feats, labels, [1, 0], PabsKernelParams(), SvmConfig(), cfg, rounds=5, seed=2
         )
         assert kernel_builds == [(1, 0)]
+
+
+class TestSolverConvergence:
+    @pytest.mark.parametrize("fix", SPECTRUM_FIXES)
+    def test_converged_solves_meet_smo_tol(self, monkeypatch, fix):
+        # on this cohort an SMO that stopped after a full sweep in which no
+        # pair update was accepted reported converged=True with KKT
+        # violations above 0.3 under every spectrum fix
+        synth = SynthConfig(
+            grid=(8, 8, 6), n_components=4, n_domains=2, timepoints=60,
+            class_counts=(("AD", 10), ("MS", 10), ("NR", 10)), seed=6,
+        )
+        dataset, truth = generate_cohort(synth)
+        feats = [
+            SubjectFeatures(spatial_maps=m, time_courses=tc, fnc=compute_fnc(tc))
+            for m, tc in zip(truth.subject_maps, truth.planted_tcs)
+        ]
+        solves = []
+        original = svm.solve_binary_smo
+
+        def recorded(k_train, y, cfg, *args, **kwargs):
+            model = original(k_train, y, cfg, *args, **kwargs)
+            solves.append((k_train, y, cfg, model))
+            return model
+
+        monkeypatch.setattr(svm, "solve_binary_smo", recorded)
+        params = PabsKernelParams(spectrum_fix=fix)
+        cfg = EvalConfig(outer_folds=3, repeats=2, seed=0)
+        for selected in ([0, 2], [1, 3], [0, 1, 2, 3]):
+            run_experiment(feats, dataset.labels(), selected, params, SvmConfig(), cfg, use_fnc=True)
+        assert len(solves) == 3 * 3 * 2 * 3
+        for k_train, y, cfg, model in solves:
+            assert model.converged
+            assert check_kkt(model, k_train, y, cfg).max_violation <= cfg.smo_tol + 1e-9

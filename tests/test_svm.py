@@ -34,7 +34,7 @@ class TestBinarySmo:
     def test_two_point_analytic_solution(self):
         kernel = np.array([[1.0, -1.0], [-1.0, 1.0]])
         y = np.array([-1.0, 1.0])
-        model = solve_binary_smo(kernel, y, SvmConfig(C=10.0, smo_tol=1e-4, seed=0))
+        model = solve_binary_smo(kernel, y, SvmConfig(C=10.0, smo_tol=1e-4))
         # dual optimum alpha = (1/2, 1/2), interior, bias 0
         np.testing.assert_allclose(model.alphas, [0.5, 0.5], atol=1e-6)
         assert abs(model.bias) < 1e-9
@@ -46,14 +46,14 @@ class TestBinarySmo:
         x = np.array([-2.0, -1.0, 1.0, 2.0])
         kernel = np.outer(x, x)
         y = np.array([-1.0, -1.0, 1.0, 1.0])
-        model = solve_binary_smo(kernel, y, SvmConfig(C=1e3, smo_tol=1e-4, seed=1))
+        model = solve_binary_smo(kernel, y, SvmConfig(C=1e3, smo_tol=1e-4))
         preds = np.sign(decision_values(model, kernel))
         np.testing.assert_array_equal(preds, y)
 
     def test_matches_projected_gradient_oracle(self):
         for seed in range(20):
             kernel, y = _random_psd_problem(seed)
-            cfg = SvmConfig(C=1.0, smo_tol=1e-3, seed=seed)
+            cfg = SvmConfig(C=1.0, smo_tol=1e-3)
             model = solve_binary_smo(kernel, y, cfg)
             oracle = qp_dual_oracle(kernel, y, model.box)
             w_smo = dual_objective(model.alphas, kernel, y)
@@ -65,10 +65,10 @@ class TestBinarySmo:
         with pytest.raises(SingleClassError):
             solve_binary_smo(np.eye(3), np.ones(3), SvmConfig())
 
-    def test_deterministic_by_seed(self):
+    def test_two_solves_bit_identical(self):
         kernel, y = _random_psd_problem(3)
-        a = solve_binary_smo(kernel, y, SvmConfig(seed=5))
-        b = solve_binary_smo(kernel, y, SvmConfig(seed=5))
+        a = solve_binary_smo(kernel, y, SvmConfig())
+        b = solve_binary_smo(kernel, y, SvmConfig())
         assert np.array_equal(a.alphas, b.alphas)
         assert a.bias == b.bias
 
@@ -76,7 +76,7 @@ class TestBinarySmo:
 class TestDecisionValues:
     def test_unbounded_support_vectors_on_margin(self):
         kernel, y = _random_psd_problem(7)
-        cfg = SvmConfig(C=50.0, smo_tol=1e-4, seed=0)
+        cfg = SvmConfig(C=50.0, smo_tol=1e-4)
         model = solve_binary_smo(kernel, y, cfg)
         f = decision_values(model, kernel)
         free = (model.alphas > 1e-9) & (model.alphas < model.box - 1e-9)
@@ -85,7 +85,7 @@ class TestDecisionValues:
 
     def test_zero_model_outputs_bias(self):
         kernel, y = _random_psd_problem(8)
-        model = solve_binary_smo(kernel, y, SvmConfig(seed=0))
+        model = solve_binary_smo(kernel, y, SvmConfig())
         zeroed = type(model)(
             alphas=np.zeros_like(model.alphas),
             bias=0.37,
@@ -98,7 +98,7 @@ class TestDecisionValues:
 
     def test_column_mismatch(self):
         kernel, y = _random_psd_problem(9)
-        model = solve_binary_smo(kernel, y, SvmConfig(seed=0))
+        model = solve_binary_smo(kernel, y, SvmConfig())
         with pytest.raises(ValueError, match="columns"):
             decision_values(model, kernel[:, :3])
 
@@ -119,7 +119,7 @@ class TestClassWeighting:
 class TestKkt:
     def test_trained_model_within_tolerance(self):
         kernel, y = _random_psd_problem(11)
-        cfg = SvmConfig(smo_tol=1e-3, seed=2)
+        cfg = SvmConfig(smo_tol=1e-3)
         model = solve_binary_smo(kernel, y, cfg)
         assert check_kkt(model, kernel, y, cfg).max_violation <= cfg.smo_tol + 1e-9
 
@@ -127,7 +127,7 @@ class TestKkt:
         x = np.array([-2.0, -1.0, 1.0, 2.0])
         kernel = np.outer(x, x)
         y = np.array([-1.0, -1.0, 1.0, 1.0])
-        cfg = SvmConfig(seed=0)
+        cfg = SvmConfig()
         trained = solve_binary_smo(kernel, y, cfg)
         blank = type(trained)(
             alphas=np.zeros(4),
@@ -141,7 +141,7 @@ class TestKkt:
 
     def test_matches_independent_recomputation(self):
         kernel, y = _random_psd_problem(12)
-        cfg = SvmConfig(seed=3)
+        cfg = SvmConfig()
         model = solve_binary_smo(kernel, y, cfg)
         report = check_kkt(model, kernel, y, cfg)
         # recompute violations point by point from the margin definition
@@ -155,11 +155,31 @@ class TestKkt:
                 worst = max(worst, margin - 1.0)
         assert abs(report.max_violation - max(worst, 0.0)) < 1e-12
 
+    def test_bias_is_midpoint_of_kkt_bounds(self):
+        # reference: the per-point loop over the one-sided bounds on b
+        kernel, y = _random_psd_problem(23)
+        model = solve_binary_smo(kernel, y, SvmConfig(C=5.0))
+        u = kernel @ (model.alphas * y)
+        lower, upper = -np.inf, np.inf
+        for i in range(y.size):
+            bound = y[i] - u[i]  # b value putting sample i exactly on the margin
+            if y[i] > 0:
+                if model.alphas[i] < model.box[i]:
+                    lower = max(lower, bound)
+                if model.alphas[i] > 0:
+                    upper = min(upper, bound)
+            else:
+                if model.alphas[i] < model.box[i]:
+                    upper = min(upper, bound)
+                if model.alphas[i] > 0:
+                    lower = max(lower, bound)
+        assert abs(model.bias - (lower + upper) / 2.0) <= 1e-12
+
 
 class TestSolverInvariants:
     def test_feasible_at_every_accepted_step(self):
         kernel, y = _random_psd_problem(13)
-        model = solve_binary_smo(kernel, y, SvmConfig(seed=4), collect_stats=True)
+        model = solve_binary_smo(kernel, y, SvmConfig(), collect_stats=True)
         assert model.stats is not None and len(model.stats.objective) > 0
         assert max(model.stats.equality_gap) <= 1e-8
         assert all(model.stats.box_ok)
@@ -168,13 +188,13 @@ class TestSolverInvariants:
     def test_objective_non_decreasing_on_psd(self):
         for seed in (14, 15, 16):
             kernel, y = _random_psd_problem(seed)
-            model = solve_binary_smo(kernel, y, SvmConfig(seed=seed), collect_stats=True)
+            model = solve_binary_smo(kernel, y, SvmConfig(), collect_stats=True)
             obj = np.array(model.stats.objective)
             assert np.all(np.diff(obj) >= -1e-9)
 
     def test_label_symmetry(self):
         kernel, y = _random_psd_problem(17)
-        cfg = SvmConfig(seed=6)
+        cfg = SvmConfig()
         m_pos = solve_binary_smo(kernel, y, cfg)
         m_neg = solve_binary_smo(kernel, -y, cfg)
         f_pos = decision_values(m_pos, kernel)
@@ -184,7 +204,7 @@ class TestSolverInvariants:
     def test_duplicate_point_never_decreases_optimum(self):
         for seed in (18, 19):
             kernel, y = _random_psd_problem(seed, n_max=8)
-            cfg = SvmConfig(seed=seed, class_weighted=False)
+            cfg = SvmConfig(class_weighted=False)
             box = per_sample_c(y, cfg)
             base = dual_value(qp_dual_oracle(kernel, y, box), kernel, y)
             # clone training point 0
@@ -204,7 +224,7 @@ class TestMulticlass:
     def test_two_class_models_are_sign_opposite(self):
         kernel, y = _random_psd_problem(20)
         labels = ["P" if v > 0 else "Q" for v in y]
-        model = train_multiclass(kernel, labels, ("P", "Q"), SvmConfig(seed=7))
+        model = train_multiclass(kernel, labels, ("P", "Q"), SvmConfig())
         scores = predict_scores(model, kernel)
         np.testing.assert_allclose(scores[:, 0], -scores[:, 1], atol=5e-3)
 
@@ -214,7 +234,7 @@ class TestMulticlass:
         points = np.vstack([c + 0.3 * rng.standard_normal((8, 2)) for c in centers])
         labels = [c for c in "ABC" for _ in range(8)]
         kernel = points @ points.T
-        model = train_multiclass(kernel, labels, ("A", "B", "C"), SvmConfig(C=10.0, seed=8))
+        model = train_multiclass(kernel, labels, ("A", "B", "C"), SvmConfig(C=10.0))
         preds = predict_labels(model, kernel)
         assert preds == labels
 
@@ -226,7 +246,7 @@ class TestMulticlass:
     def test_model_json_dump(self):
         kernel, y = _random_psd_problem(22)
         labels = ["P" if v > 0 else "Q" for v in y]
-        model = train_multiclass(kernel, labels, ("P", "Q"), SvmConfig(seed=9))
+        model = train_multiclass(kernel, labels, ("P", "Q"), SvmConfig())
         doc = json.loads(model_to_json(model))
         assert doc["classes"] == ["P", "Q"]
         assert len(doc["models"]) == 2
