@@ -66,6 +66,15 @@ class RunConfig:
     evaluation: EvalConfig = EvalConfig()
 
     def __post_init__(self):
+        if not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        # every section seed derives from the one master seed
+        for name, seed in (
+            ("synth", self.seed),
+            ("selection", derive_seed(self.seed, "selection")),
+            ("evaluation", derive_seed(self.seed, "evaluation")),
+        ):
+            object.__setattr__(self, name, dataclasses.replace(getattr(self, name), seed=seed))
         if self.features not in ("sm", "sm+fnc"):
             raise ConfigError(f"features must be 'sm' or 'sm+fnc', got {self.features!r}")
         mode = self.selection_mode
@@ -76,8 +85,9 @@ class RunConfig:
 
 
 def _section_from_dict(cls, data: dict, path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    # section seeds derive from the master seed, so none is settable
+    fields = {f.name for f in dataclasses.fields(cls)} - {"seed"}
+    unknown = set(data) - fields
     if unknown:
         raise ConfigError(f"unknown config key: {path}.{sorted(unknown)[0]}")
     kwargs = {}
@@ -128,21 +138,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    """Apply CLI flags; the seed override re-seeds every seeded section too."""
-    updates: dict = {}
-    for key in ("threads", "features", "selection_mode", "template"):
-        if overrides.get(key) is not None:
-            updates[key] = overrides[key]
-    if overrides.get("seed") is not None:
-        seed = int(overrides["seed"])
-        updates["seed"] = seed
-        updates["synth"] = dataclasses.replace(cfg.synth, seed=seed)
-        updates["selection"] = dataclasses.replace(
-            cfg.selection, seed=derive_seed(seed, "selection")
-        )
-        updates["evaluation"] = dataclasses.replace(
-            cfg.evaluation, seed=derive_seed(seed, "evaluation")
-        )
+    """Apply the CLI flags that were given."""
+    updates = {k: v for k, v in overrides.items() if v is not None}
     return dataclasses.replace(cfg, **updates)
 
 

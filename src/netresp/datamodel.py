@@ -139,19 +139,6 @@ class Template:
     def n_voxels(self) -> int:
         return self.maps.shape[1]
 
-    def domain_order(self) -> tuple[str, ...]:
-        """Domains in first-appearance order."""
-        seen: dict[str, None] = {}
-        for d in self.domains:
-            seen.setdefault(d, None)
-        return tuple(seen)
-
-    def components_by_domain(self) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {d: [] for d in self.domain_order()}
-        for i, d in enumerate(self.domains):
-            out[d].append(i)
-        return out
-
 
 @dataclass(frozen=True)
 class Subject:

@@ -14,7 +14,9 @@ import numpy as np
 
 from ._util import derive_seed, parallel_map
 from .kernels import PabsKernelParams, apply_spectrum_fix, build_kernel_matrix
-from .svm import SvmConfig, predict_labels, predict_scores, train_multiclass
+# predict_labels is not called here; it stays bound so that perfbench's
+# traced run, which wraps netresp.evaluation.predict_labels, still finds it.
+from .svm import SvmConfig, predict_labels, predict_scores, train_multiclass  # noqa: F401
 
 METRICS = ("macro_pr_auc", "macro_f1")
 
@@ -254,7 +256,7 @@ def cross_validate(
             tr, te, k_tr, k_te = _fold_block(raw, partitions[rep], f, kernel_params)
             model = train_multiclass(k_tr, labels[tr], class_set, svm_cfg)
             scores = predict_scores(model, k_te)
-            preds = np.asarray(predict_labels(model, k_te))
+            preds = np.asarray(class_set)[np.argmax(scores, axis=1)]
             te_labels = labels[te]
             aps = tuple(
                 average_precision((te_labels == cls).astype(float), scores[:, j])
@@ -339,13 +341,12 @@ def permutation_baseline(
     kernel_params: PabsKernelParams,
     svm_cfg: SvmConfig,
     eval_cfg: EvalConfig,
-    rounds: int | None = None,
-    seed: int | None = None,
     use_fnc: bool = False,
     threads: int = 1,
 ) -> PermutationBaseline:
     """Distribution of macro PR-AUC when labels are randomly permuted.
 
+    Runs `eval_cfg.permutation_rounds` rounds seeded by `eval_cfg.seed`.
     Each round shuffles the labels, runs one outer CV pass, and computes a
     single macro PR-AUC from the held-out scores of all subjects pooled
     across folds (per-fold AP on a class with one member is biased far
@@ -355,18 +356,16 @@ def permutation_baseline(
     on the labels, so it is built once and shared by every round.
     """
     labels = np.asarray([str(x) for x in labels])
-    rounds = eval_cfg.permutation_rounds if rounds is None else rounds
-    seed = eval_cfg.seed if seed is None else seed
     raw = raw_kernel(features, selected, kernel_params, use_fnc)
 
     def one_round(r):
-        rng = np.random.default_rng(derive_seed(seed, "permutation", r))
+        rng = np.random.default_rng(derive_seed(eval_cfg.seed, "permutation", r))
         permuted = labels[rng.permutation(labels.size)]
-        cfg = replace(eval_cfg, repeats=1, seed=derive_seed(seed, "permutation-eval", r))
+        cfg = replace(eval_cfg, repeats=1, seed=derive_seed(eval_cfg.seed, "permutation-eval", r))
         scores = cross_validated_scores(raw, permuted, kernel_params, svm_cfg, cfg)
         return macro_pr_auc(permuted, scores, eval_cfg.class_set)
 
-    scores = parallel_map(one_round, range(rounds), threads)
+    scores = parallel_map(one_round, range(eval_cfg.permutation_rounds), threads)
     arr = np.asarray(scores)
     return PermutationBaseline(
         scores=tuple(float(x) for x in scores),

@@ -114,15 +114,14 @@ def _blob_radius_range(cfg: SynthConfig) -> tuple[float, float]:
     return (0.8 * r, 1.2 * r)
 
 
-def generate_template(cfg: SynthConfig, seed: int | None = None) -> tuple[Template, dict]:
+def generate_template(cfg: SynthConfig) -> tuple[Template, dict]:
     """K Gaussian-blob components with pairwise |corr| < 0.5.
 
     Domains are assigned round-robin over components ranked by blob
     location; a coarse radius rank stands in for the model-order tag.
     Returns the template plus blob metadata (centers, radii).
     """
-    seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(derive_seed(seed, "template"))
+    rng = np.random.default_rng(derive_seed(cfg.seed, "template"))
     coords = _grid_coords(cfg.grid)
     lo = np.array([0.0, 0.0, 0.0])
     hi = np.asarray(cfg.grid, dtype=np.float64) - 1.0
@@ -194,9 +193,7 @@ def _class_fnc_target(cfg: SynthConfig, class_idx: int, informative) -> np.ndarr
     return (fixed + fixed.T) / 2.0
 
 
-def generate_cohort(
-    cfg: SynthConfig, seed: int | None = None, threads: int = 1
-) -> tuple[Dataset, GroundTruth]:
+def generate_cohort(cfg: SynthConfig, threads: int = 1) -> tuple[Dataset, GroundTruth]:
     """Full synthetic dataset plus the ground truth that produced it.
 
     Per subject: true maps are the template plus a class-dependent pattern
@@ -205,9 +202,8 @@ def generate_cohort(
     re-z-scored; time courses are drawn with the class's correlation
     structure; bold is TC @ maps plus Gaussian noise of scale noise_sigma.
     """
-    seed = cfg.seed if seed is None else seed
-    template, _ = generate_template(cfg, seed)
-    rng = np.random.default_rng(derive_seed(seed, "cohort"))
+    template, _ = generate_template(cfg)
+    rng = np.random.default_rng(derive_seed(cfg.seed, "cohort"))
     k, v = cfg.n_components, cfg.n_voxels
 
     informative = tuple(
@@ -225,7 +221,7 @@ def generate_cohort(
     hi = np.asarray(cfg.grid, dtype=np.float64) - 1.0
     r_lo, r_hi = _blob_radius_range(cfg)
     for ci, cls in enumerate(class_names):
-        prng = np.random.default_rng(derive_seed(seed, "class-pattern", ci))
+        prng = np.random.default_rng(derive_seed(cfg.seed, "class-pattern", ci))
         patterns = np.zeros((len(informative), v))
         for p in range(len(informative)):
             blob = _blob_row(
@@ -241,7 +237,7 @@ def generate_cohort(
 
     def make_subject(args):
         s_idx, cls = args
-        srng = np.random.default_rng(derive_seed(seed, "subject", s_idx))
+        srng = np.random.default_rng(derive_seed(cfg.seed, "subject", s_idx))
         maps = template.maps.copy()
         patterns = class_spatial[cls]
         for p, comp in enumerate(informative):

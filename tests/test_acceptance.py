@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The heavyweight cohorts
 are session fixtures so the suite stays in the minutes range.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -208,8 +209,8 @@ def test_c07_end_to_end_signal_detection(strong_cohort):
     )
     median_auc = float(np.median(report.metric_values("macro_pr_auc")))
     baseline = permutation_baseline(
-        feats, labels, truth.informative_indices, kernel_params, svm_cfg, eval_cfg,
-        rounds=40, seed=13, use_fnc=True, threads=4,
+        feats, labels, truth.informative_indices, kernel_params, svm_cfg,
+        dataclasses.replace(eval_cfg, permutation_rounds=40, seed=13), use_fnc=True, threads=4,
     )
     chance = chance_level(labels, eval_cfg.class_set)
     ok = median_auc >= 0.85 and abs(baseline.mean - chance) <= 0.1
@@ -293,10 +294,10 @@ def test_c10_pipeline_determinism(tmp_path):
         "synth": {
             "grid": [8, 8, 6], "n_components": 6, "n_domains": 3, "timepoints": 40,
             "class_counts": {"AD": 8, "MS": 8, "NR": 4}, "informative_components": 3,
-            "spatial_effect": 1.0, "fnc_effect": 0.8, "seed": 5,
+            "spatial_effect": 1.0, "fnc_effect": 0.8,
         },
-        "selection": {"beam_width": 3, "inner_folds": 2, "inner_repeats": 2, "seed": 5},
-        "evaluation": {"outer_folds": 2, "repeats": 3, "seed": 5},
+        "selection": {"beam_width": 3, "inner_folds": 2, "inner_repeats": 2},
+        "evaluation": {"outer_folds": 2, "repeats": 3},
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import netresp
-from netresp.cli import main
+from netresp._util import derive_seed
+from netresp.cli import load_run_config, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY_CONFIG = {
     "seed": 5,
@@ -21,10 +24,9 @@ TINY_CONFIG = {
         "informative_components": 3,
         "spatial_effect": 1.2,
         "fnc_effect": 0.8,
-        "seed": 5,
     },
-    "selection": {"beam_width": 3, "inner_folds": 2, "inner_repeats": 2, "seed": 5},
-    "evaluation": {"outer_folds": 2, "repeats": 3, "seed": 5},
+    "selection": {"beam_width": 3, "inner_folds": 2, "inner_repeats": 2},
+    "evaluation": {"outer_folds": 2, "repeats": 3},
 }
 
 
@@ -240,6 +242,51 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["select", "--out", str(tmp_path), "--features", "everything"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("section", ["synth", "selection", "evaluation"])
+    def test_section_seed_exits_2(self, tmp_path, capsys, section):
+        # section seeds derive from the master seed and cannot be set
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: {"seed": 3}}))
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{section}.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["7", 7.9])
+    def test_non_integer_seed_exits_2(self, tmp_path, capsys, seed):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": seed}))
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+
+
+class TestMasterSeed:
+    def test_file_seed_equals_flag_seed(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 7}))
+        cfg = load_run_config(config)
+        assert cfg == load_run_config(None, {"seed": 7})
+        assert cfg.synth.seed == 7
+        assert cfg.selection.seed == derive_seed(7, "selection")
+        assert cfg.evaluation.seed == derive_seed(7, "evaluation")
+
+    def test_no_seed_equals_seed_zero(self):
+        assert load_run_config() == load_run_config(None, {"seed": 0})
+
+    def test_flag_seed_overrides_file_seed(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 7}))
+        assert load_run_config(config, {"seed": 3}) == load_run_config(None, {"seed": 3})
+
+    def test_readme_config_loads(self, tmp_path):
+        # the documented example must use only keys the loader accepts
+        section = README.read_text().split("### Run configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        config = tmp_path / "config.json"
+        config.write_text(block)
+        cfg = load_run_config(config)
+        assert cfg.seed == json.loads(block)["seed"]
 
 
 class TestHelp:

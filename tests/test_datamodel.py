@@ -143,8 +143,6 @@ class TestTypes:
         t = _template()
         assert t.n_components == 3
         assert t.n_voxels == 50
-        assert t.domain_order() == ("D0", "D1")
-        assert t.components_by_domain() == {"D0": [0, 2], "D1": [1]}
 
     def test_template_is_read_only(self):
         t = _template()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -314,12 +315,27 @@ class TestRunExperiment:
 
 class TestPermutationBaseline:
     def test_permuted_labels_sit_near_chance(self):
+        # at 16 subjects pooled macro AP under random ranking sits well above
+        # the asymptotic chance level (about 0.44 vs 0.33), so chance is the
+        # mean of an independent Monte-Carlo random-ranking oracle
         feats, labels = _planted_features({"AD": 6, "MS": 6, "NR": 4}, seed=7)
         cfg = EvalConfig(outer_folds=2, repeats=1, seed=3)
         base = permutation_baseline(
-            feats, labels, [0], PabsKernelParams(), SvmConfig(), cfg, rounds=8, seed=1
+            feats, labels, [0], PabsKernelParams(), SvmConfig(),
+            dataclasses.replace(cfg, permutation_rounds=8, seed=1),
         )
-        assert abs(base.mean - chance_level(labels, cfg.class_set)) < 0.15
+        y = np.asarray(labels)
+        oracle_rng = np.random.default_rng(999)
+        oracle_vals = []
+        for _ in range(2000):
+            per_class = []
+            for cls in cfg.class_set:
+                order = oracle_rng.permutation(y.size)
+                per_class.append(
+                    ap_step_oracle((y == cls).astype(int)[order], np.arange(y.size, 0, -1.0))
+                )
+            oracle_vals.append(np.mean(per_class))
+        assert abs(base.mean - np.mean(oracle_vals)) < 0.1
         assert len(base.scores) == 8
         assert base.p95 >= base.mean
 
@@ -327,7 +343,8 @@ class TestPermutationBaseline:
         feats, labels = _planted_features({"AD": 4, "MS": 4, "NR": 4}, seed=8)
         cfg = EvalConfig(outer_folds=2, repeats=1, seed=3)
         permutation_baseline(
-            feats, labels, [1, 0], PabsKernelParams(), SvmConfig(), cfg, rounds=5, seed=2
+            feats, labels, [1, 0], PabsKernelParams(), SvmConfig(),
+            dataclasses.replace(cfg, permutation_rounds=5, seed=2),
         )
         assert kernel_builds == [(1, 0)]
 
