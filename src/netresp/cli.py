@@ -358,7 +358,6 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
         cfg.svm,
         eval_cfg,
         use_fnc=use_fnc,
-        threads=cfg.threads,
     )
     eval_dir = out_dir / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
@@ -371,6 +370,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
         "outer_folds": eval_cfg.outer_folds,
         "repeats": eval_cfg.repeats,
         "seed": eval_cfg.seed,
+        "unconverged_solves": report.unconverged_solves,
     }
     (eval_dir / "eval_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     agg = report.aggregates()
@@ -379,6 +379,13 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
         f"median macro PR-AUC {agg['macro_pr_auc'].median:.3f}, "
         f"median macro F1 {agg['macro_f1'].median:.3f}"
     )
+    if report.unconverged_solves:
+        solves = len(report.rows) * len(class_set)
+        print(
+            f"warning: {report.unconverged_solves} of {solves} SMO solves stopped at the "
+            f"svm.max_passes step cap without converging",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -18,7 +18,7 @@ from ._util import derive_seed, parallel_map
 
 # run_experiment is not called here; it stays bound so that perfbench's
 # traced run, which wraps netresp.selection.run_experiment, still finds it.
-from .evaluation import EvalConfig, cross_validate, raw_kernel, run_experiment  # noqa: F401
+from .evaluation import cross_validate, partitions, raw_kernel, run_experiment  # noqa: F401
 from .kernels import PabsKernelParams
 from .svm import SvmConfig
 
@@ -91,28 +91,28 @@ def score_feature_set(
     """Mean inner-CV score of a candidate component set.
 
     The candidate's raw kernel is built once; each of the `inner_repeats`
-    repeats re-draws the fold partition from a seed derived from `seed` and
-    cross-validates on that one matrix, applying the spectrum fix per
-    training fold. The same (candidate, seed) pair therefore scores
-    bit-identically no matter where in a beam search it is evaluated.
+    repeats draws its fold partition from a seed derived from `seed`, and
+    one `cross_validate` call runs every repeat on that one matrix,
+    applying the spectrum fix per training fold. The same (candidate, seed)
+    pair therefore scores bit-identically no matter where in a beam search
+    it is evaluated.
     """
     selected = tuple(int(i) for i in selected)
     if not selected:
         raise SelectionError("candidate set is empty")
-    scores = []
     try:
         raw = raw_kernel(features, selected, kernel_params, use_fnc)
-        for rep in range(cfg.inner_repeats):
-            inner = EvalConfig(
-                outer_folds=cfg.inner_folds,
-                repeats=1,
-                class_set=tuple(class_set),
-                seed=derive_seed(seed, "inner", rep),
-            )
-            rows = cross_validate(raw, labels, kernel_params, svm_cfg, inner)
-            scores.append(np.mean([getattr(row, cfg.scorer) for row in rows]))
+        parts = [
+            partitions(labels, cfg.inner_folds, derive_seed(seed, "inner", rep), 1)[0]
+            for rep in range(cfg.inner_repeats)
+        ]
+        rows = cross_validate(raw, labels, parts, kernel_params, svm_cfg, class_set)
     except Exception as e:
         raise SelectionError(f"candidate {list(selected)}: {e}") from e
+    scores = [
+        np.mean([getattr(row, cfg.scorer) for row in rows if row.repeat == rep])
+        for rep in range(cfg.inner_repeats)
+    ]
     return float(np.mean(scores))
 
 

@@ -97,110 +97,191 @@ def per_sample_c(y, cfg: SvmConfig) -> np.ndarray:
     """Box constraint per sample; inverse class-frequency scaled when enabled.
 
     With weighting on, samples of a class with n_c members get C * N / (2 n_c).
+    Counts run along the last axis of `y`, so a (B, n) stack of padded label
+    rows gets one box row per problem; padding entries (label 0) get box 0.
     """
     y = np.asarray(y)
-    n = y.size
     if not cfg.class_weighted:
-        return np.full(n, cfg.C, dtype=np.float64)
-    n_pos = int((y > 0).sum())
-    n_neg = n - n_pos
-    return np.where(y > 0, cfg.C * n / (2.0 * n_pos), cfg.C * n / (2.0 * n_neg))
+        return np.where(y != 0, cfg.C, 0.0)
+    n_pos = (y > 0).sum(axis=-1, keepdims=True)
+    n_neg = (y < 0).sum(axis=-1, keepdims=True)
+    n = n_pos + n_neg
+    return np.where(
+        y > 0, cfg.C * n / (2.0 * n_pos), np.where(y < 0, cfg.C * n / (2.0 * n_neg), 0.0)
+    )
 
 
 def _up_low(y, alphas, box) -> tuple[np.ndarray, np.ndarray]:
     """Masks of I_up and I_low: the points whose y*alpha may still grow,
-    and those whose y*alpha may still shrink, inside the box."""
+    and those whose y*alpha may still shrink, inside the box. A padding
+    entry (box 0) is in neither."""
     below = alphas < box
     above = alphas > 0
     return np.where(y > 0, below, above), np.where(y > 0, above, below)
 
 
-def solve_binary_smo(
-    k_train, y, cfg: SvmConfig, collect_stats: bool = False
-) -> SvmModel:
-    """Solve the binary soft-margin dual by sequential minimal optimization.
+def _curvature(diag, d_i, k_i) -> np.ndarray:
+    """a_im = K_ii + K_mm - 2 K_im for each problem's point i and every m,
+    with TAU in place of a non-positive value."""
+    a = (d_i[:, None] + diag) - 2.0 * k_i
+    a[a <= 0] = TAU
+    return a
 
-    `k_train` is the symmetric training kernel, `y` a vector in {-1, +1}
-    with both classes present. The dual gradient G is kept as the vector
-    score = -y*G = y - K(alpha*y), the bias that would put each point on its
-    margin. Each step takes the maximal violating pair (i = argmax score over
-    I_up, j = argmin score over I_low) and replaces the end whose
-    second-order partner gains more, b^2 / a, by that partner (WSS2 of Fan,
-    Chen & Lin 2005, JMLR 6:1889); trying both ends makes flipped labels give
-    the exactly flipped model. A non-positive curvature a (the none and
-    ridge spectrum fixes leave the kernel indefinite) is replaced by TAU,
-    which sends the step to the box edge. No randomness is involved.
 
-    The solver stops when score[i] - score[j] is at most 2 * cfg.smo_tol, so
+def solve_smo_batch(
+    kernels, cells, y, cfg: SvmConfig, collect_stats: bool = False
+) -> list[SvmModel]:
+    """Solve a batch of binary soft-margin duals by sequential minimal
+    optimization, one model per problem.
+
+    Problem b trains on the kernel `kernels[cells[b]]` of a (C, n, n) stack
+    with the labels `y[b]`: -1 or +1 on its first n_b points, 0 on the
+    padding after them (padding never enters a result). Problems that
+    share a training block, such as the one-vs-rest classes of one fold,
+    share one entry of the stack.
+
+    Each step works on every unfinished problem at once, one row each. The
+    dual gradient G is kept as score = -y*G = y - K(alpha*y), the bias that
+    would put each point on its margin. Each step takes the maximal
+    violating pair (i = argmax score over I_up, j = argmin score over
+    I_low) and replaces the end whose second-order partner gains more,
+    b^2 / a, by that partner (WSS2 of Fan, Chen & Lin 2005, JMLR 6:1889);
+    trying both ends makes flipped labels give the exactly flipped model. A
+    non-positive curvature a (the none and ridge spectrum fixes leave the
+    kernel indefinite) is replaced by TAU, which sends the step to the box
+    edge. No randomness is involved. All arithmetic is elementwise along a
+    problem's row and every argmax/argmin keeps the first index, so each
+    model is bit-identical to the one its problem gives when solved alone.
+
+    A problem stops when score[i] - score[j] is at most 2 * cfg.smo_tol, so
     the midpoint bias leaves no KKT violation above cfg.smo_tol. After
-    cfg.max_passes * n steps it returns the current model, converged=False.
+    cfg.max_passes * n_b steps it stops unconverged (converged=False).
     """
-    k = _kernel_values(k_train)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    cells = np.asarray(cells, dtype=np.intp)
     y = np.asarray(y, dtype=np.float64)
-    n = y.size
-    if k.shape != (n, n):
-        raise ValueError(f"kernel shape {k.shape} does not match {n} labels")
-    if not np.all(np.abs(y) == 1.0):
+    n_problems, n = y.shape
+    if kernels.ndim != 3 or kernels.shape[1:] != (n, n) or cells.shape != (n_problems,):
+        raise ValueError(
+            f"kernel stack {kernels.shape} and cells {cells.shape} do not match labels {y.shape}"
+        )
+    sizes = (y != 0).sum(axis=1)
+    if not np.array_equal(y != 0, np.arange(n) < sizes[:, None]):
+        raise ValueError("each label row must be -1/+1 entries followed by 0 padding")
+    if not np.all(np.abs(y[y != 0]) == 1.0):
         raise ValueError("labels must be -1 or +1")
-    if np.all(y > 0) or np.all(y < 0):
+    if not (np.any(y > 0, axis=1) & np.any(y < 0, axis=1)).all():
         raise SingleClassError("both classes must be present for binary training")
 
     box = per_sample_c(y, cfg)
-    alphas = np.zeros(n)
-    score = y.copy()
-    diag = np.diag(k)
-    curvature = diag[:, None] + diag[None, :] - 2.0 * k
-    curvature[curvature <= 0] = TAU
-    stats = SolverStats() if collect_stats else None
-    converged = False
-    for _ in range(cfg.max_passes * n):
-        up, low = _up_low(y, alphas, box)
-        i = int(np.argmax(np.where(up, score, -np.inf)))
-        j = int(np.argmin(np.where(low, score, np.inf)))
-        if score[i] - score[j] <= 2.0 * cfg.smo_tol:
-            converged = True
-            break
-        gain_j = np.where(low & (score < score[i]), (score[i] - score) ** 2 / curvature[i], -np.inf)
-        gain_i = np.where(up & (score > score[j]), (score - score[j]) ** 2 / curvature[j], -np.inf)
-        if gain_i.max() > gain_j.max():
-            i = int(np.argmax(gain_i))
-        else:
-            j = int(np.argmax(gain_j))
+    out_alphas = np.zeros_like(y)
+    converged = np.zeros(n_problems, dtype=bool)
+    stats = [SolverStats() for _ in range(n_problems)] if collect_stats else None
+
+    # per-row state of the unfinished problems; rows leave as they finish
+    ids = np.arange(n_problems)
+    live = (
+        ids,
+        cells,
+        y,
+        box,
+        np.diagonal(kernels, axis1=1, axis2=2)[cells],
+        np.zeros_like(y),  # alphas
+        y.copy(),  # score
+        cfg.max_passes * sizes,  # steps left
+    )
+    while live[0].size:
+        ids, cell, yy, bx, diag, alphas, score, left = live
+        rows = np.arange(ids.size)
+        up, low = _up_low(yy, alphas, bx)
+        i = np.where(up, score, -np.inf).argmax(axis=1)
+        j = np.where(low, score, np.inf).argmin(axis=1)
+        s_i = score[rows, i]
+        s_j = score[rows, j]
+        capped = left == 0
+        done = capped | (s_i - s_j <= 2.0 * cfg.smo_tol)
+        if done.any():
+            out_alphas[ids[done]] = alphas[done]
+            converged[ids[done & ~capped]] = True
+            live = tuple(a[~done] for a in live)
+            continue
+
+        curv_i = _curvature(diag, diag[rows, i], kernels[cell, i])
+        curv_j = _curvature(diag, diag[rows, j], kernels[cell, j])
+        gain_j = np.where(low & (score < s_i[:, None]), (s_i[:, None] - score) ** 2 / curv_i, -np.inf)
+        gain_i = np.where(up & (score > s_j[:, None]), (score - s_j[:, None]) ** 2 / curv_j, -np.inf)
+        best_i = gain_i.argmax(axis=1)
+        best_j = gain_j.argmax(axis=1)
+        swap = gain_i[rows, best_i] > gain_j[rows, best_j]
+        i = np.where(swap, best_i, i)
+        j = np.where(swap, j, best_j)
+
         # move y_i*alpha_i up and y_j*alpha_j down by t; each lands exactly
         # on the box edge it is heading for when that edge stops the step
-        edge_i = box[i] if y[i] > 0 else 0.0
-        edge_j = 0.0 if y[j] > 0 else box[j]
-        room_i = abs(edge_i - alphas[i])
-        room_j = abs(edge_j - alphas[j])
-        t = min((score[i] - score[j]) / curvature[i, j], room_i, room_j)
-        new_i = edge_i if t == room_i else alphas[i] + y[i] * t
-        new_j = edge_j if t == room_j else alphas[j] - y[j] * t
-        score -= y[i] * (new_i - alphas[i]) * k[i] + y[j] * (new_j - alphas[j]) * k[j]
-        alphas[i] = new_i
-        alphas[j] = new_j
+        y_i, y_j = yy[rows, i], yy[rows, j]
+        a_i, a_j = alphas[rows, i], alphas[rows, j]
+        a_ij = (diag[rows, i] + diag[rows, j]) - 2.0 * kernels[cell, i, j]
+        a_ij[a_ij <= 0] = TAU
+        edge_i = np.where(y_i > 0, bx[rows, i], 0.0)
+        edge_j = np.where(y_j > 0, 0.0, bx[rows, j])
+        room_i = np.abs(edge_i - a_i)
+        room_j = np.abs(edge_j - a_j)
+        t = np.minimum(np.minimum((score[rows, i] - score[rows, j]) / a_ij, room_i), room_j)
+        new_i = np.where(t == room_i, edge_i, a_i + y_i * t)
+        new_j = np.where(t == room_j, edge_j, a_j - y_j * t)
+        step_i = (y_i * (new_i - a_i))[:, None]
+        step_j = (y_j * (new_j - a_j))[:, None]
+        score -= step_i * kernels[cell, i] + step_j * kernels[cell, j]
+        alphas[rows, i] = new_i
+        alphas[rows, j] = new_j
+        left -= 1
         if stats is not None:
-            stats.objective.append(dual_objective(alphas, k, y))
-            stats.equality_gap.append(abs(float(alphas @ y)))
-            stats.box_ok.append(bool(np.all(alphas >= 0) and np.all(alphas <= box)))
+            for row, b in enumerate(ids):
+                m = sizes[b]
+                a, yb = alphas[row, :m], yy[row, :m]
+                stats[b].objective.append(dual_objective(a, kernels[cell[row], :m, :m], yb))
+                stats[b].equality_gap.append(abs(float(a @ yb)))
+                stats[b].box_ok.append(bool(np.all(a >= 0) and np.all(a <= bx[row, :m])))
 
     # Each KKT condition bounds the bias on one side at its point's score:
     # I_up from below, I_low from above (both are non-empty for a feasible
     # alpha). The midpoint of [max lower, min upper] minimizes the largest
     # violation, even when the interval is (slightly) empty. The scores are
     # recomputed so that the bias carries no rounding from the updates.
-    score = y - k @ (alphas * y)
-    up, low = _up_low(y, alphas, box)
-    b = (score[up].max() + score[low].min()) / 2.0
-    support = tuple(int(i) for i in np.flatnonzero(alphas > 0))
-    return SvmModel(
-        alphas=alphas,
-        bias=float(b),
-        support_indices=support,
-        train_labels=y.astype(np.int64),
-        box=box,
-        converged=converged,
-        stats=stats,
-    )
+    models = []
+    for b in range(n_problems):
+        m = sizes[b]
+        k = kernels[cells[b], :m, :m]
+        yb, alphas, bx = y[b, :m], out_alphas[b, :m], box[b, :m]
+        score = yb - k @ (alphas * yb)
+        up, low = _up_low(yb, alphas, bx)
+        models.append(
+            SvmModel(
+                alphas=alphas,
+                bias=float((score[up].max() + score[low].min()) / 2.0),
+                support_indices=tuple(int(i) for i in np.flatnonzero(alphas > 0)),
+                train_labels=yb.astype(np.int64),
+                box=bx,
+                converged=bool(converged[b]),
+                stats=None if stats is None else stats[b],
+            )
+        )
+    return models
+
+
+def solve_binary_smo(
+    k_train, y, cfg: SvmConfig, collect_stats: bool = False
+) -> SvmModel:
+    """Solve one binary soft-margin dual: `solve_smo_batch` on a batch of one.
+
+    `k_train` is the symmetric training kernel, `y` a vector in {-1, +1}
+    with both classes present.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if not np.all(np.abs(y) == 1.0):
+        raise ValueError("labels must be -1 or +1")
+    k = _kernel_values(k_train)
+    return solve_smo_batch(k[None], [0], y[None], cfg, collect_stats)[0]
 
 
 def decision_values(model: SvmModel, k_test_train) -> np.ndarray:
@@ -234,21 +315,29 @@ def check_kkt(model: SvmModel, k_train, y, cfg: SvmConfig) -> KktReport:
     return KktReport(max_violation=float(violations.max()), violations=violations)
 
 
-def train_multiclass(k_train, labels, class_set, cfg: SvmConfig) -> MulticlassModel:
-    """Train one one-vs-rest binary model per class, in class_set order."""
-    labels = list(labels)
+def ovr_labels(labels, class_set) -> np.ndarray:
+    """One -1/+1 label row per class of `class_set`: +1 where a training
+    label is that class. Each class must have members and non-members."""
     class_set = tuple(class_set)
     if len(class_set) < 2:
         raise ValueError("need at least 2 classes")
-    models = []
-    for cls in class_set:
-        y = np.array([1.0 if lab == cls else -1.0 for lab in labels])
-        if not (y > 0).any():
+    y = np.where(np.asarray(labels)[None, :] == np.asarray(class_set)[:, None], 1.0, -1.0)
+    for cls, row in zip(class_set, y):
+        if not (row > 0).any():
             raise SingleClassError(f"class {cls!r} absent from training labels")
-        if not (y < 0).any():
+        if not (row < 0).any():
             raise SingleClassError(f"all training labels are {cls!r}")
-        models.append(solve_binary_smo(k_train, y, cfg))
-    return MulticlassModel(models=tuple(models), classes=class_set)
+    return y
+
+
+def train_multiclass(k_train, labels, class_set, cfg: SvmConfig) -> MulticlassModel:
+    """Train one one-vs-rest binary model per class, in class_set order."""
+    y = ovr_labels(labels, class_set)
+    k = _kernel_values(k_train)
+    if k.shape != (y.shape[1], y.shape[1]):
+        raise ValueError(f"kernel shape {k.shape} does not match {y.shape[1]} labels")
+    models = solve_smo_batch(k[None], np.zeros(len(y), dtype=np.intp), y, cfg)
+    return MulticlassModel(models=tuple(models), classes=tuple(class_set))
 
 
 def predict_scores(model: MulticlassModel, k_test_train) -> np.ndarray:

@@ -129,3 +129,42 @@ def dual_value(alphas, kernel, y) -> float:
 def f1_from_counts(tp: int, fp: int, fn: int) -> float:
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom else 0.0
+
+
+def smo_serial(kernel, y, box, tol: float, max_steps: int, tau: float = 1e-12):
+    """One binary problem by the one-problem SMO loop the batched solver must
+    reproduce: second-order pair choice from both ends of the maximal
+    violating pair, at most `max_steps` pair updates, the stopping test
+    score[i] - score[j] <= 2 * tol made before each update and never after
+    the last allowed one. Returns (alphas, converged, updates made)."""
+    k = np.asarray(kernel, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    diag = np.diag(k)
+    curvature = diag[:, None] + diag[None, :] - 2.0 * k
+    curvature[curvature <= 0] = tau
+    alphas = np.zeros(y.size)
+    score = y.copy()
+    for step in range(max_steps):
+        up = np.where(y > 0, alphas < box, alphas > 0)
+        low = np.where(y > 0, alphas > 0, alphas < box)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        j = int(np.argmin(np.where(low, score, np.inf)))
+        if score[i] - score[j] <= 2.0 * tol:
+            return alphas, True, step
+        gain_j = np.where(low & (score < score[i]), (score[i] - score) ** 2 / curvature[i], -np.inf)
+        gain_i = np.where(up & (score > score[j]), (score - score[j]) ** 2 / curvature[j], -np.inf)
+        if gain_i.max() > gain_j.max():
+            i = int(np.argmax(gain_i))
+        else:
+            j = int(np.argmax(gain_j))
+        edge_i = box[i] if y[i] > 0 else 0.0
+        edge_j = 0.0 if y[j] > 0 else box[j]
+        room_i = abs(edge_i - alphas[i])
+        room_j = abs(edge_j - alphas[j])
+        t = min((score[i] - score[j]) / curvature[i, j], room_i, room_j)
+        new_i = edge_i if t == room_i else alphas[i] + y[i] * t
+        new_j = edge_j if t == room_j else alphas[j] - y[j] * t
+        score -= y[i] * (new_i - alphas[i]) * k[i] + y[j] * (new_j - alphas[j]) * k[j]
+        alphas[i] = new_i
+        alphas[j] = new_j
+    return alphas, False, max_steps

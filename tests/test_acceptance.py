@@ -205,7 +205,7 @@ def test_c07_end_to_end_signal_detection(strong_cohort):
     eval_cfg = EvalConfig(outer_folds=5, repeats=50, seed=11)
     report = run_experiment(
         feats, labels, truth.informative_indices, kernel_params, svm_cfg, eval_cfg,
-        use_fnc=True, threads=4,
+        use_fnc=True,
     )
     median_auc = float(np.median(report.metric_values("macro_pr_auc")))
     baseline = permutation_baseline(
@@ -271,9 +271,9 @@ def test_c09_fnc_features_boost_performance():
         eval_cfg = EvalConfig(outer_folds=5, repeats=3, seed=seed)
         sel = truth.informative_indices
         r_sm = run_experiment(feats, labels, sel, kernel_params, svm_cfg, eval_cfg,
-                              use_fnc=False, threads=4)
+                              use_fnc=False)
         r_both = run_experiment(feats, labels, sel, kernel_params, svm_cfg, eval_cfg,
-                                use_fnc=True, threads=4)
+                                use_fnc=True)
         sm_scores.append(float(np.median(r_sm.metric_values("macro_pr_auc"))))
         both_scores.append(float(np.median(r_both.metric_values("macro_pr_auc"))))
     med_sm = float(np.median(sm_scores))

@@ -168,6 +168,28 @@ class TestDeterminism:
         assert (out / "eval" / "report.csv").read_bytes() == report
         assert (out / "eval" / "summary.csv").read_bytes() == summary
 
+    def test_unconverged_solves_in_eval_meta(self, pipeline_dir, tmp_path, capsys):
+        config, out = pipeline_dir
+        args = ["evaluate", "--config", str(config), "--out", str(out), "--features", "sm+fnc"]
+        capsys.readouterr()
+        assert main(args) == 0
+        assert json.loads((out / "eval" / "eval_meta.json").read_text())["unconverged_solves"] == 0
+        assert "warning" not in capsys.readouterr().err
+        # the same evaluation with the SMO step cap at one pass per point
+        capped = tmp_path / "capped.json"
+        capped.write_text(json.dumps(dict(TINY_CONFIG, svm={"max_passes": 1})))
+        run = tmp_path / "run"
+        run.mkdir()
+        for child in out.iterdir():
+            if child.name != "eval":
+                (run / child.name).symlink_to(child)
+        args = ["evaluate", "--config", str(capped), "--out", str(run), "--features", "sm+fnc"]
+        assert main(args) == 0
+        assert json.loads((run / "eval" / "eval_meta.json").read_text())["unconverged_solves"] > 0
+        assert "warning" in capsys.readouterr().err
+        header = (run / "eval" / "report.csv").read_text().splitlines()[0]
+        assert header == "fold,repeat,metric,value"
+
     def test_sfs_evaluations_contained_in_ssfs_trace(self, pipeline_dir, tmp_path):
         config, out = pipeline_dir
         out_sfs = tmp_path / "sfs_run"

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from netresp import svm
+from netresp import evaluation
 from netresp.datamodel import SubjectFeatures
 from netresp.evaluation import (
     EvalConfig,
@@ -254,6 +254,25 @@ class TestRunExperiment:
         report = run_experiment(feats, labels, [0], PabsKernelParams(), SvmConfig(), cfg)
         assert np.median(report.metric_values("macro_pr_auc")) >= 0.9
 
+    def test_unconverged_solves_counted(self):
+        feats, labels = _planted_features({"AD": 8, "MS": 8, "NR": 4}, seed=4, effect=0.5)
+        cfg = EvalConfig(outer_folds=3, repeats=2, seed=3)
+        default = run_experiment(feats, labels, [0, 2], PabsKernelParams(), SvmConfig(), cfg)
+        capped = run_experiment(
+            feats, labels, [0, 2], PabsKernelParams(), SvmConfig(max_passes=1), cfg
+        )
+        assert default.unconverged_solves == 0
+        assert 0 < capped.unconverged_solves <= 3 * 2 * 3
+        assert capped.unconverged_solves == sum(r.unconverged for r in capped.rows)
+
+    def test_split_stacks_give_identical_rows(self, monkeypatch):
+        feats, labels = _planted_features({"AD": 7, "MS": 6, "NR": 5}, seed=6)
+        cfg = EvalConfig(outer_folds=4, repeats=3, seed=2)
+        whole = run_experiment(feats, labels, [0, 1], PabsKernelParams(), SvmConfig(), cfg)
+        monkeypatch.setattr(evaluation, "STACK_BYTES", 1)  # one cell per batch
+        split = run_experiment(feats, labels, [0, 1], PabsKernelParams(), SvmConfig(), cfg)
+        assert split.rows == whole.rows
+
     def test_deterministic_csv_bytes(self):
         feats, labels = _planted_features({"AD": 5, "MS": 5, "NR": 5}, seed=3)
         cfg = EvalConfig(outer_folds=2, repeats=3, seed=9)
@@ -365,14 +384,16 @@ class TestSolverConvergence:
             for m, tc in zip(truth.subject_maps, truth.planted_tcs)
         ]
         solves = []
-        original = svm.solve_binary_smo
+        original = evaluation.solve_smo_batch
 
-        def recorded(k_train, y, cfg, *args, **kwargs):
-            model = original(k_train, y, cfg, *args, **kwargs)
-            solves.append((k_train, y, cfg, model))
-            return model
+        def recorded(kernels, cells, y, cfg, *args, **kwargs):
+            models = original(kernels, cells, y, cfg, *args, **kwargs)
+            for cell, y_row, model in zip(cells, y, models):
+                m = model.alphas.size
+                solves.append((kernels[cell, :m, :m], y_row[:m], cfg, model))
+            return models
 
-        monkeypatch.setattr(svm, "solve_binary_smo", recorded)
+        monkeypatch.setattr(evaluation, "solve_smo_batch", recorded)
         params = PabsKernelParams(spectrum_fix=fix)
         cfg = EvalConfig(outer_folds=3, repeats=2, seed=0)
         for selected in ([0, 2], [1, 3], [0, 1, 2, 3]):

@@ -14,9 +14,11 @@ from netresp.svm import (
     predict_labels,
     predict_scores,
     solve_binary_smo,
+    solve_smo_batch,
     train_multiclass,
 )
-from oracles import dual_value, qp_dual_oracle
+from netresp.kernels import SPECTRUM_FIXES, PabsKernelParams, apply_spectrum_fix
+from oracles import dual_value, qp_dual_oracle, smo_serial
 
 
 def _random_psd_problem(seed, n_max=15):
@@ -71,6 +73,80 @@ class TestBinarySmo:
         b = solve_binary_smo(kernel, y, SvmConfig())
         assert np.array_equal(a.alphas, b.alphas)
         assert a.bias == b.bias
+
+
+def _padded_batch(problems):
+    """Stack (kernel, label rows) problems into one zero-padded batch."""
+    n = max(k.shape[0] for k, _ in problems)
+    stack = np.zeros((len(problems), n, n))
+    cells, rows = [], []
+    for c, (k, ys) in enumerate(problems):
+        stack[c, : k.shape[0], : k.shape[0]] = k
+        for y in ys:
+            rows.append(np.pad(y, (0, n - y.size)))
+            cells.append(c)
+    return stack, np.array(cells), np.array(rows)
+
+
+class TestBatchedSmo:
+    def test_each_problem_matches_its_solo_solve(self):
+        # indefinite tanh kernels of mixed sizes under every spectrum fix,
+        # three label rows sharing each kernel, all solved in one batch
+        rng = np.random.default_rng(31)
+        problems = []
+        for c in range(12):
+            n = int(rng.integers(5, 21))
+            x = rng.standard_normal((n, 3))
+            fix = SPECTRUM_FIXES[c % len(SPECTRUM_FIXES)]
+            k = apply_spectrum_fix(np.tanh(x @ x.T), PabsKernelParams(spectrum_fix=fix))
+            ys = [np.sign(rng.standard_normal(n)) for _ in range(3)]
+            for y in ys:
+                y[:2] = (1.0, -1.0)
+            problems.append((k, ys))
+        stack, cells, rows = _padded_batch(problems)
+        cfg = SvmConfig(C=5.0)
+        batch = solve_smo_batch(stack, cells, rows, cfg)
+        solo = [solve_binary_smo(k, y, cfg) for k, ys in problems for y in ys]
+        assert len(batch) == len(solo) == 36
+        for b, s in zip(batch, solo):
+            assert np.array_equal(b.alphas, s.alphas)
+            assert b.bias == s.bias
+            assert b.converged == s.converged
+
+    def test_step_cap_matches_serial_rule(self):
+        # at most max_passes * n pair updates, then no further convergence
+        # test: a problem whose optimum lands on its n-th update still
+        # reports converged=False, one that gets there in n - 1 reports True
+        cfg = SvmConfig(max_passes=1, smo_tol=1e-12)
+        problems, updates_needed = [], []
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 7))
+            x = rng.standard_normal((n, 2))
+            y = np.sign(rng.standard_normal(n))
+            y[:2] = (1.0, -1.0)
+            problems.append((x @ x.T, [y]))
+            _, done, steps = smo_serial(x @ x.T, y, per_sample_c(y, cfg), cfg.smo_tol, 10_000)
+            updates_needed.append(steps - n if done else None)
+        assert 0 in updates_needed and -1 in updates_needed
+        stack, cells, rows = _padded_batch(problems)
+        batch = solve_smo_batch(stack, cells, rows, cfg)
+        for (k, [y]), model in zip(problems, batch):
+            alphas, converged, _ = smo_serial(k, y, per_sample_c(y, cfg), cfg.smo_tol, y.size)
+            assert model.converged == converged
+            assert np.array_equal(model.alphas, alphas)
+        flags = [m.converged for m in batch]
+        assert flags[updates_needed.index(0)] is False
+        assert flags[updates_needed.index(-1)] is True
+
+    def test_malformed_batches_rejected(self):
+        k = np.eye(3)[None]
+        with pytest.raises(ValueError, match="padding"):
+            solve_smo_batch(k, [0], [[1.0, 0.0, -1.0]], SvmConfig())
+        with pytest.raises(SingleClassError):
+            solve_smo_batch(k, [0], [[1.0, 1.0, 0.0]], SvmConfig())
+        with pytest.raises(ValueError, match="do not match"):
+            solve_smo_batch(k, [0, 0], [[1.0, -1.0, 1.0]], SvmConfig())
 
 
 class TestDecisionValues:
