@@ -27,10 +27,7 @@ from .kernels import (
     PabsKernelParams,
     apply_spectrum_fix,
     build_kernel_matrix,
-    fnc_kernel,
     orthonormalize,
-    pabs_kernel,
-    pabs_similarity,
 )
 from .scica import (
     ScicaConfig,
@@ -87,14 +84,11 @@ __all__ = [
     "extract_subject",
     "f1_macro",
     "fisher_z",
-    "fnc_kernel",
     "generate_cohort",
     "generate_template",
     "load_dataset",
     "macro_pr_auc",
     "orthonormalize",
-    "pabs_kernel",
-    "pabs_similarity",
     "pearson_corr",
     "permutation_baseline",
     "predict_labels",

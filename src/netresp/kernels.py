@@ -3,9 +3,17 @@
 The similarity between two subjects' selected spatial maps is the sum of
 the cosines of the principal angles between their component subspaces,
 passed through a tanh: K(U, V) = tanh(gamma * sum_k sigma_k), where the
-sigma_k are the singular values of U^T V for column-orthonormal U, V.
-Maps are orthonormalized first so the singular values are genuine cosines
-(bounded by 1); without that step the sum is not a subspace metric.
+sigma_k are the singular values of U^T V for column-orthonormal U, V
+(Bjorck & Golub 1973). Maps are orthonormalized first so the singular
+values are genuine cosines (bounded by 1); without that step the sum is
+not a subspace metric.
+
+A kernel build stacks every subject's orthonormal basis, takes all m x m
+cross-Gram blocks U_i^T U_j of the upper triangle with one stacked matmul
+per subject row, and gets every cosine sum from one batched SVD over those
+blocks; the FNC cosine kernel is one batch of dot products. Each block is
+its own fixed-shape product, so an entry's bits depend only on its two
+subjects, never on the cohort's size or order.
 """
 
 from __future__ import annotations
@@ -93,33 +101,6 @@ def orthonormalize(maps_subset, rcond: float = 1e-10) -> np.ndarray:
     return u
 
 
-def pabs_similarity(a, b) -> float:
-    """Sum of principal-angle cosines between two orthonormal bases."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"basis shapes differ: {a.shape} vs {b.shape}")
-    s = np.linalg.svd(a.T @ b, compute_uv=False)
-    return float(s.sum())
-
-
-def pabs_kernel(a, b, params: PabsKernelParams) -> float:
-    return float(np.tanh(params.gamma * pabs_similarity(a, b)))
-
-
-def fnc_kernel(a, b, params: PabsKernelParams) -> float:
-    """tanh of the scaled cosine similarity between two FNC vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"FNC vectors must be equal-length, got {a.shape}, {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na <= 0.0 or nb <= 0.0:
-        raise ValueError("FNC kernel undefined for a zero-norm vector")
-    return float(np.tanh(params.fnc_gamma * (a @ b) / (na * nb)))
-
-
 def apply_spectrum_fix(matrix, params: PabsKernelParams) -> np.ndarray:
     """Repair an (indefinite) symmetric kernel according to params.spectrum_fix."""
     m = as_matrix(matrix, "kernel")
@@ -133,6 +114,14 @@ def apply_spectrum_fix(matrix, params: PabsKernelParams) -> np.ndarray:
     return (fixed + fixed.T) / 2.0
 
 
+def _mirror(n: int, iu, ju, upper) -> np.ndarray:
+    """Symmetric N x N matrix from its upper-triangle entries (diagonal included)."""
+    out = np.empty((n, n))
+    out[iu, ju] = upper
+    out[ju, iu] = upper
+    return out
+
+
 def build_kernel_matrix(
     features: list[SubjectFeatures],
     selected,
@@ -142,14 +131,19 @@ def build_kernel_matrix(
 ) -> KernelMatrix:
     """Assemble the N x N kernel over subjects from selected components.
 
-    Each subject's selected spatial-map rows are orthonormalized and compared
-    pairwise with the PABS tanh kernel. With `use_fnc`, the Fisher-z upper
-    triangle of each subject's FNC restricted to the selected components
-    feeds a cosine tanh kernel, and the two are blended by combine_weight;
-    a single-component selection has no connectivity pairs, so the map
-    kernel stands alone in that case. Entries are computed once per (i, j)
-    pair, so symmetry is exact; the spectrum fix from `params` is applied
-    to the assembled matrix.
+    Each subject's m selected spatial-map rows are orthonormalized (one SVD
+    per subject) into a stacked (N, V, m) basis array. For each subject i
+    one matmul gives the blocks U_i^T U_j for all j >= i, written straight
+    into the upper-triangle stack of m x m blocks; one batched SVD of that
+    stack gives every principal-angle cosine sum. With `use_fnc`, each
+    subject's Fisher-z upper triangle of its FNC restricted to the selected
+    components is a row z_i of Z, the FNC kernel is
+    tanh(fnc_gamma * z_i . z_j / (|z_i| |z_j|)) over the same upper-triangle
+    pairs, and the two kernels are blended by combine_weight; a
+    single-component selection has no connectivity pairs, so the map kernel
+    stands alone in that case. Only the upper triangle is computed and then
+    mirrored, so symmetry is exact; the spectrum fix from `params` is
+    applied to the assembled matrix.
     """
     n = len(features)
     if n == 0:
@@ -165,34 +159,47 @@ def build_kernel_matrix(
     if subject_ids is None:
         subject_ids = tuple(f"s{i:04d}" for i in range(n))
 
-    bases = []
+    m = len(selected)
+    bases = np.empty((n, v, m))
     for i, f in enumerate(features):
         if f.spatial_maps.shape != (k, v):
-            raise ValueError(f"subject {i}: spatial map shape mismatch")
+            raise ValueError(f"subject {subject_ids[i]}: spatial map shape mismatch")
         try:
-            bases.append(orthonormalize(f.spatial_maps[selected, :]))
+            bases[i] = orthonormalize(f.spatial_maps[selected, :])
         except RankDeficiencyError as e:
             raise RankDeficiencyError(
                 f"subject {subject_ids[i]}, components {selected}: {e}"
             ) from e
 
-    values = np.zeros((n, n))
+    # upper-triangle pairs in row-major order, so row i's blocks U_i^T U_j
+    # (j >= i) are contiguous and come from one stacked matmul
+    iu, ju = np.triu_indices(n)
+    cross = np.empty((iu.size, m, m))
+    start = 0
     for i in range(n):
-        for j in range(i, n):
-            values[i, j] = values[j, i] = pabs_kernel(bases[i], bases[j], params)
+        np.matmul(bases[i].T, bases[i:], out=cross[start : start + n - i])
+        start += n - i
+    sums = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
+    values = _mirror(n, iu, ju, np.tanh(params.gamma * sums))
 
-    if use_fnc and len(selected) >= 2:
+    if use_fnc and m >= 2:
         sub = np.ix_(selected, selected)
-        vecs = []
+        z = np.empty((n, m * (m - 1) // 2))
         for i, f in enumerate(features):
             if f.fnc is None:
                 raise ValueError(f"subject {subject_ids[i]}: FNC not computed")
-            vecs.append(fisher_z(f.fnc[sub]))
-        fvals = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                fvals[i, j] = fvals[j, i] = fnc_kernel(vecs[i], vecs[j], params)
+            z[i] = fisher_z(f.fnc[sub])
+        # norms and dots as batches of 1 x L products: each is the same dot
+        # product a single pair or vector would get
+        norms = np.sqrt(z[:, None, :] @ z[:, :, None])[:, 0, 0]
+        if not np.all(norms > 0.0):
+            i = int(np.argmin(norms > 0.0))
+            raise ValueError(
+                f"subject {subject_ids[i]}: FNC kernel undefined for a zero-norm vector"
+            )
+        dots = (z[iu][:, None, :] @ z[ju][:, :, None])[:, 0, 0]
+        cosines = params.fnc_gamma * dots / (norms[iu] * norms[ju])
         w = params.combine_weight
-        values = w * values + (1.0 - w) * fvals
+        values = w * values + (1.0 - w) * _mirror(n, iu, ju, np.tanh(cosines))
 
     return KernelMatrix(apply_spectrum_fix(values, params), tuple(subject_ids))

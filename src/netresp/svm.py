@@ -9,7 +9,6 @@ the same model, bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -349,24 +348,3 @@ def predict_scores(model: MulticlassModel, k_test_train) -> np.ndarray:
 def predict_labels(model: MulticlassModel, k_test_train) -> list[str]:
     scores = predict_scores(model, k_test_train)
     return [model.classes[i] for i in np.argmax(scores, axis=1)]
-
-
-def model_to_dict(model: MulticlassModel) -> dict:
-    """JSON-ready dump of a multiclass model for inspection."""
-    return {
-        "classes": list(model.classes),
-        "models": [
-            {
-                "alphas": m.alphas.tolist(),
-                "bias": m.bias,
-                "support_indices": list(m.support_indices),
-                "train_labels": m.train_labels.tolist(),
-                "converged": m.converged,
-            }
-            for m in model.models
-        ],
-    }
-
-
-def model_to_json(model: MulticlassModel) -> str:
-    return json.dumps(model_to_dict(model), indent=2)

@@ -50,6 +50,55 @@ def pabs_sum_via_gram(a, b) -> float:
     return float(np.sqrt(np.clip(evals, 0.0, None)).sum())
 
 
+def pabs_similarity(a, b) -> float:
+    """Sum of principal-angle cosines between two orthonormal bases."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"basis shapes differ: {a.shape} vs {b.shape}")
+    return float(np.linalg.svd(a.T @ b, compute_uv=False).sum())
+
+
+def pabs_kernel(a, b, params) -> float:
+    return float(np.tanh(params.gamma * pabs_similarity(a, b)))
+
+
+def fnc_kernel(a, b, params) -> float:
+    """tanh of the scaled cosine similarity between two FNC vectors."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na <= 0.0 or nb <= 0.0:
+        raise ValueError("FNC kernel undefined for a zero-norm vector")
+    return float(np.tanh(params.fnc_gamma * (a @ b) / (na * nb)))
+
+
+def pairwise_kernel_matrix(features, selected, params, use_fnc: bool = False) -> np.ndarray:
+    """The raw (unrepaired) subject kernel, one scalar kernel per pair.
+
+    QR bases of the selected map rows, and Fisher-z written out as arctanh
+    of the selected FNC upper triangle.
+    """
+    selected = list(selected)
+    n = len(features)
+    bases = [np.linalg.qr(f.spatial_maps[selected].T)[0] for f in features]
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            values[i, j] = values[j, i] = pabs_kernel(bases[i], bases[j], params)
+    if use_fnc and len(selected) >= 2:
+        iu = np.triu_indices(len(selected), k=1)
+        vecs = [np.arctanh(f.fnc[np.ix_(selected, selected)][iu]) for f in features]
+        fvals = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                fvals[i, j] = fvals[j, i] = fnc_kernel(vecs[i], vecs[j], params)
+        w = params.combine_weight
+        values = w * values + (1.0 - w) * fvals
+    return values
+
+
 def ap_step_oracle(labels, scores) -> float:
     """Average precision recomputed from scratch at every rank."""
     labels = [int(v) for v in labels]

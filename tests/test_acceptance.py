@@ -21,7 +21,7 @@ from netresp.evaluation import (
     run_experiment,
 )
 from netresp.fnc import compute_fnc
-from netresp.kernels import PabsKernelParams, orthonormalize, pabs_kernel, pabs_similarity
+from netresp.kernels import PabsKernelParams, build_kernel_matrix, orthonormalize
 from netresp.scica import ScicaConfig, extract_cohort
 from netresp.selection import SsfsConfig, sfs, ssfs
 from netresp.svm import SvmConfig, check_kkt, dual_objective, solve_binary_smo
@@ -78,15 +78,22 @@ def strong_cohort():
 # ---------------------------------------------------------------- criteria
 
 
+def _maps_subject(maps) -> SubjectFeatures:
+    return SubjectFeatures(spatial_maps=maps, time_courses=np.zeros((1, maps.shape[0])))
+
+
 def test_c01_kernel_identities():
     rng = np.random.default_rng(0)
     params = PabsKernelParams(gamma=1.0, spectrum_fix="none")
     worst_self = 0.0
     for trial in range(10):
-        basis = orthonormalize(rng.standard_normal((7, 200)))
-        worst_self = max(worst_self, abs(pabs_kernel(basis, basis, params) - np.tanh(7.0)))
+        maps = rng.standard_normal((7, 200))
+        feats = [_maps_subject(maps), _maps_subject(maps)]
+        values = build_kernel_matrix(feats, range(7), params).values
+        worst_self = max(worst_self, np.abs(values - np.tanh(7.0)).max())
     eye = np.eye(200)
-    ortho = abs(pabs_kernel(eye[:, :7], eye[:, 7:14], params))
+    feats = [_maps_subject(eye[:7]), _maps_subject(eye[7:14])]
+    ortho = abs(build_kernel_matrix(feats, range(7), params).values[0, 1])
     ok = worst_self <= 1e-12 and ortho <= 1e-12
     _report(
         1,
@@ -96,12 +103,19 @@ def test_c01_kernel_identities():
 
 
 def test_c02_pabs_oracle_equivalence():
+    # one 100-subject build holds the 50 pairs (2t, 2t + 1); at gamma = 1e-3
+    # tanh is linear to rounding, so arctanh(K) / gamma is the cosine sum
     rng = np.random.default_rng(1)
+    gamma = 1e-3
+    maps = [rng.standard_normal((7, 200)) for _ in range(100)]
+    params = PabsKernelParams(gamma=gamma, spectrum_fix="none")
+    values = build_kernel_matrix([_maps_subject(m) for m in maps], range(7), params).values
     worst = 0.0
-    for _ in range(50):
-        a = orthonormalize(rng.standard_normal((7, 200)))
-        b = orthonormalize(rng.standard_normal((7, 200)))
-        worst = max(worst, abs(pabs_similarity(a, b) - pabs_sum_via_gram(a, b)))
+    for t in range(50):
+        a = orthonormalize(maps[2 * t])
+        b = orthonormalize(maps[2 * t + 1])
+        s = np.arctanh(values[2 * t, 2 * t + 1]) / gamma
+        worst = max(worst, abs(s - pabs_sum_via_gram(a, b)))
     _report(2, worst <= 1e-10, f"50 basis pairs, max |SVD - gram-oracle| = {worst:.2e} <= 1e-10")
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,9 @@ from netresp.kernels import (
     RankDeficiencyError,
     apply_spectrum_fix,
     build_kernel_matrix,
-    fnc_kernel,
     orthonormalize,
-    pabs_kernel,
-    pabs_similarity,
 )
-from oracles import pabs_sum_via_gram
+from oracles import fnc_kernel, pabs_sum_via_gram, pairwise_kernel_matrix
 
 
 def _basis(rows, v, seed):
@@ -56,20 +55,67 @@ class TestOrthonormalize:
             orthonormalize(rows)
 
 
+def _subject(maps, fnc=None):
+    maps = np.asarray(maps, dtype=np.float64)
+    return SubjectFeatures(
+        spatial_maps=maps, time_courses=np.zeros((1, maps.shape[0])), fnc=fnc
+    )
+
+
+def _pair_kernel(maps_a, maps_b, params):
+    """K[0, 1] of a two-subject raw kernel; every component selected."""
+    feats = [_subject(maps_a), _subject(maps_b)]
+    selected = range(feats[0].n_components)
+    return build_kernel_matrix(feats, selected, params).values[0, 1]
+
+
+def _pabs_sum(maps_a, maps_b):
+    """Principal-angle cosine sum of two subjects, read off the built kernel.
+
+    At gamma = 1e-3 tanh is linear to rounding, so arctanh(K) / gamma
+    returns the sum to a few ulps.
+    """
+    gamma = 1e-3
+    k = _pair_kernel(maps_a, maps_b, PabsKernelParams(gamma=gamma, spectrum_fix="none"))
+    return float(np.arctanh(k) / gamma)
+
+
+def _fnc_subjects(*zvecs):
+    """Subjects whose Fisher-z FNC upper triangles are the given vectors."""
+    out = []
+    rng = np.random.default_rng(13)
+    for z in zvecs:
+        z = np.asarray(z, dtype=np.float64)
+        k = int(round((1 + np.sqrt(1 + 8 * z.size)) / 2))
+        fnc = np.eye(k)
+        iu, ju = np.triu_indices(k, k=1)
+        fnc[iu, ju] = fnc[ju, iu] = np.tanh(z)
+        out.append(_subject(rng.standard_normal((k, 30)), fnc=fnc))
+    return out
+
+
+def _fnc_pair_kernel(za, zb, fnc_gamma=1.0):
+    """K[0, 1] of the FNC kernel alone (combine_weight 0) for two subjects."""
+    feats = _fnc_subjects(za, zb)
+    params = PabsKernelParams(fnc_gamma=fnc_gamma, combine_weight=0.0, spectrum_fix="none")
+    selected = range(feats[0].n_components)
+    return build_kernel_matrix(feats, selected, params, use_fnc=True).values[0, 1]
+
+
 class TestPabsSimilarity:
     def test_self_similarity_is_dimension(self):
         basis = _basis(7, 100, 0)
-        assert abs(pabs_similarity(basis, basis) - 7.0) < 1e-12
+        assert abs(_pabs_sum(basis.T, basis.T) - 7.0) < 1e-12
 
     def test_orthogonal_subspaces(self):
         e1 = np.eye(3)[:, :1]
         e2 = np.eye(3)[:, 1:2]
-        assert abs(pabs_similarity(e1, e2)) < 1e-12
+        assert abs(_pabs_sum(e1.T, e2.T)) < 1e-12
 
     def test_half_aligned_pair(self):
         a = np.eye(3)[:, :2]
         b = np.column_stack([np.eye(3)[:, 0], (np.eye(3)[:, 1] + np.eye(3)[:, 2]) / np.sqrt(2)])
-        s = pabs_similarity(a, b)
+        s = _pabs_sum(a.T, b.T)
         assert abs(s - (1.0 + 1.0 / np.sqrt(2))) < 1e-12
         assert abs(s - pabs_sum_via_gram(a, b)) < 1e-10
 
@@ -77,61 +123,64 @@ class TestPabsSimilarity:
         for seed in range(10):
             a = _basis(5, 80, 2 * seed)
             b = _basis(5, 80, 2 * seed + 1)
-            assert abs(pabs_similarity(a, b) - pabs_sum_via_gram(a, b)) < 1e-10
+            assert abs(_pabs_sum(a.T, b.T) - pabs_sum_via_gram(a, b)) < 1e-10
 
     def test_range(self):
         a = _basis(4, 60, 11)
         b = _basis(4, 60, 12)
-        s = pabs_similarity(a, b)
+        s = _pabs_sum(a.T, b.T)
         assert 0.0 <= s <= 4.0 + 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            pabs_similarity(_basis(3, 30, 0), _basis(2, 30, 1))
+        with pytest.raises(ValueError, match="s0001: spatial map shape mismatch"):
+            _pabs_sum(_basis(3, 30, 0).T, _basis(2, 30, 1).T)
 
 
 class TestPabsKernel:
     def test_orthogonal_gives_zero(self):
         e1 = np.eye(3)[:, :1]
         e2 = np.eye(3)[:, 1:2]
-        assert pabs_kernel(e1, e2, PabsKernelParams()) == 0.0
+        assert _pair_kernel(e1.T, e2.T, PabsKernelParams(spectrum_fix="none")) == 0.0
 
     def test_identical_seven_dim_basis(self):
         basis = _basis(7, 200, 4)
-        k = pabs_kernel(basis, basis, PabsKernelParams(gamma=1.0))
+        k = _pair_kernel(basis.T, basis.T, PabsKernelParams(gamma=1.0, spectrum_fix="none"))
         assert abs(k - np.tanh(7.0)) < 1e-12
         assert abs(k - 0.9999983369439447) < 1e-9
 
     def test_composed_value(self):
         a = np.eye(3)[:, :2]
         b = np.column_stack([np.eye(3)[:, 0], (np.eye(3)[:, 1] + np.eye(3)[:, 2]) / np.sqrt(2)])
-        k = pabs_kernel(a, b, PabsKernelParams(gamma=1.0))
+        k = _pair_kernel(a.T, b.T, PabsKernelParams(gamma=1.0, spectrum_fix="none"))
         assert abs(k - np.tanh(pabs_sum_via_gram(a, b))) < 1e-12
         assert abs(k - 0.936291606665037) < 1e-9
 
     def test_strictly_increasing_in_gamma(self):
         a = _basis(3, 50, 5)
         b = _basis(3, 50, 6)
-        ks = [pabs_kernel(a, b, PabsKernelParams(gamma=g)) for g in (0.5, 1.0, 2.0)]
+        ks = [
+            _pair_kernel(a.T, b.T, PabsKernelParams(gamma=g, spectrum_fix="none"))
+            for g in (0.5, 1.0, 2.0)
+        ]
         assert ks[0] < ks[1] < ks[2]
 
 
 class TestFncKernel:
     def test_self_is_tanh_gamma(self):
         v = np.array([0.4, -0.2, 1.0])
-        assert abs(fnc_kernel(v, v, PabsKernelParams(fnc_gamma=1.3)) - np.tanh(1.3)) < 1e-12
+        assert abs(_fnc_pair_kernel(v, v, fnc_gamma=1.3) - np.tanh(1.3)) < 1e-12
 
     def test_orthogonal_vectors(self):
-        assert fnc_kernel([1.0, 0.0], [0.0, 1.0], PabsKernelParams()) == 0.0
+        assert _fnc_pair_kernel([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) == 0.0
 
     def test_arithmetic_case(self):
-        k = fnc_kernel([1.0, 0.0], [1.0, 1.0], PabsKernelParams(fnc_gamma=1.0))
+        k = _fnc_pair_kernel([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], fnc_gamma=1.0)
         assert abs(k - np.tanh(1.0 / np.sqrt(2))) < 1e-12
         assert abs(k - 0.6088593650139137) < 1e-9
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
-            fnc_kernel([0.0, 0.0], [1.0, 0.0], PabsKernelParams())
+            _fnc_pair_kernel([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
 
 
 def _features(n, k=6, v=120, seed=0, with_fnc=False):
@@ -223,6 +272,33 @@ class TestBuildKernelMatrix:
         feats[2] = SubjectFeatures(spatial_maps=maps, time_courses=feats[2].time_courses)
         with pytest.raises(RankDeficiencyError, match="s0002"):
             build_kernel_matrix(feats, [0, 1], PabsKernelParams())
+
+    def test_zero_norm_fnc_subject_named(self):
+        feats = _features(3, seed=8, with_fnc=True)
+        feats[2] = feats[2].with_fnc(np.eye(6))
+        with pytest.raises(ValueError, match="s0002.*zero-norm"):
+            build_kernel_matrix(feats, [0, 1, 2], PabsKernelParams(), use_fnc=True)
+
+    @pytest.mark.parametrize("use_fnc", [False, True])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_oracle_loop(self, m, use_fnc):
+        feats = _features(9, seed=14, with_fnc=True)
+        selected = [5, 0, 3][:m]
+        params = PabsKernelParams(gamma=0.7, fnc_gamma=1.4, combine_weight=0.4, spectrum_fix="none")
+        km = build_kernel_matrix(feats, selected, params, use_fnc=use_fnc).values
+        expected = pairwise_kernel_matrix(feats, selected, params, use_fnc=use_fnc)
+        assert np.abs(km - expected).max() <= 1e-12
+
+    def test_peak_memory_within_twice_the_stacked_bases(self):
+        n, v, m = 100, 2048, 6
+        feats = _features(n, k=m, v=v, seed=15, with_fnc=True)
+        tracemalloc.start()
+        try:
+            build_kernel_matrix(feats, range(m), PabsKernelParams(), use_fnc=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * v * m * 8, f"peak {peak / 1e6:.1f} MB"
 
     def test_out_of_range_index(self):
         feats = _features(2, k=4)

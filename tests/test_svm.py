@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from netresp.svm import (
     check_kkt,
     decision_values,
     dual_objective,
-    model_to_json,
     per_sample_c,
     predict_labels,
     predict_scores,
@@ -318,13 +315,3 @@ class TestMulticlass:
         kernel = np.eye(4)
         with pytest.raises(SingleClassError, match="absent"):
             train_multiclass(kernel, ["A", "A", "B", "B"], ("A", "B", "C"), SvmConfig())
-
-    def test_model_json_dump(self):
-        kernel, y = _random_psd_problem(22)
-        labels = ["P" if v > 0 else "Q" for v in y]
-        model = train_multiclass(kernel, labels, ("P", "Q"), SvmConfig())
-        doc = json.loads(model_to_json(model))
-        assert doc["classes"] == ["P", "Q"]
-        assert len(doc["models"]) == 2
-        assert len(doc["models"][0]["alphas"]) == y.size
-        assert isinstance(doc["models"][0]["bias"], float)
