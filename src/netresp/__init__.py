@@ -37,7 +37,7 @@ from .scica import (
     extract_subject,
     preprocess_subject,
 )
-from .selection import SelectionResult, SsfsConfig, score_feature_set, sfs, ssfs
+from .selection import SelectionResult, SsfsConfig, score_feature_set, ssfs
 from .svm import (
     MulticlassModel,
     SvmConfig,
@@ -97,7 +97,6 @@ __all__ = [
     "read_matrix",
     "run_experiment",
     "score_feature_set",
-    "sfs",
     "solve_binary_smo",
     "solve_smo_batch",
     "ssfs",

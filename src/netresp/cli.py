@@ -66,8 +66,10 @@ class RunConfig:
     evaluation: EvalConfig = EvalConfig()
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
+            raise ConfigError(f"threads must be an integer >= 1, got {self.threads!r}")
         # every section seed derives from the one master seed
         for name, seed in (
             ("synth", self.seed),

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-from .datamodel import as_matrix
+from .datamodel import NonFiniteValueError, as_matrix
 
 CLAMP = 1.0 - 1e-7
 
@@ -77,15 +77,18 @@ def compute_fnc(tc) -> np.ndarray:
 def fisher_z(fnc) -> np.ndarray:
     """Fisher z-transform of the upper triangle (row-major, i < j).
 
-    Off-diagonal values at |r| >= 1 are clamped to +/-(1 - 1e-7) with a
-    warning so atanh stays finite.
+    A (..., k, k) stack of matrices gives a (..., k(k-1)/2) stack of
+    triangles. Off-diagonal values at |r| >= 1 are clamped to
+    +/-(1 - 1e-7), with one warning giving their total count, so atanh
+    stays finite.
     """
-    fnc = as_matrix(fnc, "fnc")
-    k = fnc.shape[0]
-    if fnc.shape != (k, k):
-        raise ValueError(f"fnc must be square, got {fnc.shape}")
-    iu, ju = np.triu_indices(k, k=1)
-    r = fnc[iu, ju].copy()
+    fnc = np.asarray(fnc, dtype=np.float64)
+    if fnc.ndim < 2 or fnc.shape[-2] != fnc.shape[-1]:
+        raise ValueError(f"fnc must be a square matrix or a stack of them, got {fnc.shape}")
+    if not np.isfinite(fnc).all():
+        raise NonFiniteValueError("fnc contains NaN or infinite values")
+    iu, ju = np.triu_indices(fnc.shape[-1], k=1)
+    r = fnc[..., iu, ju]
     over = np.abs(r) >= 1.0
     if over.any():
         warnings.warn(

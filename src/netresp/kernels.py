@@ -141,7 +141,8 @@ def build_kernel_matrix(
     tanh(fnc_gamma * z_i . z_j / (|z_i| |z_j|)) over the same upper-triangle
     pairs, and the two kernels are blended by combine_weight; a
     single-component selection has no connectivity pairs, so the map kernel
-    stands alone in that case. Only the upper triangle is computed and then
+    stands alone in that case. The Fisher-z rows of all subjects come
+    from one stacked call. Only the upper triangle is computed and then
     mirrored, so symmetry is exact; the spectrum fix from `params` is
     applied to the assembled matrix.
     """
@@ -183,12 +184,11 @@ def build_kernel_matrix(
     values = _mirror(n, iu, ju, np.tanh(params.gamma * sums))
 
     if use_fnc and m >= 2:
-        sub = np.ix_(selected, selected)
-        z = np.empty((n, m * (m - 1) // 2))
         for i, f in enumerate(features):
             if f.fnc is None:
                 raise ValueError(f"subject {subject_ids[i]}: FNC not computed")
-            z[i] = fisher_z(f.fnc[sub])
+        sub = np.ix_(selected, selected)
+        z = fisher_z(np.stack([f.fnc[sub] for f in features]))
         # norms and dots as batches of 1 x L products: each is the same dot
         # product a single pair or vector would get
         norms = np.sqrt(z[:, None, :] @ z[:, :, None])[:, 0, 0]

@@ -5,6 +5,13 @@ contrast) augmented with a penalty pulling the unit's output map toward
 positive correlation with its reference. Units are not orthogonalized
 against each other, so constrained components may correlate; each one is
 identified by its own reference, not by deflation order.
+
+Because no unit depends on another, a subject's units advance together:
+each round stacks every unit that has not yet converged into one (B, R)
+array, so one (B, R) @ (R, V) product gives all their outputs and one
+(B, V) @ (V, R) product all their fixed-point directions, while every
+other step acts row by row. A unit leaves the batch when it converges or
+reaches max_iters, so each unit follows exactly its own fixed-point map.
 """
 
 from __future__ import annotations
@@ -65,15 +72,31 @@ class WhitenedData:
     voxel_stds: np.ndarray
 
 
-def _apply_contrast(name: str, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """g(y) and the mean of g'(y) for the chosen contrast."""
+def _apply_contrast(name: str, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(y) and the row means of g'(y) for the chosen contrast.
+
+    `y` is a (B, V) stack of unit outputs and is overwritten with g(y). The
+    means come from row sums and row dot products, so a round allocates no
+    (B, V) array beyond y (gauss: one).
+    """
+    v = y.shape[1]
     if name == "tanh":
-        gy = np.tanh(y)
-        return gy, float(np.mean(1.0 - gy * gy))
+        gy = np.tanh(y, out=y)
+        return gy, 1.0 - _rowdot(gy, gy) / v  # g' = 1 - g^2
     if name == "gauss":
-        e = np.exp(-0.5 * y * y)
-        return y * e, float(np.mean((1.0 - y * y) * e))
-    return y**3, float(np.mean(3.0 * y * y))
+        e = y * y
+        e *= -0.5
+        np.exp(e, out=e)
+        e_sum = np.add.reduce(e, axis=1)
+        gy = np.multiply(y, e, out=e)
+        return gy, (e_sum - _rowdot(y, gy)) / v  # g' = e - y g
+    gp_mean = 3.0 * _rowdot(y, y) / v  # g' = 3 y^2
+    return np.power(y, 3, out=y), gp_mean
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of `a` with the same row of `b`."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 def preprocess_subject(bold, pca_retained: int | None = None) -> WhitenedData:
@@ -136,35 +159,44 @@ def constrained_unit_update(w, whitened, reference_projected, cfg: ScicaConfig) 
     vanishes exactly when the output is fully aligned with the reference,
     so an aligned fixed point is returned unchanged. A degenerate
     zero-length update falls back to the incoming weight.
+
+    `w` and `reference_projected` may also be (B, R) stacks, one unit per
+    row; each row then takes its own step, with the outputs and the
+    fixed-point directions of all rows computed by one matrix product each.
     """
     w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(reference_projected, dtype=np.float64)
+    single = w.ndim == 1
+    w = np.atleast_2d(w)
+    b = np.atleast_2d(np.asarray(reference_projected, dtype=np.float64))
     v = whitened.shape[1]
-    y = w @ whitened
-    gy, gp_mean = _apply_contrast(cfg.nonlinearity, y)
-    w_fp = whitened @ gy / v - gp_mean * w
-    if w_fp @ w < 0:
-        w_fp = -w_fp
-    n_fp = np.linalg.norm(w_fp)
-    rho = float(w @ b)
-    step = cfg.constraint_weight * (b - rho * w)
-    if n_fp > 1e-12:
-        step = step + DAMPING * (w_fp / n_fp - w)
+    gy, gp_mean = _apply_contrast(cfg.nonlinearity, w @ whitened)
+    w_fp = gy @ whitened.T
+    w_fp /= v
+    w_fp -= gp_mean[:, None] * w
+    np.negative(w_fp, out=w_fp, where=(_rowdot(w_fp, w) < 0)[:, None])
+    n_fp = np.sqrt(_rowdot(w_fp, w_fp))[:, None]
+    # a row without a fixed-point direction gets fp_hat = w, so its damped
+    # term is exactly zero
+    fp_hat = np.divide(w_fp, n_fp, out=w.copy(), where=n_fp > 1e-12)
+    step = cfg.constraint_weight * (b - _rowdot(w, b)[:, None] * w)
+    step += DAMPING * (fp_hat - w)
     w_next = w + step
-    norm = np.linalg.norm(w_next)
-    if norm < 1e-12:
-        return w.copy()
-    return w_next / norm
+    norm = np.sqrt(_rowdot(w_next, w_next))[:, None]
+    w_next = np.divide(w_next, norm, out=w.copy(), where=norm >= 1e-12)
+    return w_next[0] if single else w_next
 
 
-def _reference_projection(whitened: np.ndarray, ref_scaled: np.ndarray) -> np.ndarray:
-    """Vector b with corr(w @ whitened, reference) = <w, b> for unit w."""
+def _reference_projection(whitened: np.ndarray, refs_scaled: np.ndarray) -> np.ndarray:
+    """Rows b_k with corr(w @ whitened, reference k) = <w, b_k> for unit w.
+
+    One product serves every (K, V) reference row; a reference with no
+    variance projects to zero.
+    """
     v = whitened.shape[1]
-    rc = ref_scaled - ref_scaled.mean()
-    nrm = np.linalg.norm(rc)
-    if nrm <= 0:
-        return np.zeros(whitened.shape[0])
-    return whitened @ rc / (np.sqrt(v) * nrm)
+    rc = refs_scaled - refs_scaled.mean(axis=1, keepdims=True)
+    nrm = np.linalg.norm(rc, axis=1, keepdims=True)
+    b = rc @ whitened.T
+    return np.divide(b, np.sqrt(v) * nrm, out=np.zeros_like(b), where=nrm > 0)
 
 
 def extract_subject(
@@ -176,12 +208,15 @@ def extract_subject(
     projection of template row k and iterated with
     :func:`constrained_unit_update` until |<w_new, w_old>| > 1 - tol or
     max_iters is reached (non-convergence sets the per-component flag,
-    it is not an error). Output maps are expressed in data units (the
-    voxel normalization is undone), z-scored over voxels and sign-aligned
-    to the template; time courses come from least-squares regression of
-    the normalized bold onto the maps. Deterministic given the seed, which
-    only matters for the degenerate case of a reference with no energy in
-    the retained subspace.
+    it is not an error). All units still iterating advance together, one
+    stacked :func:`constrained_unit_update` call per round, and each unit
+    leaves that batch as soon as its own test passes. Output maps are
+    expressed in data units (the voxel normalization is undone), z-scored
+    over voxels and sign-aligned to the template; time courses come from
+    least-squares regression of the normalized bold onto the maps.
+    Deterministic given the seed, which only matters for the degenerate
+    case of a reference with no energy in the retained subspace: those
+    units start from random draws, taken in component order.
     """
     bold = as_matrix(bold, "bold")
     t, v = bold.shape
@@ -193,35 +228,37 @@ def extract_subject(
     w_data = wd.whitened
     sd = wd.voxel_stds
 
-    maps = np.zeros((k, v))
-    converged = np.zeros(k, dtype=bool)
+    b = _reference_projection(w_data, template.maps / sd)
+    nb = np.linalg.norm(b, axis=1, keepdims=True)
+    units = np.divide(b, nb, out=np.empty_like(b), where=nb > 1e-8)
     rng = np.random.default_rng(derive_seed(seed, "scica-degenerate"))
-    for comp in range(k):
-        ref = template.maps[comp]
-        b = _reference_projection(w_data, ref / sd)
-        nb = np.linalg.norm(b)
-        if nb > 1e-8:
-            w = b / nb
-        else:
-            w = rng.standard_normal(w_data.shape[0])
-            w /= np.linalg.norm(w)
-        for _ in range(cfg.max_iters):
-            w_new = constrained_unit_update(w, w_data, b, cfg)
-            done = abs(float(w_new @ w)) > 1.0 - cfg.tol
-            w = w_new
-            if done:
-                converged[comp] = True
+    for comp in np.flatnonzero(nb[:, 0] <= 1e-8):
+        w = rng.standard_normal(r)
+        units[comp] = w / np.linalg.norm(w)
+
+    # w and b_live hold the rows of the units in `live`; a unit's final
+    # weight goes back to `units` when it leaves the batch
+    converged = np.zeros(k, dtype=bool)
+    live, w, b_live = np.arange(k), units.copy(), b
+    for _ in range(cfg.max_iters):
+        w_new = constrained_unit_update(w, w_data, b_live, cfg)
+        done = np.abs(_rowdot(w_new, w)) > 1.0 - cfg.tol
+        w = w_new
+        if done.any():
+            units[live[done]] = w[done]
+            converged[live[done]] = True
+            live, w, b_live = live[~done], w[~done], b_live[~done]
+            if not live.size:
                 break
-        y = w @ w_data
-        m = y * sd  # back to data units so map shapes match the references
-        m = m - m.mean()
-        m_sd = m.std()
-        if m_sd > 0:
-            m = m / m_sd
-        ref_c = ref - ref.mean()
-        if float(m @ ref_c) < 0:
-            m = -m
-        maps[comp] = m
+    units[live] = w
+
+    maps = units @ w_data
+    maps *= sd  # back to data units so map shapes match the references
+    maps -= maps.mean(axis=1, keepdims=True)
+    m_sd = maps.std(axis=1, keepdims=True)
+    np.divide(maps, m_sd, out=maps, where=m_sd > 0)
+    flip = _rowdot(maps, template.maps - template.maps.mean(axis=1, keepdims=True)) < 0
+    np.negative(maps, out=maps, where=flip[:, None])
 
     xz = (bold - wd.voxel_means) / sd
     tc, *_ = np.linalg.lstsq(maps.T, xz.T, rcond=None)

@@ -10,7 +10,7 @@ those subjects apart from any later evaluation is the caller's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,29 +211,4 @@ def ssfs(
         best_score=float(best_score),
         beam_trace=tuple(trace),
         final_beam=tuple((cand, float(s)) for cand, s in final),
-    )
-
-
-def sfs(
-    features,
-    labels,
-    domains,
-    cfg: SsfsConfig,
-    kernel_params: PabsKernelParams,
-    svm_cfg: SvmConfig,
-    class_set=None,
-    use_fnc: bool = False,
-    threads: int = 1,
-) -> SelectionResult:
-    """Classic greedy forward selection: the beam_width=1 special case."""
-    return ssfs(
-        features,
-        labels,
-        domains,
-        replace(cfg, beam_width=1),
-        kernel_params,
-        svm_cfg,
-        class_set=class_set,
-        use_fnc=use_fnc,
-        threads=threads,
     )

@@ -2,12 +2,16 @@
 
 Everything here deliberately avoids the library's own code paths: loops
 instead of vectorization, eigendecompositions instead of SVDs, projected
-gradient instead of SMO, exhaustive enumeration instead of recursions.
+gradient instead of SMO, exhaustive enumeration instead of recursions,
+one ICA unit at a time instead of a batch of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from netresp._util import derive_seed
+from netresp.scica import DAMPING, preprocess_subject
 
 
 def naive_pearson(x, y) -> float:
@@ -217,3 +221,75 @@ def smo_serial(kernel, y, box, tol: float, max_steps: int, tau: float = 1e-12):
         alphas[i] = new_i
         alphas[j] = new_j
     return alphas, False, max_steps
+
+
+def unit_update_1d(w, whitened, b, cfg) -> np.ndarray:
+    """One constrained fixed-point step for a single unit, as matrix-vector
+    products (see scica.constrained_unit_update for the update rule)."""
+    v = whitened.shape[1]
+    y = w @ whitened
+    if cfg.nonlinearity == "tanh":
+        gy = np.tanh(y)
+        gp_mean = float(np.mean(1.0 - gy * gy))
+    elif cfg.nonlinearity == "gauss":
+        e = np.exp(-0.5 * y * y)
+        gy, gp_mean = y * e, float(np.mean((1.0 - y * y) * e))
+    else:
+        gy, gp_mean = y**3, float(np.mean(3.0 * y * y))
+    w_fp = whitened @ gy / v - gp_mean * w
+    if w_fp @ w < 0:
+        w_fp = -w_fp
+    n_fp = np.linalg.norm(w_fp)
+    step = cfg.constraint_weight * (b - float(w @ b) * w)
+    if n_fp > 1e-12:
+        step = step + DAMPING * (w_fp / n_fp - w)
+    w_next = w + step
+    norm = np.linalg.norm(w_next)
+    if norm < 1e-12:
+        return w.copy()
+    return w_next / norm
+
+
+def per_unit_extract(bold, template, cfg, seed: int = 0):
+    """Constrained ICA one unit at a time: each component's unit iterates
+    alone until it converges or hits max_iters, then its map is
+    back-projected, z-scored and sign-aligned on its own. Whitening is the
+    library's; everything after it is written out here. Returns
+    (spatial_maps, time_courses, converged)."""
+    bold = np.asarray(bold, dtype=np.float64)
+    t, v = bold.shape
+    k = template.n_components
+    r = cfg.pca_retained if cfg.pca_retained is not None else min(k, t - 1, v)
+    wd = preprocess_subject(bold, r)
+    x, sd = wd.whitened, wd.voxel_stds
+    maps = np.zeros((k, v))
+    converged = np.zeros(k, dtype=bool)
+    rng = np.random.default_rng(derive_seed(seed, "scica-degenerate"))
+    for comp in range(k):
+        ref = template.maps[comp]
+        rc = ref / sd - (ref / sd).mean()
+        nrm = np.linalg.norm(rc)
+        b = x @ rc / (np.sqrt(v) * nrm) if nrm > 0 else np.zeros(r)
+        nb = np.linalg.norm(b)
+        if nb > 1e-8:
+            w = b / nb
+        else:
+            w = rng.standard_normal(r)
+            w /= np.linalg.norm(w)
+        for _ in range(cfg.max_iters):
+            w_new = unit_update_1d(w, x, b, cfg)
+            done = abs(float(w_new @ w)) > 1.0 - cfg.tol
+            w = w_new
+            if done:
+                converged[comp] = True
+                break
+        m = (w @ x) * sd
+        m = m - m.mean()
+        if m.std() > 0:
+            m = m / m.std()
+        if float(m @ (ref - ref.mean())) < 0:
+            m = -m
+        maps[comp] = m
+    xz = (bold - wd.voxel_means) / sd
+    tc = np.linalg.lstsq(maps.T, xz.T, rcond=None)[0].T
+    return maps, tc, converged

@@ -23,7 +23,7 @@ from netresp.evaluation import (
 from netresp.fnc import compute_fnc
 from netresp.kernels import PabsKernelParams, build_kernel_matrix, orthonormalize
 from netresp.scica import ScicaConfig, extract_cohort
-from netresp.selection import SsfsConfig, sfs, ssfs
+from netresp.selection import SsfsConfig, ssfs
 from netresp.svm import SvmConfig, check_kkt, dual_objective, solve_binary_smo
 from netresp.synth import SynthConfig, generate_cohort, generate_interaction_cohort
 from oracles import ap_step_oracle, dual_value, pabs_sum_via_gram, qp_dual_oracle
@@ -244,8 +244,8 @@ def test_c08_ssfs_dominance():
     feats, labels, meta = generate_interaction_cohort(seed=4)
     beam = ssfs(feats, labels, meta["domains"], sel_cfg, kernel_params, svm_cfg,
                 class_set=meta["class_set"], threads=4)
-    greedy = sfs(feats, labels, meta["domains"], sel_cfg, kernel_params, svm_cfg,
-                 class_set=meta["class_set"], threads=4)
+    greedy = ssfs(feats, labels, meta["domains"], dataclasses.replace(sel_cfg, beam_width=1),
+                  kernel_params, svm_cfg, class_set=meta["class_set"], threads=4)
     strict = beam.best_score > greedy.best_score
     recovered = beam.best_set == meta["interacting_pair"]
     dominance = []
@@ -254,8 +254,8 @@ def test_c08_ssfs_dominance():
         cfg2 = SsfsConfig(beam_width=5, inner_folds=5, inner_repeats=2, seed=seed + 50)
         b2 = ssfs(f2, l2, m2["domains"], cfg2, kernel_params, svm_cfg,
                   class_set=m2["class_set"], threads=4)
-        g2 = sfs(f2, l2, m2["domains"], cfg2, kernel_params, svm_cfg,
-                 class_set=m2["class_set"], threads=4)
+        g2 = ssfs(f2, l2, m2["domains"], dataclasses.replace(cfg2, beam_width=1),
+                  kernel_params, svm_cfg, class_set=m2["class_set"], threads=4)
         dominance.append(b2.best_score >= g2.best_score)
     ok = strict and recovered and all(dominance)
     _report(

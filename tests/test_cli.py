@@ -274,13 +274,27 @@ class TestExitCodes:
         assert rc == 2
         assert f"{section}.seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", ["7", 7.9])
+    @pytest.mark.parametrize("seed", ["7", 7.9, True])
     def test_non_integer_seed_exits_2(self, tmp_path, capsys, seed):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": seed}))
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "seed must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["2", 2.5, 0, -1, True])
+    def test_invalid_config_threads_exits_2(self, tmp_path, capsys, threads):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threads": threads}))
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "threads must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_invalid_threads_flag_exits_2(self, tmp_path, capsys, threads):
+        rc = main(["simulate", "--threads", threads, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "threads must be an integer >= 1" in capsys.readouterr().err
 
 
 class TestMasterSeed:

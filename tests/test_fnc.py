@@ -153,3 +153,19 @@ class TestFisherZ:
         z = fisher_z(fnc)
         assert z.shape == (k * (k - 1) // 2,)
         np.testing.assert_allclose(z, np.arctanh([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
+
+    def test_stack_equals_per_matrix_calls_with_one_warning(self):
+        rng = np.random.default_rng(3)
+        tcs = rng.standard_normal((3, 30, 5))
+        stack = np.stack([compute_fnc(tc) for tc in tcs])
+        stack[0, 1, 2] = stack[0, 2, 1] = 1.0
+        stack[2, 0, 4] = stack[2, 4, 0] = -1.0
+        with pytest.warns(RuntimeWarning, match="clamping 2 correlation") as record:
+            z = fisher_z(stack)
+        assert len(record) == 1
+        assert z.shape == (3, 10)
+        with pytest.warns(RuntimeWarning):
+            assert np.array_equal(z[0], fisher_z(stack[0]))
+        assert np.array_equal(z[1], fisher_z(stack[1]))
+        with pytest.warns(RuntimeWarning):
+            assert np.array_equal(z[2], fisher_z(stack[2]))

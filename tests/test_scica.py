@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from netresp import scica
+from netresp.datamodel import Template
 from netresp.scica import (
     DAMPING,
     RankError,
@@ -13,6 +15,7 @@ from netresp.scica import (
     preprocess_subject,
 )
 from netresp.synth import SynthConfig, generate_template
+from oracles import per_unit_extract, unit_update_1d
 
 
 def _small_template(seed=0, k=6, grid=(8, 8, 8)):
@@ -154,6 +157,101 @@ class TestConstrainedUnitUpdate:
         np.testing.assert_array_equal(out, w)
 
 
+class TestStackedUnitUpdate:
+    def test_stack_equals_row_by_row_calls(self):
+        wd, _ = _whitened_with_sources(seed=26)
+        rng = np.random.default_rng(27)
+        w = rng.standard_normal((40, 5))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        b = 0.3 * rng.standard_normal((40, 5))
+        # a zero weight with no reference has a zero-length update (falls
+        # back to the weight); with a reference it has no fixed-point term
+        w[-2:] = 0.0
+        b[-1] = 0.0
+        cfg = ScicaConfig()
+        x = wd.whitened
+        y = w[:-2] @ x
+        fp = np.tanh(y) @ x.T / x.shape[1] - np.mean(1 - np.tanh(y) ** 2, axis=1)[:, None] * w[:-2]
+        flips = np.einsum("ij,ij->i", fp, w[:-2]) < 0
+        assert 0 < flips.sum() < flips.size  # both sign branches are taken
+        stacked = constrained_unit_update(w, x, b, cfg)
+        assert stacked.shape == w.shape
+        for i in range(w.shape[0]):
+            np.testing.assert_allclose(
+                stacked[i], constrained_unit_update(w[i], x, b[i], cfg), rtol=0, atol=1e-13
+            )
+            np.testing.assert_allclose(
+                stacked[i], unit_update_1d(w[i], x, b[i], cfg), rtol=0, atol=1e-13
+            )
+        np.testing.assert_array_equal(stacked[-1], 0.0)
+        np.testing.assert_allclose(stacked[-2], b[-2] / np.linalg.norm(b[-2]), rtol=0, atol=1e-15)
+
+
+def _template_and_bold(seed, k=6, t=40, noise=0.4):
+    template = _small_template(seed=seed, k=k)
+    rng = np.random.default_rng(seed + 1)
+    tc = rng.standard_normal((t, k))
+    bold = tc @ template.maps + noise * rng.standard_normal((t, template.n_voxels))
+    return template, bold
+
+
+class TestBatchedExtraction:
+    @pytest.mark.parametrize("nonlinearity", ["tanh", "gauss", "cube"])
+    @pytest.mark.parametrize("max_iters", [500, 1])
+    def test_matches_per_unit_oracle(self, nonlinearity, max_iters):
+        template, bold = _template_and_bold(seed=30)
+        # a reference proportional to the voxel stds has no energy in the
+        # whitened subspace, so its unit starts from a random draw
+        maps = template.maps.copy()
+        maps[3] = bold.std(axis=0)
+        template = Template(maps, template.component_ids, template.domains)
+        cfg = ScicaConfig(nonlinearity=nonlinearity, max_iters=max_iters)
+        got = extract_subject(bold, template, cfg, seed=31)
+        ref_maps, ref_tc, ref_converged = per_unit_extract(bold, template, cfg, seed=31)
+        np.testing.assert_allclose(got.spatial_maps, ref_maps, rtol=0, atol=1e-12)
+        # time courses solve a least-squares problem whose scale follows the
+        # maps' conditioning (the unconverged random-start cube run reads
+        # entries near 1e3), so they are compared relative to their largest
+        scale = max(1.0, np.abs(ref_tc).max())
+        np.testing.assert_allclose(got.time_courses, ref_tc, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_array_equal(got.converged, ref_converged)
+        if max_iters == 1:
+            assert not got.converged.any()
+        else:
+            assert got.converged.all()
+
+    def test_one_stacked_update_per_round(self, monkeypatch):
+        template, bold = _template_and_bold(seed=32)
+        calls = []
+        original = scica.constrained_unit_update
+
+        def counted(w, *args):
+            calls.append(w.shape[0])
+            return original(w, *args)
+
+        monkeypatch.setattr(scica, "constrained_unit_update", counted)
+        extract_subject(bold, template, ScicaConfig(), seed=0)
+        assert calls[0] == template.n_components
+        assert calls == sorted(calls, reverse=True)  # units only ever leave
+        calls.clear()
+        extract_subject(bold, template, ScicaConfig(max_iters=1), seed=0)
+        assert calls == [template.n_components]
+
+    def test_subset_of_template_rows_gives_same_rows(self):
+        template, bold = _template_and_bold(seed=33)
+        cfg = ScicaConfig(pca_retained=8)
+        full = extract_subject(bold, template, cfg, seed=0)
+        rows = [4, 1, 3]
+        sub = Template(
+            template.maps[rows],
+            [template.component_ids[i] for i in rows],
+            [template.domains[i] for i in rows],
+        )
+        part = extract_subject(bold, sub, cfg, seed=0)
+        np.testing.assert_allclose(part.spatial_maps, full.spatial_maps[rows], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(part.converged, full.converged[rows])
+
+
 class TestExtractSubject:
     def test_planted_sources_recovered(self):
         template = _small_template(seed=7)
@@ -245,11 +343,13 @@ class TestExtractSubject:
         threaded = extract_cohort(bolds, template, ScicaConfig(), seed=5, threads=4)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.spatial_maps, b.spatial_maps)
+            assert np.array_equal(a.time_courses, b.time_courses)
+            assert np.array_equal(a.converged, b.converged)
 
     def test_reference_projection_encodes_correlation(self):
         wd, sources = _whitened_with_sources(seed=24)
         ref = sources[2]
-        b = _reference_projection(wd.whitened, ref)
+        b = _reference_projection(wd.whitened, ref[None])[0]
         rng = np.random.default_rng(25)
         w = rng.standard_normal(5)
         w /= np.linalg.norm(w)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from netresp.selection import (
     SelectionError,
     SsfsConfig,
     score_feature_set,
-    sfs,
     ssfs,
 )
 from netresp.svm import SvmConfig
@@ -142,7 +143,10 @@ class TestSsfs:
         feats, labels, meta = generate_interaction_cohort(seed=4)
         cfg = SsfsConfig(beam_width=5, inner_folds=5, inner_repeats=2, seed=9)
         beam = ssfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
-        greedy = sfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
+        greedy = ssfs(
+            feats, labels, meta["domains"], replace(cfg, beam_width=1), KP, SVM,
+            class_set=meta["class_set"],
+        )
         assert beam.best_set == meta["interacting_pair"]
         assert greedy.best_set[0] == meta["weak_component"]
         assert beam.best_score > greedy.best_score
@@ -157,10 +161,23 @@ class TestSsfs:
         feats, labels, meta = generate_interaction_cohort(n_per_class=12, seed=6)
         cfg = SsfsConfig(beam_width=1, inner_folds=3, inner_repeats=2, seed=11)
         a = ssfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
-        b = sfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
+        b = ssfs(
+            feats, labels, meta["domains"], replace(cfg, beam_width=1), KP, SVM,
+            class_set=meta["class_set"],
+        )
         assert a.best_set == b.best_set
         assert a.best_score == b.best_score
         assert a.beam_trace == b.beam_trace
+        # classic SFS: each stage keeps only its best candidate, and the next
+        # stage extends exactly that one
+        kept = ()
+        for stage in sorted({c.stage for c in a.beam_trace}):
+            cands = [c for c in a.beam_trace if c.stage == stage]
+            assert all(c.indices[:-1] == kept for c in cands)
+            best = min(cands, key=lambda c: (-c.score, c.indices))
+            assert [c for c in cands if c.kept] == [best]
+            kept = best.indices
+        assert a.best_set == kept
 
     def test_single_domain_equals_exhaustive_argmax(self):
         feats, labels = _two_class_features(n_per_class=8, seed=7)
@@ -201,7 +218,10 @@ class TestSsfs:
             feats, labels, meta = generate_interaction_cohort(n_per_class=16, seed=seed)
             cfg = SsfsConfig(beam_width=5, inner_folds=3, inner_repeats=2, seed=seed + 100)
             beam = ssfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
-            greedy = sfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
+            greedy = ssfs(
+                feats, labels, meta["domains"], replace(cfg, beam_width=1), KP, SVM,
+                class_set=meta["class_set"],
+            )
             assert beam.best_score >= greedy.best_score
 
     def test_wide_beam_equals_brute_force(self):
