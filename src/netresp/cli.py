@@ -335,6 +335,15 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
         ],
     }
     (sel_dir / "result.json").write_text(json.dumps(out, indent=2) + "\n")
+    meta: dict = {"top_ties": result.top_ties()}
+    truth_path = out_dir / "dataset" / "ground_truth.json"
+    if truth_path.exists():
+        planted = json.loads(truth_path.read_text())["informative_indices"]
+        hits = len(set(planted) & set(result.best_set))
+        meta["informative_indices"] = planted
+        meta["recall"] = hits / len(planted) if planted else None
+        meta["precision"] = hits / len(result.best_set)
+    (sel_dir / "selection_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"selected components {list(result.best_set)} (mode {cfg.selection_mode})")
     return 0
 

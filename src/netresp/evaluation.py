@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._util import derive_seed, parallel_map
-from .kernels import PabsKernelParams, apply_spectrum_fix, build_kernel_matrix
+from .kernels import PabsKernelParams, SubspaceFactors, apply_spectrum_fix, build_kernel_matrix
 from .svm import MulticlassModel, SvmConfig, ovr_labels, predict_scores, solve_smo_batch
 
 # predict_labels and train_multiclass are not called here; they stay bound
@@ -220,15 +220,22 @@ class ExperimentReport:
 
 
 def raw_kernel(
-    features, selected, kernel_params: PabsKernelParams, use_fnc: bool
+    features,
+    selected,
+    kernel_params: PabsKernelParams,
+    use_fnc: bool,
+    factors: SubspaceFactors | None = None,
 ) -> np.ndarray:
-    """The unrepaired kernel of `selected` over all subjects.
+    """The unrepaired kernel of `selected` over all subjects, from `factors`
+    when given (see `build_kernel_matrix`).
 
     Entries are pairwise, so one matrix serves every fold partition; the
     configured spectrum fix is applied later, per training block.
     """
     raw_params = replace(kernel_params, spectrum_fix="none")
-    return build_kernel_matrix(features, selected, raw_params, use_fnc=use_fnc).values
+    return build_kernel_matrix(
+        features, selected, raw_params, use_fnc=use_fnc, factors=factors
+    ).values
 
 
 def partitions(labels, folds: int, seed: int, count: int) -> list[np.ndarray]:
@@ -402,7 +409,7 @@ def permutation_baseline(
     sits above a random-ranking oracle (16-subject cohorts, 2 folds, 8
     rounds: in 35 of 40 draws, by +0.024 on average and up to +0.082).
     Read it as chance for this protocol, not as the asymptotic chance
-    level; ROADMAP item 4 tracks the null-cohort gate meant to calibrate
+    level; ROADMAP item 3 tracks the null-cohort gate meant to calibrate
     it. The raw kernel does not depend on the labels, so it is built once
     and shared by every round.
     """

@@ -8,12 +8,20 @@ sigma_k are the singular values of U^T V for column-orthonormal U, V
 values are genuine cosines (bounded by 1); without that step the sum is
 not a subspace metric.
 
-A kernel build stacks every subject's orthonormal basis, takes all m x m
-cross-Gram blocks U_i^T U_j of the upper triangle with one stacked matmul
-per subject row, and gets every cosine sum from one batched SVD over those
-blocks; the FNC cosine kernel is one batch of dot products. Each block is
-its own fixed-shape product, so an entry's bits depend only on its two
-subjects, never on the cohort's size or order.
+Kernels are built from subspace factors over a component set U that
+contains the selected set S. Each subject's maps get one QR,
+X_i[U]^T = Q_i R_i, and the u x u blocks Q_i^T Q_j of the upper triangle
+come from one stacked matmul per subject row; the voxel-length Q_i are
+then dropped. For S, the left singular vectors W_i of R_i[:, S] give the
+orthonormal basis Q_i W_i of the subject's maps (the singular values of
+R_i[:, S] are those of X_i[S], so they carry the rank test), and the
+m x m cross-Gram blocks are W_i^T (Q_i^T Q_j) W_j; one batched SVD gives
+every cosine sum. The FNC cosine kernel is one batch of dot products.
+Every block is its own fixed-shape product, so an entry's bits depend
+only on its two subjects and on U, never on the cohort's size or order.
+SSFS builds one factor set per stage over the union of that stage's
+candidates; every other build uses U = S. The two agree within 1e-14 but
+not bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from .datamodel import SubjectFeatures, as_matrix
 from .fnc import fisher_z
 
 SPECTRUM_FIXES = ("none", "clip", "ridge")
+# a selected map set is rank deficient when s_min <= RCOND * s_max
+RCOND = 1e-10
 
 
 class RankDeficiencyError(ValueError):
@@ -86,18 +96,19 @@ class KernelMatrix:
         object.__setattr__(self, "subject_ids", tuple(self.subject_ids))
 
 
-def orthonormalize(maps_subset, rcond: float = 1e-10) -> np.ndarray:
+def _rank_message(s: np.ndarray, rows: int) -> str:
+    return f"map subset of {rows} rows has numerical rank {int((s > RCOND * s[0]).sum())}"
+
+
+def orthonormalize(maps_subset) -> np.ndarray:
     """Column-orthonormal V x K basis spanning the rows of a K x V map subset.
 
     Raises RankDeficiencyError when the rows are (numerically) dependent.
     """
     maps_subset = as_matrix(maps_subset, "map subset")
     u, s, _ = np.linalg.svd(maps_subset.T, full_matrices=False)
-    if s[0] <= 0 or s[-1] <= rcond * s[0]:
-        raise RankDeficiencyError(
-            f"map subset of {maps_subset.shape[0]} rows has numerical rank "
-            f"{int((s > rcond * s[0]).sum())}"
-        )
+    if s[0] <= 0 or s[-1] <= RCOND * s[0]:
+        raise RankDeficiencyError(_rank_message(s, maps_subset.shape[0]))
     return u
 
 
@@ -122,64 +133,116 @@ def _mirror(n: int, iu, ju, upper) -> np.ndarray:
     return out
 
 
+def _subject_ids(n: int, subject_ids) -> tuple[str, ...]:
+    return tuple(f"s{i:04d}" for i in range(n)) if subject_ids is None else tuple(subject_ids)
+
+
+def _component_list(selected, k: int) -> list[int]:
+    selected = [int(i) for i in selected]
+    if len(set(selected)) != len(selected):
+        raise ValueError(f"selected components must be distinct: {selected}")
+    for idx in selected:
+        if not 0 <= idx < k:
+            raise ValueError(f"component index {idx} out of range [0, {k})")
+    return selected
+
+
+@dataclass(frozen=True)
+class SubspaceFactors:
+    """Every subject's map factors over one component set U.
+
+    With X_i[U]^T = Q_i R_i (Q_i column-orthonormal, V x p, p = min(V, |U|)),
+    `r` stacks the p x |U| factors R_i and `cross` the p x p blocks
+    Q_i^T Q_j for j >= i in row-major upper-triangle order.
+    """
+
+    components: tuple[int, ...]
+    r: np.ndarray  # (N, p, |U|)
+    cross: np.ndarray  # (N (N + 1) / 2, p, p)
+
+
+def subspace_factors(
+    features: list[SubjectFeatures], components, subject_ids=None
+) -> SubspaceFactors:
+    """QR factors of each subject's maps over `components`, and the blocks
+    Q_i^T Q_j of the upper triangle (one stacked matmul per subject row).
+
+    Dependent maps are allowed here: the rank test belongs to each set
+    whose kernel is later built from these factors.
+    """
+    n = len(features)
+    if n == 0:
+        raise ValueError("no subjects")
+    k = features[0].n_components
+    v = features[0].spatial_maps.shape[1]
+    components = _component_list(components, k)
+    subject_ids = _subject_ids(n, subject_ids)
+    p = min(v, len(components))
+    q = np.empty((n, v, p))
+    r = np.empty((n, p, len(components)))
+    for i, f in enumerate(features):
+        if f.spatial_maps.shape != (k, v):
+            raise ValueError(f"subject {subject_ids[i]}: spatial map shape mismatch")
+        q[i], r[i] = np.linalg.qr(f.spatial_maps[components].T)
+    cross = np.empty((n * (n + 1) // 2, p, p))
+    start = 0
+    for i in range(n):
+        np.matmul(q[i].T, q[i:], out=cross[start : start + n - i])
+        start += n - i
+    return SubspaceFactors(tuple(components), r, cross)
+
+
 def build_kernel_matrix(
     features: list[SubjectFeatures],
     selected,
     params: PabsKernelParams,
     use_fnc: bool = False,
     subject_ids=None,
+    factors: SubspaceFactors | None = None,
 ) -> KernelMatrix:
     """Assemble the N x N kernel over subjects from selected components.
 
-    Each subject's m selected spatial-map rows are orthonormalized (one SVD
-    per subject) into a stacked (N, V, m) basis array. For each subject i
-    one matmul gives the blocks U_i^T U_j for all j >= i, written straight
-    into the upper-triangle stack of m x m blocks; one batched SVD of that
-    stack gives every principal-angle cosine sum. With `use_fnc`, each
-    subject's Fisher-z upper triangle of its FNC restricted to the selected
-    components is a row z_i of Z, the FNC kernel is
-    tanh(fnc_gamma * z_i . z_j / (|z_i| |z_j|)) over the same upper-triangle
-    pairs, and the two kernels are blended by combine_weight; a
-    single-component selection has no connectivity pairs, so the map kernel
-    stands alone in that case. The Fisher-z rows of all subjects come
-    from one stacked call. Only the upper triangle is computed and then
-    mirrored, so symmetry is exact; the spectrum fix from `params` is
-    applied to the assembled matrix.
+    The map kernel comes from `factors` over a component set containing
+    `selected` (by default, factors over `selected` itself): one batched
+    SVD of the R_i[:, S] gives each subject's W_i and the rank test, the
+    blocks W_i^T (Q_i^T Q_j) W_j are stacked products, and one batched SVD
+    of those blocks gives every principal-angle cosine sum. With
+    `use_fnc`, each subject's Fisher-z upper triangle of its FNC restricted
+    to the selected components is a row z_i of Z, the FNC kernel is
+    tanh(fnc_gamma * z_i . z_j / (|z_i| |z_j|)) over the same
+    upper-triangle pairs, and the two kernels are blended by
+    combine_weight; a single-component selection has no connectivity
+    pairs, so the map kernel stands alone in that case. The Fisher-z rows
+    of all subjects come from one stacked call. Only the upper triangle is
+    computed and then mirrored, so symmetry is exact; the spectrum fix
+    from `params` is applied to the assembled matrix.
     """
     n = len(features)
     if n == 0:
         raise ValueError("no subjects")
-    selected = [int(i) for i in selected]
-    if len(set(selected)) != len(selected):
-        raise ValueError(f"selected components must be distinct: {selected}")
-    k = features[0].n_components
-    v = features[0].spatial_maps.shape[1]
-    for idx in selected:
-        if not 0 <= idx < k:
-            raise ValueError(f"component index {idx} out of range [0, {k})")
-    if subject_ids is None:
-        subject_ids = tuple(f"s{i:04d}" for i in range(n))
+    selected = _component_list(selected, features[0].n_components)
+    subject_ids = _subject_ids(n, subject_ids)
+    if factors is None:
+        factors = subspace_factors(features, selected, subject_ids)
+    elif factors.r.shape[0] != n or not set(selected) <= set(factors.components):
+        raise ValueError(
+            f"factors over components {list(factors.components)} of "
+            f"{factors.r.shape[0]} subjects cannot give components {selected} of {n}"
+        )
 
     m = len(selected)
-    bases = np.empty((n, v, m))
-    for i, f in enumerate(features):
-        if f.spatial_maps.shape != (k, v):
-            raise ValueError(f"subject {subject_ids[i]}: spatial map shape mismatch")
-        try:
-            bases[i] = orthonormalize(f.spatial_maps[selected, :])
-        except RankDeficiencyError as e:
-            raise RankDeficiencyError(
-                f"subject {subject_ids[i]}, components {selected}: {e}"
-            ) from e
+    pos = [factors.components.index(c) for c in selected]
+    left, s, _ = np.linalg.svd(factors.r[:, :, pos], full_matrices=False)  # W_i, sigma(X_i[S])
+    full_rank = (s[:, 0] > 0) & (s[:, -1] > RCOND * s[:, 0]) & (s.shape[1] == m)
+    if not full_rank.all():
+        i = int(np.argmin(full_rank))
+        raise RankDeficiencyError(
+            f"subject {subject_ids[i]}, components {selected}: {_rank_message(s[i], m)}"
+        )
 
-    # upper-triangle pairs in row-major order, so row i's blocks U_i^T U_j
-    # (j >= i) are contiguous and come from one stacked matmul
+    # upper-triangle pairs in row-major order, matching factors.cross
     iu, ju = np.triu_indices(n)
-    cross = np.empty((iu.size, m, m))
-    start = 0
-    for i in range(n):
-        np.matmul(bases[i].T, bases[i:], out=cross[start : start + n - i])
-        start += n - i
+    cross = np.swapaxes(left, 1, 2)[iu] @ factors.cross @ left[ju]
     sums = np.linalg.svd(cross, compute_uv=False).sum(axis=-1)
     values = _mirror(n, iu, ju, np.tanh(params.gamma * sums))
 
@@ -202,4 +265,4 @@ def build_kernel_matrix(
         w = params.combine_weight
         values = w * values + (1.0 - w) * _mirror(n, iu, ju, np.tanh(cosines))
 
-    return KernelMatrix(apply_spectrum_fix(values, params), tuple(subject_ids))
+    return KernelMatrix(apply_spectrum_fix(values, params), subject_ids)

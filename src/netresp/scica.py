@@ -77,7 +77,8 @@ def _apply_contrast(name: str, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     `y` is a (B, V) stack of unit outputs and is overwritten with g(y). The
     means come from row sums and row dot products, so a round allocates no
-    (B, V) array beyond y (gauss: one).
+    (B, V) array beyond y (gauss and cube: one). The cube is two products,
+    y * y * y, because np.power is over ten times slower.
     """
     v = y.shape[1]
     if name == "tanh":
@@ -91,7 +92,7 @@ def _apply_contrast(name: str, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gy = np.multiply(y, e, out=e)
         return gy, (e_sum - _rowdot(y, gy)) / v  # g' = e - y g
     gp_mean = 3.0 * _rowdot(y, y) / v  # g' = 3 y^2
-    return np.power(y, 3, out=y), gp_mean
+    return np.multiply(y * y, y, out=y), gp_mean
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from ._util import derive_seed, parallel_map
 # run_experiment is not called here; it stays bound so that perfbench's
 # traced run, which wraps netresp.selection.run_experiment, still finds it.
 from .evaluation import cross_validate, partitions, raw_kernel, run_experiment  # noqa: F401
-from .kernels import PabsKernelParams
+from .kernels import PabsKernelParams, SubspaceFactors, subspace_factors
 from .svm import SvmConfig
 
 SCORERS = ("macro_pr_auc", "macro_f1")
@@ -69,6 +69,14 @@ class SelectionResult:
     beam_trace: tuple[BeamCandidate, ...]
     final_beam: tuple[tuple[tuple[int, ...], float], ...]
 
+    def top_ties(self) -> list[int]:
+        """Per stage, how many candidates share that stage's top score; a
+        count above 1 means the lexicographic tie-break chose among them."""
+        by_stage: dict[int, list[float]] = {}
+        for c in self.beam_trace:
+            by_stage.setdefault(c.stage, []).append(c.score)
+        return [scores.count(max(scores)) for _, scores in sorted(by_stage.items())]
+
     def trace_csv(self) -> str:
         lines = ["stage,candidate,score,kept"]
         for c in self.beam_trace:
@@ -87,21 +95,25 @@ def score_feature_set(
     cfg: SsfsConfig,
     seed: int,
     use_fnc: bool = False,
+    factors: SubspaceFactors | None = None,
 ) -> float:
     """Mean inner-CV score of a candidate component set.
 
-    The candidate's raw kernel is built once; each of the `inner_repeats`
-    repeats draws its fold partition from a seed derived from `seed`, and
-    one `cross_validate` call runs every repeat on that one matrix,
-    applying the spectrum fix per training fold. The same (candidate, seed)
-    pair therefore scores bit-identically no matter where in a beam search
-    it is evaluated.
+    The candidate's raw kernel is built once, from `factors` when given (a
+    component set containing the candidate) and from its own factors
+    otherwise; each of the `inner_repeats` repeats draws its fold partition
+    from a seed derived from `seed`, and one `cross_validate` call runs
+    every repeat on that one matrix, applying the spectrum fix per training
+    fold. The same (candidate, seed, factor components) triple therefore
+    scores bit-identically wherever it is evaluated; kernels from factors
+    over different component sets agree only within about 1e-14, so a
+    score near a CV decision boundary can differ between them.
     """
     selected = tuple(int(i) for i in selected)
     if not selected:
         raise SelectionError("candidate set is empty")
     try:
-        raw = raw_kernel(features, selected, kernel_params, use_fnc)
+        raw = raw_kernel(features, selected, kernel_params, use_fnc, factors)
         parts = [
             partitions(labels, cfg.inner_folds, derive_seed(seed, "inner", rep), 1)[0]
             for rep in range(cfg.inner_repeats)
@@ -126,6 +138,35 @@ def _domain_pools(domains, order) -> list[tuple[str, list[int]]]:
     if missing:
         raise SelectionError(f"domains without components: {missing}")
     return [(d, by_domain[d]) for d in order]
+
+
+def _score_stage(
+    features, labels, class_set, candidates, kernel_params, svm_cfg, cfg, use_fnc, threads
+) -> list[float]:
+    """Scores of one stage's candidates, every kernel built from one factor
+    set over the union of their components; the factors are freed on return."""
+    union = sorted({c for cand in candidates for c in cand})
+    try:
+        factors = subspace_factors(features, union)
+    except ValueError as e:
+        raise SelectionError(f"components {union}: {e}") from e
+
+    def score_one(cand):
+        cand_seed = derive_seed(cfg.seed, "candidate", tuple(sorted(cand)))
+        return score_feature_set(
+            features,
+            labels,
+            class_set,
+            cand,
+            kernel_params,
+            svm_cfg,
+            cfg,
+            cand_seed,
+            use_fnc=use_fnc,
+            factors=factors,
+        )
+
+    return parallel_map(score_one, candidates, threads)
 
 
 def ssfs(
@@ -177,21 +218,9 @@ def ssfs(
         if not candidates:
             raise SelectionError(f"stage {stage_idx}: no candidates to evaluate")
 
-        def score_one(cand):
-            cand_seed = derive_seed(cfg.seed, "candidate", tuple(sorted(cand)))
-            return score_feature_set(
-                features,
-                labels,
-                class_set,
-                cand,
-                kernel_params,
-                svm_cfg,
-                cfg,
-                cand_seed,
-                use_fnc=use_fnc,
-            )
-
-        scores = parallel_map(score_one, candidates, threads)
+        scores = _score_stage(
+            features, labels, class_set, candidates, kernel_params, svm_cfg, cfg, use_fnc, threads
+        )
         ranked = sorted(
             zip(candidates, scores), key=lambda cs: (-cs[1], cs[0])
         )

@@ -60,6 +60,7 @@ class TestPipeline:
             "features/features.json",
             "selection/result.json",
             "selection/trace.csv",
+            "selection/selection_meta.json",
             "eval/report.csv",
             "eval/summary.csv",
             "eval/report.svg",
@@ -86,6 +87,26 @@ class TestPipeline:
         assert len(doc["best_set"]) == 3  # one per domain
         assert doc["mode"] == "ssfs"
         assert 0.0 <= doc["best_score"] <= 1.0
+
+    def test_selection_meta_contents(self, pipeline_dir):
+        _, out = pipeline_dir
+        meta = json.loads((out / "selection" / "selection_meta.json").read_text())
+        best = json.loads((out / "selection" / "result.json").read_text())["best_set"]
+        planted = json.loads((out / "dataset" / "ground_truth.json").read_text())[
+            "informative_indices"
+        ]
+        stage_scores = {}
+        for line in (out / "selection" / "trace.csv").read_text().strip().splitlines()[1:]:
+            stage, _, score, _ = line.split(",")
+            stage_scores.setdefault(int(stage), []).append(float(score))
+        ties = [scores.count(max(scores)) for _, scores in sorted(stage_scores.items())]
+        hits = len(set(best) & set(planted))
+        assert meta == {
+            "top_ties": ties,
+            "informative_indices": planted,
+            "recall": hits / len(planted),
+            "precision": hits / len(best),
+        }
 
     def test_kernel_dump(self, pipeline_dir):
         config, out = pipeline_dir

@@ -12,6 +12,7 @@ from netresp.kernels import (
     apply_spectrum_fix,
     build_kernel_matrix,
     orthonormalize,
+    subspace_factors,
 )
 from oracles import fnc_kernel, pabs_sum_via_gram, pairwise_kernel_matrix
 
@@ -267,11 +268,52 @@ class TestBuildKernelMatrix:
 
     def test_rank_deficient_subject_named(self):
         feats = _features(3, seed=8)
-        maps = feats[2].spatial_maps.copy()
-        maps[1] = maps[0]
-        feats[2] = SubjectFeatures(spatial_maps=maps, time_courses=feats[2].time_courses)
-        with pytest.raises(RankDeficiencyError, match="s0002"):
-            build_kernel_matrix(feats, [0, 1], PabsKernelParams())
+        noise = np.random.default_rng(16).standard_normal(feats[2].spatial_maps.shape[1])
+        # an exact copy, and a near copy with s_min / s_max about 1e-12
+        for offset in (0.0, 2e-12 * noise):
+            maps = feats[2].spatial_maps.copy()
+            maps[1] = maps[0] + offset
+            s = np.linalg.svd(maps[:2], compute_uv=False)
+            assert s[1] / s[0] < 1e-11
+            third = SubjectFeatures(spatial_maps=maps, time_courses=feats[2].time_courses)
+            cohort = feats[:2] + [third]
+            # the set's own factors, and factors over a larger component set
+            for factors in (None, subspace_factors(cohort, range(6))):
+                with pytest.raises(RankDeficiencyError, match="s0002"):
+                    build_kernel_matrix(cohort, [0, 1], PabsKernelParams(), factors=factors)
+
+    def test_near_collinear_maps_match_oracle(self):
+        # each subject's selected maps hold a near copy (cond >= 1e4); a
+        # Cholesky-whitened Gram of the maps misses the oracle by ~1e-8 here
+        rng = np.random.default_rng(17)
+        feats = []
+        for _ in range(6):
+            maps = rng.standard_normal((4, 200))
+            maps[1] = maps[0] + 1e-4 * rng.standard_normal(200)
+            feats.append(_subject(maps))
+        selected = [0, 1, 2]
+        assert min(np.linalg.cond(f.spatial_maps[selected]) for f in feats) >= 1e4
+        params = PabsKernelParams(gamma=0.1, spectrum_fix="none")
+        expected = pairwise_kernel_matrix(feats, selected, params)
+        assert np.abs(build_kernel_matrix(feats, selected, params).values - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("use_fnc", [False, True])
+    def test_factors_over_larger_set_match_own_build(self, use_fnc):
+        feats = _features(9, seed=18, with_fnc=True)
+        factors = subspace_factors(feats, [5, 3, 1, 0, 2, 4])
+        params = PabsKernelParams(gamma=0.7, spectrum_fix="none")
+        for selected in ([4], [2, 5], [3, 0, 1]):
+            sliced = build_kernel_matrix(feats, selected, params, use_fnc=use_fnc, factors=factors)
+            own = build_kernel_matrix(feats, selected, params, use_fnc=use_fnc)
+            assert np.abs(sliced.values - own.values).max() <= 1e-14
+
+    def test_factors_must_cover_the_set_and_cohort(self):
+        feats = _features(4, seed=19)
+        factors = subspace_factors(feats, [0, 1])
+        with pytest.raises(ValueError, match="cannot give components"):
+            build_kernel_matrix(feats, [0, 2], PabsKernelParams(), factors=factors)
+        with pytest.raises(ValueError, match="cannot give components"):
+            build_kernel_matrix(feats[:3], [0, 1], PabsKernelParams(), factors=factors)
 
     def test_zero_norm_fnc_subject_named(self):
         feats = _features(3, seed=8, with_fnc=True)

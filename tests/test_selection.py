@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +115,46 @@ class TestBuildOnce:
         cfg = SsfsConfig(beam_width=2, inner_folds=3, inner_repeats=3, seed=4)
         result = ssfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
         assert kernel_builds == [c.indices for c in result.beam_trace]
+
+    def test_builds_use_stage_factors(self, monkeypatch):
+        from netresp import evaluation
+
+        built = []
+        original = evaluation.build_kernel_matrix
+
+        def recorded(features, selected, *args, factors=None, **kwargs):
+            built.append((tuple(selected), factors.components))
+            return original(features, selected, *args, factors=factors, **kwargs)
+
+        monkeypatch.setattr(evaluation, "build_kernel_matrix", recorded)
+        feats, labels, meta = generate_interaction_cohort(n_per_class=8, seed=24)
+        cfg = SsfsConfig(beam_width=2, inner_folds=3, inner_repeats=1, seed=4)
+        result = ssfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
+        expected = []
+        for stage in sorted({c.stage for c in result.beam_trace}):
+            sets = [c.indices for c in result.beam_trace if c.stage == stage]
+            union = tuple(sorted({i for s in sets for i in s}))
+            expected += [(s, union) for s in sets]
+        assert built == expected
+        assert len({u for _, u in built}) > 1
+
+    def test_one_stage_of_factors_alive(self, monkeypatch):
+        from netresp import selection
+
+        made = []
+        original = selection.subspace_factors
+
+        def recorded(*args, **kwargs):
+            assert all(ref() is None for ref in made), "an earlier stage's factors are alive"
+            factors = original(*args, **kwargs)
+            made.append(weakref.ref(factors))
+            return factors
+
+        monkeypatch.setattr(selection, "subspace_factors", recorded)
+        feats, labels, meta = generate_interaction_cohort(n_per_class=8, seed=25)
+        cfg = SsfsConfig(beam_width=2, inner_folds=3, inner_repeats=1, seed=4)
+        result = ssfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
+        assert len(made) == len({c.stage for c in result.beam_trace})
 
 
 def _brute_force_best(feats, labels, class_set, domains, cfg):
