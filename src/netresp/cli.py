@@ -20,18 +20,17 @@ from ._util import derive_seed, parallel_map
 from .datamodel import (
     Dataset,
     ManifestError,
-    MatrixFormatError,
     SubjectFeatures,
     load_dataset,
     read_matrix,
     write_dataset,
     write_matrix,
 )
-from .evaluation import EvalConfig, run_experiment
+from .evaluation import EvalConfig, EvalError, run_experiment
 from .fnc import compute_fnc
 from .kernels import PabsKernelParams, build_kernel_matrix
 from .scica import ScicaConfig, extract_subject
-from .selection import SelectionResult, SsfsConfig, ssfs
+from .selection import SelectionError, SelectionResult, SsfsConfig, ssfs
 from .svm import SvmConfig
 from .synth import SynthConfig, generate_cohort
 
@@ -569,10 +568,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ManifestError, MatrixFormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    # ManifestError and MatrixFormatError are ValueErrors
+    except (OSError, ValueError, SelectionError, EvalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

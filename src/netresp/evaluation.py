@@ -14,12 +14,12 @@ import numpy as np
 
 from ._util import derive_seed, parallel_map
 from .kernels import PabsKernelParams, SubspaceFactors, apply_spectrum_fix, build_kernel_matrix
-from .svm import MulticlassModel, SvmConfig, ovr_labels, predict_scores, solve_smo_batch
+from .svm import SvmConfig, ovr_labels, solve_smo_arrays
 
-# predict_labels and train_multiclass are not called here; they stay bound
-# so that perfbench's traced run, which wraps both names in this module,
-# still finds them.
-from .svm import predict_labels, train_multiclass  # noqa: F401
+# predict_scores, predict_labels and train_multiclass are not called here;
+# they stay bound so that perfbench's traced run, which wraps these names in
+# this module, still finds them.
+from .svm import predict_labels, predict_scores, train_multiclass  # noqa: F401
 
 METRICS = ("macro_pr_auc", "macro_f1")
 
@@ -81,24 +81,31 @@ def stratified_kfold(labels, k: int, seed) -> np.ndarray:
     return assignment
 
 
-def average_precision(y_binary, scores) -> float:
+def average_precision(y_binary, scores):
     """Area under the precision-recall curve (step-wise interpolation).
 
     AP = sum_n (R_n - R_{n-1}) P_n over the descending-score ranking; score
-    ties are broken by stable original order.
+    ties are broken by stable original order. Vectors give a float; stacked
+    (..., n) labels and scores give an array with one AP per row, each
+    bit-identical to the AP of that row alone.
     """
     y = np.asarray(y_binary, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
-    if y.shape != s.shape or y.ndim != 1:
+    if y.shape != s.shape or y.ndim == 0:
         raise ValueError("labels and scores must be equal-length vectors")
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == y.size:
+    n = y.shape[-1]
+    n_pos = y.sum(axis=-1).reshape(-1)
+    if ((n_pos == 0) | (n_pos == n)).any():
         raise ValueError("average precision needs both a positive and a negative")
-    order = np.argsort(-s, kind="stable")
-    hits = y[order]
-    tp = np.cumsum(hits)
-    precision = tp / np.arange(1, y.size + 1)
-    return float(precision[hits == 1].sum() / n_pos)
+    hits = np.take_along_axis(y, np.argsort(-s, axis=-1, kind="stable"), axis=-1).reshape(-1, n)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, n + 1)
+    # rows with k positives sum their k picked precisions as one (rows, k)
+    # block, which numpy adds up row by row exactly as it adds one row alone
+    ap = np.empty(n_pos.size)
+    for k in np.unique(n_pos):
+        rows = n_pos == k
+        ap[rows] = precision[rows][hits[rows] == 1].reshape(-1, int(k)).sum(axis=1) / k
+    return float(ap[0]) if y.ndim == 1 else ap.reshape(y.shape[:-1])
 
 
 def macro_pr_auc(labels, score_matrix, class_set) -> float:
@@ -119,6 +126,14 @@ def macro_pr_auc(labels, score_matrix, class_set) -> float:
     return float(np.mean(aps))
 
 
+def _f1(truth, predicted) -> np.ndarray:
+    """Per-class F1 from (..., classes, samples) masks of true and predicted
+    class membership; 0 for a class with neither true nor predicted members."""
+    tp = (truth & predicted).sum(axis=-1)
+    denom = 2 * tp + (truth != predicted).sum(axis=-1)  # 2 tp + fp + fn
+    return np.divide(2 * tp, denom, out=np.zeros(denom.shape), where=denom > 0)
+
+
 def f1_macro(labels, predictions, class_set=None) -> float:
     """Unweighted mean per-class F1; a class with neither true nor predicted
     members contributes 0."""
@@ -128,14 +143,8 @@ def f1_macro(labels, predictions, class_set=None) -> float:
         raise ValueError("labels and predictions must have equal length")
     if class_set is None:
         class_set = sorted(set(labels.tolist()) | set(predictions.tolist()))
-    f1s = []
-    for cls in class_set:
-        tp = int(np.sum((labels == cls) & (predictions == cls)))
-        fp = int(np.sum((labels != cls) & (predictions == cls)))
-        fn = int(np.sum((labels == cls) & (predictions != cls)))
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(f1s))
+    classes = np.asarray(class_set)[:, None]
+    return float(np.mean(_f1(labels == classes, predictions == classes)))
 
 
 @dataclass(frozen=True)
@@ -247,38 +256,58 @@ def partitions(labels, folds: int, seed: int, count: int) -> list[np.ndarray]:
 
 def _held_out(raw, labels, parts, kernel_params: PabsKernelParams, svm_cfg: SvmConfig, class_set):
     """Held-out decision values of every (fold, repeat) cell of the fold
-    assignments `parts`, in fold-major order, as (fold, repeat, test
-    indices, scores, unconverged solves).
+    assignments `parts`, in fold-major order. Cells come in runs of equal
+    training size, each as (cells, test indices (G, t), scores (G, classes,
+    t), unconverged solves (G,)); test indices ascend within a cell.
 
     Each cell's training block of `raw` gets the configured spectrum fix
-    and is written into a zero-padded stack; the cell's one-vs-rest
-    problems share that block, and every problem on the stack is solved in
-    one batch. A stack holds at most STACK_BYTES of blocks, so it does not
-    grow with the repeat count. Test-vs-train blocks pass through unchanged.
+    and is written into a zero-padded stack, and its one-vs-rest label rows
+    are read off one class-membership matrix; the cell's problems share its
+    block, and every problem on the stack is solved in one batch. A stack
+    holds at most STACK_BYTES of blocks, so it does not grow with the
+    repeat count. After the solve, each run's test-vs-train blocks (passed
+    through unchanged) are gathered into one array and multiplied by every
+    problem's alpha*y in one stacked matmul, one matrix-vector product per
+    problem, so each score column has the bits of that model's own
+    `decision_values`.
     """
+    n_cls = len(class_set)
+    member = np.asarray(labels)[None, :] == np.asarray(class_set)[:, None]
     folds = int(max(p.max() for p in parts)) + 1
     cells = [(f, rep) for f in range(folds) for rep in range(len(parts))]
-    n = max(int(np.sum(parts[rep] != f)) for f, rep in cells)
-    n_cls = len(class_set)
+    n = member.shape[1] - min(int(np.bincount(p, minlength=folds).min()) for p in parts)
     per_stack = max(1, STACK_BYTES // (8 * n * n))
     for first in range(0, len(cells), per_stack):
-        batch = [
-            (f, rep, np.flatnonzero(parts[rep] != f)) for f, rep in cells[first : first + per_stack]
-        ]
+        batch = cells[first : first + per_stack]
+        fold, rep = np.array(batch).T
+        test = np.array([parts[r] for r in rep]) == fold[:, None]
+        order = np.argsort(test, axis=1, kind="stable")  # training, then test indices
+        sizes = (~test).sum(axis=1)
+        inside = np.arange(n) < sizes[:, None]
+        counts = (member[:, None, :] & ~test).sum(axis=2).T
+        fit = (n_cls > 1) & ((counts > 0) & (counts < sizes[:, None])).all(axis=1)
+        signs = np.where(member[:, order[:, :n]], 1.0, -1.0).transpose(1, 0, 2)
+        y = np.where(inside[:, None, :], signs, 0.0).reshape(-1, n)
         stack = np.zeros((len(batch), n, n))
-        y = np.zeros((len(batch) * n_cls, n))
-        for c, (f, rep, tr) in enumerate(batch):
+        for c, (f, r) in enumerate(batch):
+            tr = order[c, : sizes[c]]
             try:
-                y[c * n_cls : (c + 1) * n_cls, : tr.size] = ovr_labels(labels[tr], class_set)
+                if not fit[c]:
+                    ovr_labels(labels[tr], class_set)  # raises with the reason
                 stack[c, : tr.size, : tr.size] = apply_spectrum_fix(raw[np.ix_(tr, tr)], kernel_params)
             except (ValueError, np.linalg.LinAlgError) as e:
-                raise EvalError(f"fold {f}, repeat {rep}: {e}") from e
-        models = solve_smo_batch(stack, np.repeat(np.arange(len(batch)), n_cls), y, svm_cfg)
-        for c, (f, rep, tr) in enumerate(batch):
-            te = np.flatnonzero(parts[rep] == f)
-            model = MulticlassModel(tuple(models[c * n_cls : (c + 1) * n_cls]), class_set)
-            unconverged = sum(not m.converged for m in model.models)
-            yield f, rep, te, predict_scores(model, raw[np.ix_(te, tr)]), unconverged
+                raise EvalError(f"fold {f}, repeat {r}: {e}") from e
+        sol = solve_smo_arrays(stack, np.repeat(np.arange(len(batch)), n_cls), y, svm_cfg)
+        ay = (sol.alphas * y).reshape(len(batch), n_cls, n)
+        bias = sol.bias.reshape(len(batch), n_cls, 1)
+        unconverged = (~sol.converged).reshape(len(batch), n_cls).sum(axis=1)
+        starts = np.flatnonzero(np.diff(sizes, prepend=-1))
+        for lo, hi in zip(starts, [*starts[1:], len(batch)]):
+            m = sizes[lo]
+            tr, te = order[lo:hi, :m], order[lo:hi, m:]
+            k_te_tr = raw[te[:, :, None], tr[:, None, :]]
+            scores = np.matmul(k_te_tr[:, None], ay[lo:hi, :, :m, None])[..., 0] + bias[lo:hi]
+            yield batch[lo:hi], te, scores, unconverged[lo:hi]
 
 
 def _class_labels(labels, class_set) -> np.ndarray:
@@ -299,32 +328,35 @@ def cross_validate(
 ) -> tuple[FoldRepeatRow, ...]:
     """Stratified k-fold CV on a raw kernel, once per fold assignment in
     `parts` (repeat r uses `parts[r]`); each (fold, repeat) cell gives one
-    row, in fold-major order. Deterministic given the assignments."""
+    row, in fold-major order. Deterministic given the assignments.
+
+    The metrics of a run of cells are array operations over the run; each
+    row is bit-identical to `average_precision` and `f1_macro` on that
+    cell's held-out scores and arg-max predictions alone.
+    """
     class_set = tuple(class_set)
     labels = _class_labels(labels, class_set)
+    member = labels[None, :] == np.asarray(class_set)[:, None]
+    classes = np.arange(len(class_set))[:, None]
     rows = []
-    for f, rep, te, scores, unconverged in _held_out(
+    for cells, te, scores, unconverged in _held_out(
         raw, labels, parts, kernel_params, svm_cfg, class_set
     ):
-        preds = np.asarray(class_set)[np.argmax(scores, axis=1)]
-        te_labels = labels[te]
+        truth = member[:, te].transpose(1, 0, 2)  # (cells, classes, test)
         try:
-            aps = tuple(
-                average_precision((te_labels == cls).astype(float), scores[:, j])
-                for j, cls in enumerate(class_set)
-            )
-        except ValueError as e:
+            aps = average_precision(truth, scores)
+        except ValueError as e:  # some class has no members or no non-members in a test fold
+            n_pos = truth.sum(axis=2)
+            f, rep = cells[int(((n_pos == 0) | (n_pos == te.shape[1])).any(axis=1).argmax())]
             raise EvalError(f"fold {f}, repeat {rep}: {e}") from e
-        rows.append(
-            FoldRepeatRow(
-                fold=f,
-                repeat=rep,
-                macro_pr_auc=float(np.mean(aps)),
-                macro_f1=f1_macro(te_labels, preds, class_set),
-                per_class_ap=aps,
-                unconverged=unconverged,
+        f1 = _f1(truth, scores.argmax(axis=1)[:, None, :] == classes)
+        rows += [
+            FoldRepeatRow(f, rep, pr_auc, macro_f1, tuple(ap), u)
+            for (f, rep), pr_auc, macro_f1, ap, u in zip(
+                cells, aps.mean(axis=1).tolist(), f1.mean(axis=1).tolist(), aps.tolist(),
+                unconverged.tolist(),
             )
-        )
+        ]
     return tuple(rows)
 
 
@@ -377,13 +409,13 @@ def cross_validated_scores(
 ) -> np.ndarray:
     """One held-out score row per subject from a single outer CV pass over
     the raw kernel `raw`."""
-    labels = np.asarray(labels)
+    labels = _class_labels(labels, eval_cfg.class_set)
     scores = np.zeros((labels.size, len(eval_cfg.class_set)))
     parts = partitions(labels, eval_cfg.outer_folds, eval_cfg.seed, 1)
-    for _, _, te, cell_scores, _ in _held_out(
+    for _, te, cell_scores, _ in _held_out(
         raw, labels, parts, kernel_params, svm_cfg, eval_cfg.class_set
     ):
-        scores[te] = cell_scores
+        scores[te] = cell_scores.transpose(0, 2, 1)
     return scores
 
 
@@ -413,7 +445,7 @@ def permutation_baseline(
     it. The raw kernel does not depend on the labels, so it is built once
     and shared by every round.
     """
-    labels = np.asarray([str(x) for x in labels])
+    labels = _class_labels(labels, eval_cfg.class_set)
     raw = raw_kernel(features, selected, kernel_params, use_fnc)
 
     def one_round(r):

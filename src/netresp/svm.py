@@ -10,6 +10,7 @@ the same model, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,11 +128,22 @@ def _curvature(diag, d_i, k_i) -> np.ndarray:
     return a
 
 
-def solve_smo_batch(
+class SmoSolution(NamedTuple):
+    """A solved batch as arrays, one row per problem; `alphas` and `box`
+    are zero on a problem's padding."""
+
+    alphas: np.ndarray
+    bias: np.ndarray
+    converged: np.ndarray
+    box: np.ndarray
+    stats: list[SolverStats] | None
+
+
+def solve_smo_arrays(
     kernels, cells, y, cfg: SvmConfig, collect_stats: bool = False
-) -> list[SvmModel]:
+) -> SmoSolution:
     """Solve a batch of binary soft-margin duals by sequential minimal
-    optimization, one model per problem.
+    optimization, returning every problem's solution as one row of arrays.
 
     Problem b trains on the kernel `kernels[cells[b]]` of a (C, n, n) stack
     with the labels `y[b]`: -1 or +1 on its first n_b points, 0 on the
@@ -150,7 +162,7 @@ def solve_smo_batch(
     kernel indefinite) is replaced by TAU, which sends the step to the box
     edge. No randomness is involved. All arithmetic is elementwise along a
     problem's row and every argmax/argmin keeps the first index, so each
-    model is bit-identical to the one its problem gives when solved alone.
+    solution is bit-identical to the one its problem gives when solved alone.
 
     A problem stops when score[i] - score[j] is at most 2 * cfg.smo_tol, so
     the midpoint bias leaves no KKT violation above cfg.smo_tol. After
@@ -246,26 +258,42 @@ def solve_smo_batch(
     # I_up from below, I_low from above (both are non-empty for a feasible
     # alpha). The midpoint of [max lower, min upper] minimizes the largest
     # violation, even when the interval is (slightly) empty. The scores are
-    # recomputed so that the bias carries no rounding from the updates.
-    models = []
-    for b in range(n_problems):
-        m = sizes[b]
-        k = kernels[cells[b], :m, :m]
-        yb, alphas, bx = y[b, :m], out_alphas[b, :m], box[b, :m]
-        score = yb - k @ (alphas * yb)
-        up, low = _up_low(yb, alphas, bx)
-        models.append(
-            SvmModel(
-                alphas=alphas,
-                bias=float((score[up].max() + score[low].min()) / 2.0),
-                support_indices=tuple(int(i) for i in np.flatnonzero(alphas > 0)),
-                train_labels=yb.astype(np.int64),
-                box=bx,
-                converged=bool(converged[b]),
-                stats=None if stats is None else stats[b],
-            )
+    # recomputed so that the bias carries no rounding from the updates: per
+    # run of problems on one cell and of one size, one stacked matmul that
+    # numpy computes as one matrix-vector product per problem over its own
+    # n_b points, so each has the bits of a solo `k @ (alphas * y)`.
+    ay = out_alphas * y
+    k_ay = np.zeros_like(y)
+    starts = np.flatnonzero(np.diff(cells * (n + 1) + sizes, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], n_problems]):
+        m = sizes[lo]
+        k_ay[lo:hi, :m] = np.matmul(kernels[cells[lo], :m, :m], ay[lo:hi, :m, None])[..., 0]
+    score = y - k_ay
+    up, low = _up_low(y, out_alphas, box)
+    lower = np.where(up, score, -np.inf).max(axis=1)
+    upper = np.where(low, score, np.inf).min(axis=1)
+    return SmoSolution(out_alphas, (lower + upper) / 2.0, converged, box, stats)
+
+
+def solve_smo_batch(
+    kernels, cells, y, cfg: SvmConfig, collect_stats: bool = False
+) -> list[SvmModel]:
+    """`solve_smo_arrays` with each problem's solution as an SvmModel over
+    its own n_b training points."""
+    sol = solve_smo_arrays(kernels, cells, y, cfg, collect_stats)
+    y = np.asarray(y, dtype=np.float64)
+    return [
+        SvmModel(
+            alphas=sol.alphas[b, :m],
+            bias=float(sol.bias[b]),
+            support_indices=tuple(int(i) for i in np.flatnonzero(sol.alphas[b, :m] > 0)),
+            train_labels=y[b, :m].astype(np.int64),
+            box=sol.box[b, :m],
+            converged=bool(sol.converged[b]),
+            stats=None if sol.stats is None else sol.stats[b],
         )
-    return models
+        for b, m in enumerate((y != 0).sum(axis=1))
+    ]
 
 
 def solve_binary_smo(

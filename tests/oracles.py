@@ -293,3 +293,42 @@ def per_unit_extract(bold, template, cfg, seed: int = 0):
     xz = (bold - wd.voxel_means) / sd
     tc = np.linalg.lstsq(maps.T, xz.T, rcond=None)[0].T
     return maps, tc, converged
+
+
+def cv_rows_per_cell(raw, labels, parts, kernel_params, svm_cfg, class_set):
+    """The rows `cross_validate` must give, one cell and one model at a time.
+
+    Per (fold, repeat) cell in fold-major order: the spectrum-fixed training
+    block, one `solve_binary_smo` per one-vs-rest class, `decision_values`
+    on the unchanged test-vs-train block, then `average_precision` per class
+    and `f1_macro` of the arg-max predictions. Returns (fold, repeat, macro
+    PR-AUC, macro F1, per-class APs, unconverged solves) tuples and each
+    cell's (test, classes) decision values.
+    """
+    from netresp.evaluation import average_precision, f1_macro
+    from netresp.kernels import apply_spectrum_fix
+    from netresp.svm import decision_values, solve_binary_smo
+
+    labels = np.asarray(labels)
+    rows, cell_scores = [], []
+    for f in range(int(max(p.max() for p in parts)) + 1):
+        for rep, part in enumerate(parts):
+            tr, te = np.flatnonzero(part != f), np.flatnonzero(part == f)
+            k = apply_spectrum_fix(raw[np.ix_(tr, tr)], kernel_params)
+            models = [
+                solve_binary_smo(k, np.where(labels[tr] == c, 1.0, -1.0), svm_cfg)
+                for c in class_set
+            ]
+            k_te = raw[np.ix_(te, tr)]
+            scores = np.column_stack([decision_values(m, k_te) for m in models])
+            cell_scores.append(scores)
+            aps = tuple(
+                average_precision((labels[te] == c).astype(float), scores[:, j])
+                for j, c in enumerate(class_set)
+            )
+            preds = np.asarray(class_set)[np.argmax(scores, axis=1)]
+            rows.append((
+                f, rep, float(np.mean(aps)), f1_macro(labels[te], preds, class_set), aps,
+                sum(not m.converged for m in models),
+            ))
+    return rows, cell_scores

@@ -9,6 +9,7 @@ import pytest
 import netresp
 from netresp._util import derive_seed
 from netresp.cli import load_run_config, main
+from netresp.datamodel import read_matrix, write_matrix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -265,6 +266,46 @@ class TestExitCodes:
     def test_missing_features_exits_1(self, tmp_path):
         rc = main(["select", "--out", str(tmp_path / "empty")])
         assert rc == 1
+
+    def test_selection_error_exits_1(self, tmp_path, capsys):
+        # a subject whose first two maps coincide makes every candidate
+        # holding both components rank-deficient
+        config = tmp_path / "config.json"
+        synth = dict(TINY_CONFIG["synth"], n_components=4, n_domains=2,
+                     class_counts={"AD": 6, "MS": 6, "NR": 5}, informative_components=2)
+        config.write_text(json.dumps(dict(TINY_CONFIG, synth=synth)))
+        out = tmp_path / "run"
+        for command in ("simulate", "extract", "fnc"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        sm = out / "features" / "s0000.sm.msmx"
+        maps = read_matrix(sm)
+        maps[1] = maps[0]
+        write_matrix(maps, sm)
+        capsys.readouterr()
+        rc = main(["select", "--config", str(config), "--out", str(out), "--features", "sm"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: candidate [0, 1]: subject s0000")
+        assert "numerical rank 1" in err
+
+    def test_eval_error_exits_1(self, pipeline_dir, tmp_path, monkeypatch, capsys):
+        from netresp import cli
+        from netresp.evaluation import EvalError
+
+        def failing(*args, **kwargs):
+            raise EvalError("fold 0, repeat 0: class 'NR' absent from training labels")
+
+        monkeypatch.setattr(cli, "run_experiment", failing)
+        config, out = pipeline_dir
+        run = tmp_path / "run"
+        run.mkdir()
+        for child in out.iterdir():
+            if child.name != "eval":
+                (run / child.name).symlink_to(child)
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", str(config), "--out", str(run)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: fold 0, repeat 0:")
 
     def test_bad_fixed_selection_exits_2(self, pipeline_dir):
         config, out = pipeline_dir

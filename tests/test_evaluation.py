@@ -19,9 +19,9 @@ from netresp.evaluation import (
 )
 from netresp.fnc import compute_fnc
 from netresp.kernels import SPECTRUM_FIXES, PabsKernelParams
-from netresp.svm import SvmConfig, check_kkt
+from netresp.svm import SvmConfig, SvmModel, check_kkt
 from netresp.synth import SynthConfig, generate_cohort
-from oracles import ap_step_oracle, worst_case_ap
+from oracles import ap_step_oracle, cv_rows_per_cell, worst_case_ap
 
 
 class TestStratifiedKfold:
@@ -113,6 +113,26 @@ class TestAveragePrecision:
     def test_degenerate_single_class(self):
         with pytest.raises(ValueError, match="positive and a negative"):
             average_precision([1, 1], [0.2, 0.1])
+        with pytest.raises(ValueError, match="positive and a negative"):
+            average_precision([[1, 0], [0, 0]], [[0.2, 0.1], [0.3, 0.4]])
+
+    @pytest.mark.parametrize("n", [2, 7, 9, 17, 40])
+    def test_stacked_rows_bit_identical_to_each_row_alone(self, n):
+        # integer scores force ties; up to n - 1 positives per row reaches
+        # numpy's 8-way unrolled summation
+        rng = np.random.default_rng(n)
+        y = np.zeros((4, 3, n))
+        for row in y.reshape(-1, n):
+            row[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 1.0
+        s = rng.integers(-3, 4, size=y.shape).astype(np.float64)
+        stacked = average_precision(y, s)
+        assert stacked.shape == (4, 3)
+        for idx in np.ndindex(4, 3):
+            alone = average_precision(y[idx], s[idx])
+            # the per-vector formula: precision summed at the hits
+            hits = y[idx][np.argsort(-s[idx], kind="stable")]
+            precision = np.cumsum(hits) / np.arange(1, n + 1)
+            assert stacked[idx] == alone == precision[hits == 1].sum() / int(hits.sum())
 
 
 class TestMacroPrAuc:
@@ -384,16 +404,20 @@ class TestSolverConvergence:
             for m, tc in zip(truth.subject_maps, truth.planted_tcs)
         ]
         solves = []
-        original = evaluation.solve_smo_batch
+        original = evaluation.solve_smo_arrays
 
         def recorded(kernels, cells, y, cfg, *args, **kwargs):
-            models = original(kernels, cells, y, cfg, *args, **kwargs)
-            for cell, y_row, model in zip(cells, y, models):
-                m = model.alphas.size
+            sol = original(kernels, cells, y, cfg, *args, **kwargs)
+            for b, (cell, y_row) in enumerate(zip(cells, y)):
+                m = int(np.count_nonzero(y_row))
+                model = SvmModel(
+                    alphas=sol.alphas[b, :m], bias=float(sol.bias[b]), support_indices=(),
+                    train_labels=y_row[:m], box=sol.box[b, :m], converged=bool(sol.converged[b]),
+                )
                 solves.append((kernels[cell, :m, :m], y_row[:m], cfg, model))
-            return models
+            return sol
 
-        monkeypatch.setattr(evaluation, "solve_smo_batch", recorded)
+        monkeypatch.setattr(evaluation, "solve_smo_arrays", recorded)
         params = PabsKernelParams(spectrum_fix=fix)
         cfg = EvalConfig(outer_folds=3, repeats=2, seed=0)
         for selected in ([0, 2], [1, 3], [0, 1, 2, 3]):
@@ -402,3 +426,105 @@ class TestSolverConvergence:
         for k_train, y, cfg, model in solves:
             assert model.converged
             assert check_kkt(model, k_train, y, cfg).max_violation <= cfg.smo_tol + 1e-9
+
+
+def _cv_case(n_per_class, seed, folds, repeats, effect=2.0):
+    feats, labels = _planted_features(n_per_class, seed=seed, effect=effect)
+    raw = evaluation.raw_kernel(feats, [0, 1], PabsKernelParams(), use_fnc=False)
+    return raw, np.asarray(labels), evaluation.partitions(labels, folds, seed, repeats)
+
+
+class TestCrossValidateMatchesPerCellOracle:
+    """`cross_validate` rows and held-out scores against one model at a time."""
+
+    CLASSES = ("AD", "MS", "NR")
+
+    def _check(self, raw, labels, parts, params=PabsKernelParams(), svm_cfg=SvmConfig()):
+        rows = evaluation.cross_validate(raw, labels, parts, params, svm_cfg, self.CLASSES)
+        expected, scores = cv_rows_per_cell(raw, labels, parts, params, svm_cfg, self.CLASSES)
+        got = [
+            (r.fold, r.repeat, r.macro_pr_auc, r.macro_f1, r.per_class_ap, r.unconverged)
+            for r in rows
+        ]
+        assert got == expected
+        held = [
+            cell.T
+            for _, _, run, _ in evaluation._held_out(
+                raw, labels, parts, params, svm_cfg, self.CLASSES
+            )
+            for cell in run
+        ]
+        assert len(held) == len(scores)
+        for h, s in zip(held, scores):
+            assert np.array_equal(h, s)
+        return expected, scores
+
+    @pytest.mark.parametrize("cells_per_stack", [None, 5])
+    def test_unequal_training_sizes_in_padded_batches(self, monkeypatch, cells_per_stack):
+        raw, labels, parts = _cv_case({"AD": 7, "MS": 6, "NR": 5}, seed=6, folds=4, repeats=3)
+        sizes = {int((p != f).sum()) for p in parts for f in range(4)}
+        assert len(sizes) > 1
+        if cells_per_stack:  # batches that end inside a fold's run of cells
+            monkeypatch.setattr(evaluation, "STACK_BYTES", cells_per_stack * 8 * max(sizes) ** 2)
+        self._check(raw, labels, parts)
+
+    @pytest.mark.parametrize("fix", SPECTRUM_FIXES)
+    def test_each_spectrum_fix(self, fix):
+        raw, labels, parts = _cv_case({"AD": 6, "MS": 6, "NR": 5}, seed=2, folds=3, repeats=2)
+        self._check(raw, labels, parts, PabsKernelParams(spectrum_fix=fix))
+
+    def test_step_cap_unconverged_counts(self):
+        raw, labels, parts = _cv_case(
+            {"AD": 8, "MS": 8, "NR": 4}, seed=4, folds=3, repeats=2, effect=0.5
+        )
+        expected, _ = self._check(raw, labels, parts, svm_cfg=SvmConfig(max_passes=1))
+        assert sum(row[5] for row in expected) > 0
+
+    def test_tied_decision_values(self):
+        # two subjects repeated under other labels: a copy's kernel row is
+        # its original's, so a fold holding both scores them exactly equal
+        raw, labels, _ = _cv_case({"AD": 6, "MS": 6, "NR": 5}, seed=3, folds=3, repeats=1)
+        keep = [*range(labels.size), 0, 7]
+        raw = raw[np.ix_(keep, keep)]
+        labels = np.append(labels, ["MS", "NR"])
+        parts = evaluation.partitions(labels, 3, 1, 4)
+        _, scores = self._check(raw, labels, parts)
+        assert any(np.unique(col).size < col.size for s in scores for col in s.T)
+
+    def test_predictions_missing_a_class(self):
+        # without signal some folds never predict a class, so its F1 is 0;
+        # the zero-denominator case needs a class absent from a test fold,
+        # which average precision rejects first
+        raw, labels, parts = _cv_case(
+            {"AD": 7, "MS": 6, "NR": 5}, seed=1, folds=4, repeats=3, effect=0.0
+        )
+        _, scores = self._check(raw, labels, parts)
+        assert any(np.unique(s.argmax(axis=1)).size < len(self.CLASSES) for s in scores)
+
+    def test_many_positives_per_test_fold(self):
+        # 10 members per class in each test fold: the AP sums reach numpy's
+        # 8-way unrolled summation
+        raw, labels, parts = _cv_case({"AD": 20, "MS": 20, "NR": 20}, seed=5, folds=2, repeats=2)
+        self._check(raw, labels, parts)
+
+    def test_test_fold_missing_a_class_names_its_cell(self):
+        raw, labels, parts = _cv_case({"AD": 6, "MS": 6, "NR": 6}, seed=9, folds=3, repeats=2)
+        odd = parts[1].copy()
+        nr = np.flatnonzero(labels == "NR")
+        odd[nr] = np.where(np.arange(nr.size) % 2, 0, 2)  # no NR member in fold 1
+        with pytest.raises(evaluation.EvalError, match="fold 1, repeat 1: average precision"):
+            evaluation.cross_validate(
+                raw, labels, [parts[0], odd], PabsKernelParams(), SvmConfig(), self.CLASSES
+            )
+
+    def test_cross_validated_scores_rejects_labels_outside_class_set(self):
+        raw, labels, _ = _cv_case({"AD": 7, "MS": 7, "NR": 6}, seed=8, folds=2, repeats=1)
+        labels = np.where(labels == "AD", "A", np.where(labels == "MS", "B", "Z"))
+        cfg = EvalConfig(outer_folds=2, class_set=("A", "B"))
+        with pytest.raises(ValueError, match=r"outside class_set: \['Z'\]"):
+            evaluation.cross_validated_scores(raw, labels, PabsKernelParams(), SvmConfig(), cfg)
+        with pytest.raises(ValueError, match=r"outside class_set: \['Z'\]"):
+            evaluation.cross_validate(
+                raw, labels, evaluation.partitions(labels, 2, 0, 1), PabsKernelParams(),
+                SvmConfig(), cfg.class_set,
+            )
