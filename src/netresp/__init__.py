@@ -41,15 +41,14 @@ from .scica import (
 )
 from .selection import SelectionResult, SsfsConfig, score_feature_set, ssfs
 from .svm import (
-    MulticlassModel,
+    SmoSolution,
     SvmConfig,
-    SvmModel,
     check_kkt,
     decision_values,
     predict_labels,
     predict_scores,
     solve_binary_smo,
-    solve_smo_batch,
+    solve_smo_arrays,
     train_multiclass,
 )
 from .synth import GroundTruth, SynthConfig, generate_cohort, generate_template
@@ -62,16 +61,15 @@ __all__ = [
     "ExperimentReport",
     "GroundTruth",
     "KernelMatrix",
-    "MulticlassModel",
     "PabsKernelParams",
     "ScicaConfig",
     "SelectionResult",
+    "SmoSolution",
     "SsfsConfig",
     "Subject",
     "SubjectFeatures",
     "SubspaceFactors",
     "SvmConfig",
-    "SvmModel",
     "SynthConfig",
     "Template",
     "WhitenedData",
@@ -102,7 +100,7 @@ __all__ = [
     "score_feature_set",
     "solve_binary_smo",
     "subspace_factors",
-    "solve_smo_batch",
+    "solve_smo_arrays",
     "ssfs",
     "stratified_kfold",
     "train_multiclass",

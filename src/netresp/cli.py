@@ -28,7 +28,7 @@ from .datamodel import (
 )
 from .evaluation import EvalConfig, EvalError, run_experiment
 from .fnc import compute_fnc
-from .kernels import PabsKernelParams, build_kernel_matrix
+from .kernels import PabsKernelParams, apply_spectrum_fix, build_kernel_matrix
 from .scica import ScicaConfig, extract_subject
 from .selection import SelectionError, SelectionResult, SsfsConfig, ssfs
 from .svm import SvmConfig
@@ -228,16 +228,26 @@ def cmd_extract(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def _checked(doc, keys, where) -> dict:
+    """`doc` when it is a JSON object holding every key in `keys`."""
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{where}: expected a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ManifestError(f"{where}: missing key {missing[0]!r}")
+    return doc
+
+
 def _load_features(out_dir: Path, need_fnc: bool):
     feat_dir = out_dir / "features"
     doc_path = feat_dir / "features.json"
     if not doc_path.exists():
         raise ManifestError(f"features not found: {doc_path} (run extract first)")
-    doc = json.loads(doc_path.read_text())
+    doc = _checked(json.loads(doc_path.read_text()), ("subjects", "domains"), doc_path)
     features = []
     labels = []
-    ids = []
-    for entry in doc["subjects"]:
+    for n, entry in enumerate(doc["subjects"]):
+        _checked(entry, ("id", "label", "sm", "tc"), f"{doc_path}: subject entry {n}")
         sm = read_matrix(feat_dir / entry["sm"])
         tc = read_matrix(feat_dir / entry["tc"])
         fnc = None
@@ -247,29 +257,30 @@ def _load_features(out_dir: Path, need_fnc: bool):
                     f"subject {entry['id']}: FNC not computed (run fnc first)"
                 )
             fnc = read_matrix(feat_dir / entry["fnc"])
-        features.append(SubjectFeatures(spatial_maps=sm, time_courses=tc, fnc=fnc))
+        features.append(
+            SubjectFeatures(spatial_maps=sm, time_courses=tc, fnc=fnc, subject_id=entry["id"])
+        )
         labels.append(entry["label"])
-        ids.append(entry["id"])
-    return features, labels, ids, doc
+    return features, labels, doc
 
 
 def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
     feat_dir = out_dir / "features"
-    features, labels, ids, doc = _load_features(out_dir, need_fnc=False)
+    features, _, doc = _load_features(out_dir, need_fnc=False)
     for entry, f in zip(doc["subjects"], features):
         fnc = compute_fnc(f.time_courses)
         name = f"{entry['id']}.fnc.msmx"
         write_matrix(fnc, feat_dir / name)
         entry["fnc"] = name
     (feat_dir / "features.json").write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"computed FNC matrices for {len(ids)} subjects")
+    print(f"computed FNC matrices for {len(features)} subjects")
     return 0
 
 
 def _load_class_features(cfg: RunConfig, out_dir: Path):
     """Features and labels of the subjects in the configured classes that
     the data has, plus the features document and that class set."""
-    features, labels, ids, doc = _load_features(out_dir, need_fnc=cfg.features == "sm+fnc")
+    features, labels, doc = _load_features(out_dir, need_fnc=cfg.features == "sm+fnc")
     class_set = tuple(c for c in cfg.evaluation.class_set if c in set(labels))
     if len(class_set) < 2:
         raise ConfigError(
@@ -289,6 +300,8 @@ def _parse_fixed(mode: str, n_components: int) -> list[int]:
     for i in indices:
         if not 0 <= i < n_components:
             raise ConfigError(f"fixed selection index {i} out of range")
+    if len(set(indices)) != len(indices):
+        raise ConfigError(f"fixed selection repeats a component: {mode!r}")
     return indices
 
 
@@ -321,7 +334,6 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
             use_fnc=use_fnc,
             threads=cfg.threads,
         )
-        (sel_dir / "trace.csv").write_text(result.trace_csv())
 
     out = {
         "best_set": list(result.best_set),
@@ -334,6 +346,7 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
         ],
     }
     (sel_dir / "result.json").write_text(json.dumps(out, indent=2) + "\n")
+    (sel_dir / "trace.csv").write_text(result.trace_csv())  # header only for a fixed set
     meta: dict = {"top_ties": result.top_ties()}
     truth_path = out_dir / "dataset" / "ground_truth.json"
     if truth_path.exists():
@@ -357,7 +370,8 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
         result_path = out_dir / "selection" / "result.json"
         if not result_path.exists():
             raise ManifestError(f"selection result not found: {result_path} (run select first)")
-        selected = json.loads(result_path.read_text())["best_set"]
+        result = _checked(json.loads(result_path.read_text()), ("best_set",), result_path)
+        selected = result["best_set"]
 
     eval_cfg = dataclasses.replace(cfg.evaluation, class_set=class_set)
     report = run_experiment(
@@ -401,21 +415,20 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_kernel(cfg: RunConfig, out_dir: Path) -> int:
     use_fnc = cfg.features == "sm+fnc"
-    features, labels, ids, doc = _load_features(out_dir, need_fnc=use_fnc)
+    features = _load_features(out_dir, need_fnc=use_fnc)[0]
     if not cfg.selection_mode.startswith("fixed:"):
         raise ConfigError("kernel dump requires --selection fixed:<list>")
     selected = _parse_fixed(cfg.selection_mode, features[0].n_components)
-    kernel = build_kernel_matrix(
-        features, selected, cfg.kernel, use_fnc=use_fnc, subject_ids=tuple(ids)
-    )
+    kernel = build_kernel_matrix(features, selected, cfg.kernel, use_fnc=use_fnc)
     kdir = out_dir / "kernel"
     kdir.mkdir(parents=True, exist_ok=True)
-    write_matrix(kernel.values, kdir / "kernel.msmx")
+    # the dump is the kernel a training block would see: spectrum-fixed
+    write_matrix(apply_spectrum_fix(kernel.values, cfg.kernel), kdir / "kernel.msmx")
     (kdir / "subjects.json").write_text(
         json.dumps({"subject_ids": list(kernel.subject_ids), "selected": selected}, indent=2)
         + "\n"
     )
-    print(f"wrote {len(ids)}x{len(ids)} kernel for components {selected}")
+    print(f"wrote {len(features)}x{len(features)} kernel for components {selected}")
     return 0
 
 

@@ -215,12 +215,15 @@ class SubjectFeatures:
 
     `fnc` stays None until computed. `converged` carries the per-component
     convergence flags of the extraction (None for synthetic features).
+    `subject_id` names the subject in kernel errors and dumps; features
+    without one are named `s%04d` after their position in the cohort.
     """
 
     spatial_maps: np.ndarray
     time_courses: np.ndarray
     fnc: np.ndarray | None = None
     converged: np.ndarray | None = None
+    subject_id: str | None = None
 
     def __post_init__(self):
         sm = _frozen(as_matrix(self.spatial_maps, "spatial_maps"))

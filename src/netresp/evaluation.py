@@ -236,15 +236,13 @@ def raw_kernel(
     factors: SubspaceFactors | None = None,
 ) -> np.ndarray:
     """The unrepaired kernel of `selected` over all subjects, from `factors`
-    when given (see `build_kernel_matrix`).
+    when given: `build_kernel_matrix` through this module's binding of it.
 
     Entries are pairwise, so one matrix serves every fold partition; the
     configured spectrum fix is applied later, per training block.
     """
-    raw_params = replace(kernel_params, spectrum_fix="none")
-    return build_kernel_matrix(
-        features, selected, raw_params, use_fnc=use_fnc, factors=factors
-    ).values
+    kernel = build_kernel_matrix(features, selected, kernel_params, use_fnc=use_fnc, factors=factors)
+    return kernel.values
 
 
 def partitions(labels, folds: int, seed: int, count: int) -> list[np.ndarray]:

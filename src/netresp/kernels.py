@@ -49,9 +49,9 @@ class PabsKernelParams:
     gamma scales the subspace similarity (1.0 matches the reference setup);
     combine_weight w blends w * K_maps + (1 - w) * K_fnc when FNC features
     are enabled. The tanh kernel is generally indefinite, so `spectrum_fix`
-    selects how training kernels are repaired: "clip" zeroes negative
-    eigenvalues, "ridge" adds ridge_lambda to the diagonal, "none" passes
-    the matrix through.
+    selects how `apply_spectrum_fix` repairs training kernels: "clip" zeroes
+    negative eigenvalues, "ridge" adds ridge_lambda to the diagonal, "none"
+    passes the matrix through.
     """
 
     gamma: float = 1.0
@@ -133,8 +133,8 @@ def _mirror(n: int, iu, ju, upper) -> np.ndarray:
     return out
 
 
-def _subject_ids(n: int, subject_ids) -> tuple[str, ...]:
-    return tuple(f"s{i:04d}" for i in range(n)) if subject_ids is None else tuple(subject_ids)
+def _subject_ids(features) -> tuple[str, ...]:
+    return tuple(f.subject_id or f"s{i:04d}" for i, f in enumerate(features))
 
 
 def _component_list(selected, k: int) -> list[int]:
@@ -161,9 +161,7 @@ class SubspaceFactors:
     cross: np.ndarray  # (N (N + 1) / 2, p, p)
 
 
-def subspace_factors(
-    features: list[SubjectFeatures], components, subject_ids=None
-) -> SubspaceFactors:
+def subspace_factors(features: list[SubjectFeatures], components) -> SubspaceFactors:
     """QR factors of each subject's maps over `components`, and the blocks
     Q_i^T Q_j of the upper triangle (one stacked matmul per subject row).
 
@@ -176,13 +174,12 @@ def subspace_factors(
     k = features[0].n_components
     v = features[0].spatial_maps.shape[1]
     components = _component_list(components, k)
-    subject_ids = _subject_ids(n, subject_ids)
     p = min(v, len(components))
     q = np.empty((n, v, p))
     r = np.empty((n, p, len(components)))
     for i, f in enumerate(features):
         if f.spatial_maps.shape != (k, v):
-            raise ValueError(f"subject {subject_ids[i]}: spatial map shape mismatch")
+            raise ValueError(f"subject {_subject_ids(features)[i]}: spatial map shape mismatch")
         q[i], r[i] = np.linalg.qr(f.spatial_maps[components].T)
     cross = np.empty((n * (n + 1) // 2, p, p))
     start = 0
@@ -197,7 +194,6 @@ def build_kernel_matrix(
     selected,
     params: PabsKernelParams,
     use_fnc: bool = False,
-    subject_ids=None,
     factors: SubspaceFactors | None = None,
 ) -> KernelMatrix:
     """Assemble the N x N kernel over subjects from selected components.
@@ -214,16 +210,19 @@ def build_kernel_matrix(
     combine_weight; a single-component selection has no connectivity
     pairs, so the map kernel stands alone in that case. The Fisher-z rows
     of all subjects come from one stacked call. Only the upper triangle is
-    computed and then mirrored, so symmetry is exact; the spectrum fix
-    from `params` is applied to the assembled matrix.
+    computed and then mirrored, so symmetry is exact.
+
+    The result is the raw kernel, generally indefinite: `params.spectrum_fix`
+    is not applied here, but by `apply_spectrum_fix` wherever a training
+    kernel is formed. Subjects are named by their features' `subject_id`.
     """
     n = len(features)
     if n == 0:
         raise ValueError("no subjects")
     selected = _component_list(selected, features[0].n_components)
-    subject_ids = _subject_ids(n, subject_ids)
+    subject_ids = _subject_ids(features)
     if factors is None:
-        factors = subspace_factors(features, selected, subject_ids)
+        factors = subspace_factors(features, selected)
     elif factors.r.shape[0] != n or not set(selected) <= set(factors.components):
         raise ValueError(
             f"factors over components {list(factors.components)} of "
@@ -265,4 +264,4 @@ def build_kernel_matrix(
         w = params.combine_weight
         values = w * values + (1.0 - w) * _mirror(n, iu, ju, np.tanh(cosines))
 
-    return KernelMatrix(apply_spectrum_fix(values, params), subject_ids)
+    return KernelMatrix(values, subject_ids)

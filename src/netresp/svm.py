@@ -9,13 +9,12 @@ the same model, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .datamodel import as_matrix
-from .kernels import KernelMatrix
 
 
 TAU = 1e-12  # curvature used in place of a non-positive a_ij
@@ -44,49 +43,9 @@ class SvmConfig:
             raise ValueError("max_passes must be at least 1")
 
 
-@dataclass
-class SolverStats:
-    """Per-accepted-step diagnostics (only filled when requested)."""
-
-    objective: list[float] = field(default_factory=list)
-    equality_gap: list[float] = field(default_factory=list)
-    box_ok: list[bool] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class SvmModel:
-    alphas: np.ndarray
-    bias: float
-    support_indices: tuple[int, ...]
-    train_labels: np.ndarray
-    box: np.ndarray
-    converged: bool
-    stats: SolverStats | None = None
-
-
-@dataclass(frozen=True)
-class MulticlassModel:
-    """One one-vs-rest binary model per class, in class_set order."""
-
-    models: tuple[SvmModel, ...]
-    classes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class KktReport:
-    max_violation: float
-    violations: np.ndarray
-
-
-def _kernel_values(k) -> np.ndarray:
-    if isinstance(k, KernelMatrix):
-        return k.values
-    return as_matrix(k, "kernel")
-
-
 def dual_objective(alphas, k, y) -> float:
     """Soft-margin dual objective: sum(a) - 0.5 a^T (yy^T * K) a."""
-    k = _kernel_values(k)
+    k = as_matrix(k, "kernel")
     a = np.asarray(alphas, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     ay = a * y
@@ -129,19 +88,19 @@ def _curvature(diag, d_i, k_i) -> np.ndarray:
 
 
 class SmoSolution(NamedTuple):
-    """A solved batch as arrays, one row per problem; `alphas` and `box`
-    are zero on a problem's padding."""
+    """Solved soft-margin duals as plain arrays, the one model type: a
+    batch has one row per problem, a single problem no leading axis.
+    `alphas`, `y` and `box` are zero on a problem's padding; `y` holds the
+    -1/+1 training labels the problem was solved with."""
 
     alphas: np.ndarray
+    y: np.ndarray
     bias: np.ndarray
     converged: np.ndarray
     box: np.ndarray
-    stats: list[SolverStats] | None
 
 
-def solve_smo_arrays(
-    kernels, cells, y, cfg: SvmConfig, collect_stats: bool = False
-) -> SmoSolution:
+def solve_smo_arrays(kernels, cells, y, cfg: SvmConfig) -> SmoSolution:
     """Solve a batch of binary soft-margin duals by sequential minimal
     optimization, returning every problem's solution as one row of arrays.
 
@@ -187,7 +146,6 @@ def solve_smo_arrays(
     box = per_sample_c(y, cfg)
     out_alphas = np.zeros_like(y)
     converged = np.zeros(n_problems, dtype=bool)
-    stats = [SolverStats() for _ in range(n_problems)] if collect_stats else None
 
     # per-row state of the unfinished problems; rows leave as they finish
     ids = np.arange(n_problems)
@@ -246,13 +204,6 @@ def solve_smo_arrays(
         alphas[rows, i] = new_i
         alphas[rows, j] = new_j
         left -= 1
-        if stats is not None:
-            for row, b in enumerate(ids):
-                m = sizes[b]
-                a, yb = alphas[row, :m], yy[row, :m]
-                stats[b].objective.append(dual_objective(a, kernels[cell[row], :m, :m], yb))
-                stats[b].equality_gap.append(abs(float(a @ yb)))
-                stats[b].box_ok.append(bool(np.all(a >= 0) and np.all(a <= bx[row, :m])))
 
     # Each KKT condition bounds the bias on one side at its point's score:
     # I_up from below, I_low from above (both are non-empty for a feasible
@@ -272,34 +223,12 @@ def solve_smo_arrays(
     up, low = _up_low(y, out_alphas, box)
     lower = np.where(up, score, -np.inf).max(axis=1)
     upper = np.where(low, score, np.inf).min(axis=1)
-    return SmoSolution(out_alphas, (lower + upper) / 2.0, converged, box, stats)
+    return SmoSolution(out_alphas, y, (lower + upper) / 2.0, converged, box)
 
 
-def solve_smo_batch(
-    kernels, cells, y, cfg: SvmConfig, collect_stats: bool = False
-) -> list[SvmModel]:
-    """`solve_smo_arrays` with each problem's solution as an SvmModel over
-    its own n_b training points."""
-    sol = solve_smo_arrays(kernels, cells, y, cfg, collect_stats)
-    y = np.asarray(y, dtype=np.float64)
-    return [
-        SvmModel(
-            alphas=sol.alphas[b, :m],
-            bias=float(sol.bias[b]),
-            support_indices=tuple(int(i) for i in np.flatnonzero(sol.alphas[b, :m] > 0)),
-            train_labels=y[b, :m].astype(np.int64),
-            box=sol.box[b, :m],
-            converged=bool(sol.converged[b]),
-            stats=None if sol.stats is None else sol.stats[b],
-        )
-        for b, m in enumerate((y != 0).sum(axis=1))
-    ]
-
-
-def solve_binary_smo(
-    k_train, y, cfg: SvmConfig, collect_stats: bool = False
-) -> SvmModel:
-    """Solve one binary soft-margin dual: `solve_smo_batch` on a batch of one.
+def solve_binary_smo(k_train, y, cfg: SvmConfig) -> SmoSolution:
+    """Solve one binary soft-margin dual: `solve_smo_arrays` on a batch of
+    one, with the batch axis removed.
 
     `k_train` is the symmetric training kernel, `y` a vector in {-1, +1}
     with both classes present.
@@ -307,39 +236,33 @@ def solve_binary_smo(
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be -1 or +1")
-    k = _kernel_values(k_train)
-    return solve_smo_batch(k[None], [0], y[None], cfg, collect_stats)[0]
+    k = as_matrix(k_train, "kernel")
+    return SmoSolution(*(a[0] for a in solve_smo_arrays(k[None], [0], y[None], cfg)))
 
 
-def decision_values(model: SvmModel, k_test_train) -> np.ndarray:
-    """f(x) = sum_i alpha_i y_i K(x, x_i) + b per row of the test-train kernel."""
-    k = _kernel_values(k_test_train)
-    if k.ndim != 2 or k.shape[1] != model.alphas.size:
+def decision_values(model: SmoSolution, k_test_train) -> np.ndarray:
+    """f(x) = sum_i alpha_i y_i K(x, x_i) + b per row of the test-train kernel,
+    for a single solved problem."""
+    k = as_matrix(k_test_train, "test-train kernel")
+    if k.shape[1] != model.alphas.size:
         raise ValueError(
             f"test-train kernel has {k.shape[1]} columns, expected {model.alphas.size}"
         )
-    return k @ (model.alphas * model.train_labels) + model.bias
+    return k @ (model.alphas * model.y) + model.bias
 
 
-def check_kkt(model: SvmModel, k_train, y, cfg: SvmConfig) -> KktReport:
-    """Maximum KKT violation of `model` on its training problem.
+def check_kkt(model: SmoSolution, k_train) -> np.ndarray:
+    """KKT violation of each training point of a single solved problem.
 
     A point with alpha below its box bound must satisfy y f(x) >= 1 - v,
-    one with alpha above zero must satisfy y f(x) <= 1 + v; the report
-    gives the smallest v per point.
+    one with alpha above zero must satisfy y f(x) <= 1 + v; the result
+    gives the smallest v >= 0 per point.
     """
-    k = _kernel_values(k_train)
-    y = np.asarray(y, dtype=np.float64)
-    f = k @ (model.alphas * model.train_labels) + model.bias
-    margins = y * f
-    violations = np.zeros(y.size)
-    below_box = model.alphas < model.box
-    above_zero = model.alphas > 0
-    violations[below_box] = np.maximum(0.0, 1.0 - margins[below_box])
-    violations[above_zero] = np.maximum(
-        violations[above_zero], np.maximum(0.0, margins[above_zero] - 1.0)
+    margins = model.y * decision_values(model, k_train)
+    return np.maximum(
+        np.where(model.alphas < model.box, 1.0 - margins, 0.0),
+        np.where(model.alphas > 0, margins - 1.0, 0.0),
     )
-    return KktReport(max_violation=float(violations.max()), violations=violations)
 
 
 def ovr_labels(labels, class_set) -> np.ndarray:
@@ -357,22 +280,24 @@ def ovr_labels(labels, class_set) -> np.ndarray:
     return y
 
 
-def train_multiclass(k_train, labels, class_set, cfg: SvmConfig) -> MulticlassModel:
-    """Train one one-vs-rest binary model per class, in class_set order."""
+def train_multiclass(k_train, labels, class_set, cfg: SvmConfig) -> SmoSolution:
+    """Train one one-vs-rest binary model per class: one row per class, in
+    class_set order."""
     y = ovr_labels(labels, class_set)
-    k = _kernel_values(k_train)
+    k = as_matrix(k_train, "kernel")
     if k.shape != (y.shape[1], y.shape[1]):
         raise ValueError(f"kernel shape {k.shape} does not match {y.shape[1]} labels")
-    models = solve_smo_batch(k[None], np.zeros(len(y), dtype=np.intp), y, cfg)
-    return MulticlassModel(models=tuple(models), classes=tuple(class_set))
+    return solve_smo_arrays(k[None], np.zeros(len(y), dtype=np.intp), y, cfg)
 
 
-def predict_scores(model: MulticlassModel, k_test_train) -> np.ndarray:
-    """Per-class decision values, one column per class in class order."""
-    cols = [decision_values(m, k_test_train) for m in model.models]
-    return np.column_stack(cols)
+def predict_scores(model: SmoSolution, k_test_train) -> np.ndarray:
+    """Per-class decision values of a `train_multiclass` model, one column
+    per class."""
+    models = [SmoSolution(*row) for row in zip(*model)]
+    return np.column_stack([decision_values(m, k_test_train) for m in models])
 
 
-def predict_labels(model: MulticlassModel, k_test_train) -> list[str]:
+def predict_labels(model: SmoSolution, k_test_train, class_set) -> list[str]:
+    """Arg-max class of each test row; `class_set` is the model's class order."""
     scores = predict_scores(model, k_test_train)
-    return [model.classes[i] for i in np.argmax(scores, axis=1)]
+    return [class_set[i] for i in np.argmax(scores, axis=1)]

@@ -1,15 +1,18 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import netresp
 from netresp._util import derive_seed
-from netresp.cli import load_run_config, main
+from netresp.cli import _load_features, load_run_config, main
 from netresp.datamodel import read_matrix, write_matrix
+from netresp.kernels import PabsKernelParams, apply_spectrum_fix, build_kernel_matrix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,6 +53,18 @@ def pipeline_dir(tmp_path_factory):
     )
     assert main(["report", "--config", str(config), "--out", str(out)]) == 0
     return config, out
+
+
+def _run_dir(tmp_path, out, linked=(), copied=()):
+    """A fresh run directory that links the pipeline's `linked` stage
+    directories and holds copies of its `copied` ones."""
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in linked:
+        (run / name).symlink_to(out / name)
+    for name in copied:
+        shutil.copytree(out / name, run / name)
+    return run
 
 
 class TestPipeline:
@@ -129,6 +144,28 @@ class TestPipeline:
         doc = json.loads((out / "kernel" / "subjects.json").read_text())
         assert k.shape == (20, 20)
         assert len(doc["subject_ids"]) == 20
+
+    def test_clip_default_on_dumped_kernel(self, pipeline_dir, tmp_path):
+        # build_kernel_matrix gives the raw kernel; the dump carries the
+        # configured spectrum fix, clip by default
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("features",))
+        args = ["kernel", "--config", str(config), "--out", str(run), "--features", "sm+fnc"]
+        assert main(args + ["--selection", "fixed:0,1,2"]) == 0
+        k = read_matrix(run / "kernel" / "kernel.msmx")
+        assert np.linalg.eigvalsh(k).min() >= -1e-8
+        features = _load_features(run, need_fnc=True)[0]
+        raw = build_kernel_matrix(features, [0, 1, 2], PabsKernelParams(), use_fnc=True).values
+        assert np.array_equal(k, apply_spectrum_fix(raw, PabsKernelParams()))
+
+    def test_fixed_selection_replaces_stale_trace(self, pipeline_dir, tmp_path):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("dataset", "features"), copied=("selection",))
+        assert len((run / "selection" / "trace.csv").read_text().splitlines()) > 1
+        args = ["select", "--config", str(config), "--out", str(run), "--selection", "fixed:2,3"]
+        assert main(args) == 0
+        assert (run / "selection" / "trace.csv").read_text() == "stage,candidate,score,kept\n"
+        assert json.loads((run / "selection" / "result.json").read_text())["best_set"] == [2, 3]
 
     def test_evaluate_with_fixed_selection(self, pipeline_dir, tmp_path):
         config, out = pipeline_dir
@@ -321,6 +358,60 @@ class TestExitCodes:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["select", "evaluate", "kernel"])
+    def test_duplicate_fixed_selection_exits_2(self, pipeline_dir, tmp_path, capsys, command):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("features",))
+        capsys.readouterr()
+        rc = main([command, "--config", str(config), "--out", str(run), "--selection", "fixed:1,1"])
+        assert rc == 2
+        assert "repeats a component" in capsys.readouterr().err
+        assert not (run / "selection" / "result.json").exists()
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    def test_errors_name_the_subject_id(self, pipeline_dir, tmp_path, capsys, command):
+        # with AD left out, the third kept subject is not s0002; its maps,
+        # all copies of one map, make every two-component set rank-deficient
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, copied=("features",))
+        doc = json.loads((run / "features" / "features.json").read_text())
+        entry = [e for e in doc["subjects"] if e["label"] in ("MS", "NR")][2]
+        assert entry["id"] != "s0002"
+        sm = run / "features" / entry["sm"]
+        maps = read_matrix(sm)
+        write_matrix(np.repeat(maps[:1], maps.shape[0], axis=0), sm)
+        evaluation = dict(TINY_CONFIG["evaluation"], class_set=["MS", "NR"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, evaluation=evaluation)))
+        selection = "ssfs" if command == "select" else "fixed:0,1"
+        capsys.readouterr()
+        rc = main([command, "--config", str(config), "--out", str(run), "--selection", selection])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"subject {entry['id']}, components" in err
+
+    def test_malformed_features_json_exits_1(self, tmp_path, capsys):
+        feat_dir = tmp_path / "run" / "features"
+        feat_dir.mkdir(parents=True)
+        entry = {"id": "s0000", "label": "AD", "tc": "s0000.tc.msmx"}  # no "sm"
+        (feat_dir / "features.json").write_text(
+            json.dumps({"subjects": [entry], "class_set": ["AD"], "domains": ["D0"]})
+        )
+        capsys.readouterr()
+        assert main(["select", "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "features.json" in err and "'sm'" in err
+
+    def test_result_json_without_best_set_exits_1(self, pipeline_dir, tmp_path, capsys):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("features",))
+        (run / "selection").mkdir()
+        (run / "selection" / "result.json").write_text(json.dumps({"mode": "ssfs"}))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "result.json" in err and "'best_set'" in err
 
     def test_invalid_features_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -19,7 +19,7 @@ from netresp.evaluation import (
 )
 from netresp.fnc import compute_fnc
 from netresp.kernels import SPECTRUM_FIXES, PabsKernelParams
-from netresp.svm import SvmConfig, SvmModel, check_kkt
+from netresp.svm import SmoSolution, SvmConfig, check_kkt
 from netresp.synth import SynthConfig, generate_cohort
 from oracles import ap_step_oracle, cv_rows_per_cell, worst_case_ap
 
@@ -344,7 +344,7 @@ class TestRunExperiment:
         from netresp.kernels import build_kernel_matrix
 
         feats, labels = _planted_features({"AD": 4, "MS": 4, "NR": 4}, seed=6)
-        params = PabsKernelParams(spectrum_fix="none")
+        params = PabsKernelParams()
         full = build_kernel_matrix(feats, [0, 1], params).values
         keep = list(range(len(feats)))
         keep.remove(5)
@@ -408,13 +408,12 @@ class TestSolverConvergence:
 
         def recorded(kernels, cells, y, cfg, *args, **kwargs):
             sol = original(kernels, cells, y, cfg, *args, **kwargs)
-            for b, (cell, y_row) in enumerate(zip(cells, y)):
-                m = int(np.count_nonzero(y_row))
-                model = SvmModel(
-                    alphas=sol.alphas[b, :m], bias=float(sol.bias[b]), support_indices=(),
-                    train_labels=y_row[:m], box=sol.box[b, :m], converged=bool(sol.converged[b]),
+            for b, cell in enumerate(cells):
+                m = int(np.count_nonzero(sol.y[b]))
+                model = SmoSolution(
+                    sol.alphas[b, :m], sol.y[b, :m], sol.bias[b], sol.converged[b], sol.box[b, :m]
                 )
-                solves.append((kernels[cell, :m, :m], y_row[:m], cfg, model))
+                solves.append((kernels[cell, :m, :m], cfg, model))
             return sol
 
         monkeypatch.setattr(evaluation, "solve_smo_arrays", recorded)
@@ -423,9 +422,9 @@ class TestSolverConvergence:
         for selected in ([0, 2], [1, 3], [0, 1, 2, 3]):
             run_experiment(feats, dataset.labels(), selected, params, SvmConfig(), cfg, use_fnc=True)
         assert len(solves) == 3 * 3 * 2 * 3
-        for k_train, y, cfg, model in solves:
+        for k_train, cfg, model in solves:
             assert model.converged
-            assert check_kkt(model, k_train, y, cfg).max_violation <= cfg.smo_tol + 1e-9
+            assert check_kkt(model, k_train).max() <= cfg.smo_tol + 1e-9
 
 
 def _cv_case(n_per_class, seed, folds, repeats, effect=2.0):

@@ -77,7 +77,7 @@ def _pabs_sum(maps_a, maps_b):
     returns the sum to a few ulps.
     """
     gamma = 1e-3
-    k = _pair_kernel(maps_a, maps_b, PabsKernelParams(gamma=gamma, spectrum_fix="none"))
+    k = _pair_kernel(maps_a, maps_b, PabsKernelParams(gamma=gamma))
     return float(np.arctanh(k) / gamma)
 
 
@@ -98,7 +98,7 @@ def _fnc_subjects(*zvecs):
 def _fnc_pair_kernel(za, zb, fnc_gamma=1.0):
     """K[0, 1] of the FNC kernel alone (combine_weight 0) for two subjects."""
     feats = _fnc_subjects(za, zb)
-    params = PabsKernelParams(fnc_gamma=fnc_gamma, combine_weight=0.0, spectrum_fix="none")
+    params = PabsKernelParams(fnc_gamma=fnc_gamma, combine_weight=0.0)
     selected = range(feats[0].n_components)
     return build_kernel_matrix(feats, selected, params, use_fnc=True).values[0, 1]
 
@@ -141,18 +141,18 @@ class TestPabsKernel:
     def test_orthogonal_gives_zero(self):
         e1 = np.eye(3)[:, :1]
         e2 = np.eye(3)[:, 1:2]
-        assert _pair_kernel(e1.T, e2.T, PabsKernelParams(spectrum_fix="none")) == 0.0
+        assert _pair_kernel(e1.T, e2.T, PabsKernelParams()) == 0.0
 
     def test_identical_seven_dim_basis(self):
         basis = _basis(7, 200, 4)
-        k = _pair_kernel(basis.T, basis.T, PabsKernelParams(gamma=1.0, spectrum_fix="none"))
+        k = _pair_kernel(basis.T, basis.T, PabsKernelParams(gamma=1.0))
         assert abs(k - np.tanh(7.0)) < 1e-12
         assert abs(k - 0.9999983369439447) < 1e-9
 
     def test_composed_value(self):
         a = np.eye(3)[:, :2]
         b = np.column_stack([np.eye(3)[:, 0], (np.eye(3)[:, 1] + np.eye(3)[:, 2]) / np.sqrt(2)])
-        k = _pair_kernel(a.T, b.T, PabsKernelParams(gamma=1.0, spectrum_fix="none"))
+        k = _pair_kernel(a.T, b.T, PabsKernelParams(gamma=1.0))
         assert abs(k - np.tanh(pabs_sum_via_gram(a, b))) < 1e-12
         assert abs(k - 0.936291606665037) < 1e-9
 
@@ -160,7 +160,7 @@ class TestPabsKernel:
         a = _basis(3, 50, 5)
         b = _basis(3, 50, 6)
         ks = [
-            _pair_kernel(a.T, b.T, PabsKernelParams(gamma=g, spectrum_fix="none"))
+            _pair_kernel(a.T, b.T, PabsKernelParams(gamma=g))
             for g in (0.5, 1.0, 2.0)
         ]
         assert ks[0] < ks[1] < ks[2]
@@ -198,7 +198,7 @@ def _features(n, k=6, v=120, seed=0, with_fnc=False):
 class TestBuildKernelMatrix:
     def test_single_subject_diagonal(self):
         feats = _features(1, k=6)
-        params = PabsKernelParams(spectrum_fix="none")
+        params = PabsKernelParams()
         km = build_kernel_matrix(feats, [0, 2, 4], params)
         assert km.values.shape == (1, 1)
         assert abs(km.values[0, 0] - np.tanh(3.0)) < 1e-12
@@ -206,7 +206,7 @@ class TestBuildKernelMatrix:
     def test_cloned_subject_rows_match(self):
         feats = _features(3, seed=1)
         feats.append(feats[1])
-        params = PabsKernelParams(spectrum_fix="none")
+        params = PabsKernelParams()
         km = build_kernel_matrix(feats, [0, 1, 2], params).values
         np.testing.assert_allclose(km[1], km[3], atol=1e-12)
         assert abs(km[1, 3] - km[1, 1]) < 1e-12
@@ -214,7 +214,7 @@ class TestBuildKernelMatrix:
     def test_matches_pairwise_brute_force(self):
         feats = _features(5, seed=2)
         selected = [1, 3, 5]
-        params = PabsKernelParams(spectrum_fix="none")
+        params = PabsKernelParams()
         km = build_kernel_matrix(feats, selected, params).values
         bases = [orthonormalize(f.spatial_maps[selected, :]) for f in feats]
         for i in range(5):
@@ -224,13 +224,13 @@ class TestBuildKernelMatrix:
 
     def test_exact_symmetry(self):
         feats = _features(6, seed=3)
-        km = build_kernel_matrix(feats, [0, 1], PabsKernelParams(spectrum_fix="none")).values
+        km = build_kernel_matrix(feats, [0, 1], PabsKernelParams()).values
         assert np.array_equal(km, km.T)
 
     def test_scale_invariance_of_subject_rows(self):
         feats = _features(4, seed=4)
         selected = [0, 2]
-        params = PabsKernelParams(spectrum_fix="none")
+        params = PabsKernelParams()
         base = build_kernel_matrix(feats, selected, params).values
         scaled_maps = feats[1].spatial_maps.copy()
         scaled_maps[selected, :] *= -3.7
@@ -243,16 +243,16 @@ class TestBuildKernelMatrix:
 
     def test_entries_in_range(self):
         feats = _features(5, seed=5)
-        km = build_kernel_matrix(feats, [0, 1, 2], PabsKernelParams(spectrum_fix="none")).values
+        km = build_kernel_matrix(feats, [0, 1, 2], PabsKernelParams()).values
         assert km.min() >= 0.0
         assert km.max() <= np.tanh(3.0) + 1e-12
 
     def test_combined_kernel_matches_manual_blend(self):
         feats = _features(4, seed=6, with_fnc=True)
         selected = [1, 2, 4]
-        params = PabsKernelParams(spectrum_fix="none", combine_weight=0.3)
+        params = PabsKernelParams(combine_weight=0.3)
         km = build_kernel_matrix(feats, selected, params, use_fnc=True).values
-        sm_only = build_kernel_matrix(feats, selected, PabsKernelParams(spectrum_fix="none")).values
+        sm_only = build_kernel_matrix(feats, selected, PabsKernelParams()).values
         vecs = [fisher_z(f.fnc[np.ix_(selected, selected)]) for f in feats]
         for i in range(4):
             for j in range(4):
@@ -261,7 +261,7 @@ class TestBuildKernelMatrix:
 
     def test_single_component_with_fnc_falls_back_to_maps(self):
         feats = _features(3, seed=7, with_fnc=True)
-        params = PabsKernelParams(spectrum_fix="none")
+        params = PabsKernelParams()
         with_flag = build_kernel_matrix(feats, [2], params, use_fnc=True).values
         without = build_kernel_matrix(feats, [2], params, use_fnc=False).values
         assert np.array_equal(with_flag, without)
@@ -293,7 +293,7 @@ class TestBuildKernelMatrix:
             feats.append(_subject(maps))
         selected = [0, 1, 2]
         assert min(np.linalg.cond(f.spatial_maps[selected]) for f in feats) >= 1e4
-        params = PabsKernelParams(gamma=0.1, spectrum_fix="none")
+        params = PabsKernelParams(gamma=0.1)
         expected = pairwise_kernel_matrix(feats, selected, params)
         assert np.abs(build_kernel_matrix(feats, selected, params).values - expected).max() <= 1e-12
 
@@ -301,7 +301,7 @@ class TestBuildKernelMatrix:
     def test_factors_over_larger_set_match_own_build(self, use_fnc):
         feats = _features(9, seed=18, with_fnc=True)
         factors = subspace_factors(feats, [5, 3, 1, 0, 2, 4])
-        params = PabsKernelParams(gamma=0.7, spectrum_fix="none")
+        params = PabsKernelParams(gamma=0.7)
         for selected in ([4], [2, 5], [3, 0, 1]):
             sliced = build_kernel_matrix(feats, selected, params, use_fnc=use_fnc, factors=factors)
             own = build_kernel_matrix(feats, selected, params, use_fnc=use_fnc)
@@ -326,7 +326,7 @@ class TestBuildKernelMatrix:
     def test_matches_oracle_loop(self, m, use_fnc):
         feats = _features(9, seed=14, with_fnc=True)
         selected = [5, 0, 3][:m]
-        params = PabsKernelParams(gamma=0.7, fnc_gamma=1.4, combine_weight=0.4, spectrum_fix="none")
+        params = PabsKernelParams(gamma=0.7, fnc_gamma=1.4, combine_weight=0.4)
         km = build_kernel_matrix(feats, selected, params, use_fnc=use_fnc).values
         expected = pairwise_kernel_matrix(feats, selected, params, use_fnc=use_fnc)
         assert np.abs(km - expected).max() <= 1e-12
@@ -379,11 +379,6 @@ class TestSpectrumFix:
         m = rng.standard_normal((4, 4))
         m = (m + m.T) / 2
         assert np.array_equal(apply_spectrum_fix(m, PabsKernelParams(spectrum_fix="none")), m)
-
-    def test_clip_default_on_built_kernel(self):
-        feats = _features(6, seed=12, with_fnc=True)
-        km = build_kernel_matrix(feats, [0, 1, 2], PabsKernelParams(), use_fnc=True)
-        assert np.linalg.eigvalsh(km.values).min() >= -1e-8
 
 
 class TestKernelMatrixType:

@@ -11,7 +11,7 @@ from netresp.svm import (
     predict_labels,
     predict_scores,
     solve_binary_smo,
-    solve_smo_batch,
+    solve_smo_arrays,
     train_multiclass,
 )
 from netresp.kernels import SPECTRUM_FIXES, PabsKernelParams, apply_spectrum_fix
@@ -37,7 +37,7 @@ class TestBinarySmo:
         # dual optimum alpha = (1/2, 1/2), interior, bias 0
         np.testing.assert_allclose(model.alphas, [0.5, 0.5], atol=1e-6)
         assert abs(model.bias) < 1e-9
-        assert model.support_indices == (0, 1)
+        assert np.flatnonzero(model.alphas > 0).tolist() == [0, 1]
         f = decision_values(model, kernel)
         np.testing.assert_allclose(f, [-1.0, 1.0], atol=1e-6)
 
@@ -58,7 +58,7 @@ class TestBinarySmo:
             w_smo = dual_objective(model.alphas, kernel, y)
             w_pg = dual_value(oracle, kernel, y)
             assert abs(w_smo - w_pg) < 1e-3, f"seed {seed}: {w_smo} vs {w_pg}"
-            assert check_kkt(model, kernel, y, cfg).max_violation <= cfg.smo_tol + 1e-9
+            assert check_kkt(model, kernel).max() <= cfg.smo_tol + 1e-9
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
@@ -102,13 +102,16 @@ class TestBatchedSmo:
             problems.append((k, ys))
         stack, cells, rows = _padded_batch(problems)
         cfg = SvmConfig(C=5.0)
-        batch = solve_smo_batch(stack, cells, rows, cfg)
+        batch = solve_smo_arrays(stack, cells, rows, cfg)
         solo = [solve_binary_smo(k, y, cfg) for k, ys in problems for y in ys]
-        assert len(batch) == len(solo) == 36
-        for b, s in zip(batch, solo):
-            assert np.array_equal(b.alphas, s.alphas)
-            assert b.bias == s.bias
-            assert b.converged == s.converged
+        assert batch.alphas.shape[0] == len(solo) == 36
+        for b, s in enumerate(solo):
+            m = s.alphas.size
+            assert np.array_equal(batch.alphas[b, :m], s.alphas)
+            assert not batch.alphas[b, m:].any()
+            assert np.array_equal(batch.y[b, :m], s.y)
+            assert batch.bias[b] == s.bias
+            assert batch.converged[b] == s.converged
 
     def test_step_cap_matches_serial_rule(self):
         # at most max_passes * n pair updates, then no further convergence
@@ -127,23 +130,22 @@ class TestBatchedSmo:
             updates_needed.append(steps - n if done else None)
         assert 0 in updates_needed and -1 in updates_needed
         stack, cells, rows = _padded_batch(problems)
-        batch = solve_smo_batch(stack, cells, rows, cfg)
-        for (k, [y]), model in zip(problems, batch):
+        batch = solve_smo_arrays(stack, cells, rows, cfg)
+        for b, (k, [y]) in enumerate(problems):
             alphas, converged, _ = smo_serial(k, y, per_sample_c(y, cfg), cfg.smo_tol, y.size)
-            assert model.converged == converged
-            assert np.array_equal(model.alphas, alphas)
-        flags = [m.converged for m in batch]
-        assert flags[updates_needed.index(0)] is False
-        assert flags[updates_needed.index(-1)] is True
+            assert batch.converged[b] == converged
+            assert np.array_equal(batch.alphas[b, : y.size], alphas)
+        assert not batch.converged[updates_needed.index(0)]
+        assert batch.converged[updates_needed.index(-1)]
 
     def test_malformed_batches_rejected(self):
         k = np.eye(3)[None]
         with pytest.raises(ValueError, match="padding"):
-            solve_smo_batch(k, [0], [[1.0, 0.0, -1.0]], SvmConfig())
+            solve_smo_arrays(k, [0], [[1.0, 0.0, -1.0]], SvmConfig())
         with pytest.raises(SingleClassError):
-            solve_smo_batch(k, [0], [[1.0, 1.0, 0.0]], SvmConfig())
+            solve_smo_arrays(k, [0], [[1.0, 1.0, 0.0]], SvmConfig())
         with pytest.raises(ValueError, match="do not match"):
-            solve_smo_batch(k, [0, 0], [[1.0, -1.0, 1.0]], SvmConfig())
+            solve_smo_arrays(k, [0, 0], [[1.0, -1.0, 1.0]], SvmConfig())
 
 
 class TestDecisionValues:
@@ -159,14 +161,7 @@ class TestDecisionValues:
     def test_zero_model_outputs_bias(self):
         kernel, y = _random_psd_problem(8)
         model = solve_binary_smo(kernel, y, SvmConfig())
-        zeroed = type(model)(
-            alphas=np.zeros_like(model.alphas),
-            bias=0.37,
-            support_indices=(),
-            train_labels=model.train_labels,
-            box=model.box,
-            converged=True,
-        )
+        zeroed = model._replace(alphas=np.zeros_like(model.alphas), bias=0.37)
         np.testing.assert_allclose(decision_values(zeroed, kernel), 0.37)
 
     def test_column_mismatch(self):
@@ -194,7 +189,7 @@ class TestKkt:
         kernel, y = _random_psd_problem(11)
         cfg = SvmConfig(smo_tol=1e-3)
         model = solve_binary_smo(kernel, y, cfg)
-        assert check_kkt(model, kernel, y, cfg).max_violation <= cfg.smo_tol + 1e-9
+        assert check_kkt(model, kernel).max() <= cfg.smo_tol + 1e-9
 
     def test_untrained_model_violates_on_separable_data(self):
         x = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -202,31 +197,24 @@ class TestKkt:
         y = np.array([-1.0, -1.0, 1.0, 1.0])
         cfg = SvmConfig()
         trained = solve_binary_smo(kernel, y, cfg)
-        blank = type(trained)(
-            alphas=np.zeros(4),
-            bias=0.0,
-            support_indices=(),
-            train_labels=y.astype(np.int64),
-            box=trained.box,
-            converged=False,
-        )
-        assert check_kkt(blank, kernel, y, cfg).max_violation > 0.5
+        blank = trained._replace(alphas=np.zeros(4), bias=0.0, converged=False)
+        assert check_kkt(blank, kernel).max() > 0.5
 
     def test_matches_independent_recomputation(self):
         kernel, y = _random_psd_problem(12)
         cfg = SvmConfig()
         model = solve_binary_smo(kernel, y, cfg)
-        report = check_kkt(model, kernel, y, cfg)
+        violations = check_kkt(model, kernel)
         # recompute violations point by point from the margin definition
         f = kernel @ (model.alphas * y) + model.bias
-        worst = 0.0
         for i in range(y.size):
             margin = y[i] * f[i]
+            worst = 0.0
             if model.alphas[i] < model.box[i]:
                 worst = max(worst, 1.0 - margin)
             if model.alphas[i] > 0:
                 worst = max(worst, margin - 1.0)
-        assert abs(report.max_violation - max(worst, 0.0)) < 1e-12
+            assert abs(violations[i] - worst) < 1e-12
 
     def test_bias_is_midpoint_of_kkt_bounds(self):
         # reference: the per-point loop over the one-sided bounds on b
@@ -249,20 +237,33 @@ class TestKkt:
         assert abs(model.bias - (lower + upper) / 2.0) <= 1e-12
 
 
+def _solves_at_step_caps(kernel, y):
+    """Solutions at the step caps max_passes = 1, 2, ... up to the first
+    converged one (test_step_cap_matches_serial_rule ties each cap to the
+    serial update sequence)."""
+    solutions = []
+    for cap in range(1, 51):
+        solutions.append(solve_binary_smo(kernel, y, SvmConfig(max_passes=cap)))
+        if solutions[-1].converged:
+            return solutions
+    raise AssertionError("not converged within 50 passes")
+
+
 class TestSolverInvariants:
-    def test_feasible_at_every_accepted_step(self):
+    def test_feasible_at_every_step_cap(self):
         kernel, y = _random_psd_problem(13)
-        model = solve_binary_smo(kernel, y, SvmConfig(), collect_stats=True)
-        assert model.stats is not None and len(model.stats.objective) > 0
-        assert max(model.stats.equality_gap) <= 1e-8
-        assert all(model.stats.box_ok)
-        assert abs(float(model.alphas @ y)) <= 1e-8
+        solutions = _solves_at_step_caps(kernel, y)
+        assert len(solutions) > 1
+        for sol in solutions:
+            assert abs(float(sol.alphas @ y)) <= 1e-8
+            assert np.all(sol.alphas >= 0) and np.all(sol.alphas <= sol.box)
 
     def test_objective_non_decreasing_on_psd(self):
-        for seed in (14, 15, 16):
+        for seed in (13, 14, 15, 16):
             kernel, y = _random_psd_problem(seed)
-            model = solve_binary_smo(kernel, y, SvmConfig(), collect_stats=True)
-            obj = np.array(model.stats.objective)
+            solutions = _solves_at_step_caps(kernel, y)
+            obj = [0.0] + [dual_objective(s.alphas, kernel, y) for s in solutions]
+            assert len(obj) > 2
             assert np.all(np.diff(obj) >= -1e-9)
 
     def test_label_symmetry(self):
@@ -308,7 +309,7 @@ class TestMulticlass:
         labels = [c for c in "ABC" for _ in range(8)]
         kernel = points @ points.T
         model = train_multiclass(kernel, labels, ("A", "B", "C"), SvmConfig(C=10.0))
-        preds = predict_labels(model, kernel)
+        preds = predict_labels(model, kernel, ("A", "B", "C"))
         assert preds == labels
 
     def test_absent_class_rejected(self):
