@@ -21,14 +21,13 @@ from .evaluation import (
     run_experiment,
     stratified_kfold,
 )
-from .fnc import compute_fnc, detrend, fisher_z, pearson_corr
+from .fnc import compute_fnc, detrend, fisher_z
 from .kernels import (
     KernelMatrix,
     PabsKernelParams,
     SubspaceFactors,
     apply_spectrum_fix,
     build_kernel_matrix,
-    orthonormalize,
     subspace_factors,
 )
 from .scica import (
@@ -43,7 +42,6 @@ from .selection import SelectionResult, SsfsConfig, score_feature_set, ssfs
 from .svm import (
     SmoSolution,
     SvmConfig,
-    check_kkt,
     decision_values,
     predict_labels,
     predict_scores,
@@ -76,7 +74,6 @@ __all__ = [
     "apply_spectrum_fix",
     "average_precision",
     "build_kernel_matrix",
-    "check_kkt",
     "compute_fnc",
     "constrained_unit_update",
     "decision_values",
@@ -89,8 +86,6 @@ __all__ = [
     "generate_template",
     "load_dataset",
     "macro_pr_auc",
-    "orthonormalize",
-    "pearson_corr",
     "permutation_baseline",
     "predict_labels",
     "predict_scores",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -16,16 +17,27 @@ def derive_seed(master: int, *keys) -> int:
     return int.from_bytes(hashlib.sha256(text).digest()[:8], "little")
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map `fn` over `items`, optionally with a thread pool.
+def parallel_imap(fn, items, threads: int = 1):
+    """Lazily map `fn` over `items`, optionally with a thread pool.
 
-    Results are gathered in input order, so output is independent of the
-    worker count; `fn` must be pure.
+    Results are yielded in input order, so output is independent of the
+    worker count; `fn` must be pure. At most `threads` items are in flight,
+    the one handed to the caller included: a call is submitted only when
+    the caller asks for its next result.
     """
-    items = list(items)
-    if threads is None:
-        threads = 1
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+    if threads is None or threads <= 1:
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        pending: deque = deque()
+        for x in items:
+            if len(pending) == threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, x))
+        while pending:
+            yield pending.popleft().result()
+
+
+def parallel_map(fn, items, threads: int = 1) -> list:
+    """:func:`parallel_imap` gathered into a list."""
+    return list(parallel_imap(fn, items, threads))

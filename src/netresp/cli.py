@@ -16,15 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import derive_seed, parallel_map
+from ._util import derive_seed, parallel_imap
 from .datamodel import (
-    Dataset,
+    Manifest,
     ManifestError,
     SubjectFeatures,
-    load_dataset,
+    read_manifest,
     read_matrix,
-    write_dataset,
     write_matrix,
+    write_subjects,
 )
 from .evaluation import EvalConfig, EvalError, run_experiment
 from .fnc import compute_fnc
@@ -32,7 +32,12 @@ from .kernels import PabsKernelParams, apply_spectrum_fix, build_kernel_matrix
 from .scica import ScicaConfig, extract_subject
 from .selection import SelectionError, SelectionResult, SsfsConfig, ssfs
 from .svm import SvmConfig
-from .synth import SynthConfig, generate_cohort
+from .synth import SynthConfig, make_subject, plan_cohort
+
+# No stage calls these in-memory collectors; perfbench/tracing.py wraps them
+# by name here, so they stay bound (tests/test_traced_names.py)
+from .datamodel import load_dataset, write_dataset  # noqa: F401
+from .synth import generate_cohort  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -163,66 +168,71 @@ def _apply_template_preset(cfg: RunConfig) -> SynthConfig:
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     synth_cfg = _apply_template_preset(cfg)
-    dataset, truth = generate_cohort(synth_cfg, threads=cfg.threads)
+    plan = plan_cohort(synth_cfg)
     dataset_dir = out_dir / "dataset"
-    write_dataset(dataset, dataset_dir)
+    subjects = parallel_imap(
+        lambda i: make_subject(plan, i)[0], range(len(plan.labels)), cfg.threads
+    )
+    manifest_path = write_subjects(plan.template, plan.class_set, subjects, dataset_dir)
     truth_doc = {
-        "informative_indices": list(truth.informative_indices),
-        "class_set": list(dataset.class_set),
-        "counts": {c: sum(1 for s in dataset.subjects if s.label == c) for c in dataset.class_set},
+        "informative_indices": list(plan.informative_indices),
+        "class_set": list(plan.class_set),
+        "counts": {c: plan.labels.count(c) for c in plan.class_set},
         "seed": synth_cfg.seed,
     }
     (dataset_dir / "ground_truth.json").write_text(json.dumps(truth_doc, indent=2) + "\n")
-    n = dataset.n_subjects
     print(
-        f"simulated {n} subjects, {dataset.template.n_components} components, "
-        f"{dataset.template.n_voxels} voxels -> {dataset_dir / 'manifest.json'}"
+        f"simulated {len(plan.labels)} subjects, {plan.template.n_components} components, "
+        f"{plan.template.n_voxels} voxels -> {manifest_path}"
     )
     return 0
 
 
-def _load_dataset_for(cfg: RunConfig, out_dir: Path) -> Dataset:
+def _manifest_for(cfg: RunConfig, out_dir: Path) -> Manifest:
     manifest = out_dir / "dataset" / "manifest.json"
     if cfg.template not in ("default", "n53", "n105"):
         # external dataset directory or manifest path
         p = Path(cfg.template)
         manifest = p / "manifest.json" if p.is_dir() else p
-    return load_dataset(manifest)
+    return read_manifest(manifest)
 
 
 def cmd_extract(cfg: RunConfig, out_dir: Path) -> int:
-    dataset = _load_dataset_for(cfg, out_dir)
+    manifest = _manifest_for(cfg, out_dir)
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
+    doc_path = feat_dir / "features.json"
+    doc_path.unlink(missing_ok=True)
     seed = derive_seed(cfg.seed, "extract")
 
     def one(item):
         idx, subject = item
         return extract_subject(
-            subject.bold, dataset.template, cfg.scica, seed=derive_seed(seed, "subject", idx)
+            subject.bold, manifest.template, cfg.scica, seed=derive_seed(seed, "subject", idx)
         )
 
-    feats = parallel_map(one, list(enumerate(dataset.subjects)), cfg.threads)
     entries = []
-    for subject, f in zip(dataset.subjects, feats):
-        write_matrix(f.spatial_maps, feat_dir / f"{subject.id}.sm.msmx")
-        write_matrix(f.time_courses, feat_dir / f"{subject.id}.tc.msmx")
+    feats = parallel_imap(one, enumerate(manifest.subjects()), cfg.threads)
+    for subject, f in zip(manifest.entries, feats):
+        sid = subject["id"]
+        write_matrix(f.spatial_maps, feat_dir / f"{sid}.sm.msmx")
+        write_matrix(f.time_courses, feat_dir / f"{sid}.tc.msmx")
         entries.append(
             {
-                "id": subject.id,
-                "label": subject.label,
-                "group": subject.group,
-                "sm": f"{subject.id}.sm.msmx",
-                "tc": f"{subject.id}.tc.msmx",
+                "id": sid,
+                "label": subject["label"],
+                "group": subject["group"],
+                "sm": f"{sid}.sm.msmx",
+                "tc": f"{sid}.tc.msmx",
                 "converged": [bool(c) for c in f.converged],
             }
         )
     doc = {
         "subjects": entries,
-        "class_set": list(dataset.class_set),
-        "domains": list(dataset.template.domains),
+        "class_set": list(manifest.class_set),
+        "domains": list(manifest.template.domains),
     }
-    (feat_dir / "features.json").write_text(json.dumps(doc, indent=2) + "\n")
+    doc_path.write_text(json.dumps(doc, indent=2) + "\n")
     n_bad = sum(not all(e["converged"]) for e in entries)
     print(f"extracted {len(entries)} subjects ({n_bad} with non-converged components)")
     return 0
@@ -238,42 +248,58 @@ def _checked(doc, keys, where) -> dict:
     return doc
 
 
-def _load_features(out_dir: Path, need_fnc: bool):
-    feat_dir = out_dir / "features"
-    doc_path = feat_dir / "features.json"
-    if not doc_path.exists():
-        raise ManifestError(f"features not found: {doc_path} (run extract first)")
-    doc = _checked(json.loads(doc_path.read_text()), ("subjects", "domains"), doc_path)
-    features = []
-    labels = []
+def _read_json(path: Path, keys, stage: str) -> dict:
+    """The JSON object at `path` holding every key in `keys`; `stage` is the
+    one that writes it, named when the file is missing."""
+    if not path.exists():
+        raise ManifestError(f"not found: {path} (run {stage} first)")
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ManifestError(f"{path}: invalid JSON: {e}") from e
+    return _checked(doc, keys, path)
+
+
+def _features_doc(out_dir: Path) -> tuple[Path, dict]:
+    """features.json, with its subject entries checked; and its path."""
+    doc_path = out_dir / "features" / "features.json"
+    doc = _read_json(doc_path, ("subjects", "domains"), "extract")
     for n, entry in enumerate(doc["subjects"]):
         _checked(entry, ("id", "label", "sm", "tc"), f"{doc_path}: subject entry {n}")
-        sm = read_matrix(feat_dir / entry["sm"])
-        tc = read_matrix(feat_dir / entry["tc"])
-        fnc = None
-        if need_fnc:
-            if "fnc" not in entry:
-                raise ManifestError(
-                    f"subject {entry['id']}: FNC not computed (run fnc first)"
-                )
-            fnc = read_matrix(feat_dir / entry["fnc"])
-        features.append(
-            SubjectFeatures(spatial_maps=sm, time_courses=tc, fnc=fnc, subject_id=entry["id"])
-        )
-        labels.append(entry["label"])
-    return features, labels, doc
+    return doc_path, doc
+
+
+def _read_features(feat_dir: Path, entry: dict, need_fnc: bool) -> SubjectFeatures:
+    """One subject's features, as listed by its features.json entry."""
+    fnc = None
+    if need_fnc:
+        if "fnc" not in entry:
+            raise ManifestError(f"subject {entry['id']}: FNC not computed (run fnc first)")
+        fnc = read_matrix(feat_dir / entry["fnc"])
+    return SubjectFeatures(
+        spatial_maps=read_matrix(feat_dir / entry["sm"]),
+        time_courses=read_matrix(feat_dir / entry["tc"]),
+        fnc=fnc,
+        subject_id=entry["id"],
+    )
+
+
+def _load_features(out_dir: Path, need_fnc: bool):
+    doc_path, doc = _features_doc(out_dir)
+    features = [_read_features(doc_path.parent, e, need_fnc) for e in doc["subjects"]]
+    return features, [e["label"] for e in doc["subjects"]], doc
 
 
 def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
-    feat_dir = out_dir / "features"
-    features, _, doc = _load_features(out_dir, need_fnc=False)
-    for entry, f in zip(doc["subjects"], features):
-        fnc = compute_fnc(f.time_courses)
+    doc_path, doc = _features_doc(out_dir)
+    doc_path.unlink()
+    for entry in doc["subjects"]:
+        f = _read_features(doc_path.parent, entry, need_fnc=False)
         name = f"{entry['id']}.fnc.msmx"
-        write_matrix(fnc, feat_dir / name)
+        write_matrix(compute_fnc(f.time_courses), doc_path.parent / name)
         entry["fnc"] = name
-    (feat_dir / "features.json").write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"computed FNC matrices for {len(features)} subjects")
+    doc_path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"computed FNC matrices for {len(doc['subjects'])} subjects")
     return 0
 
 
@@ -308,6 +334,10 @@ def _parse_fixed(mode: str, n_components: int) -> list[int]:
 def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
     use_fnc = cfg.features == "sm+fnc"
     features, labels, doc, class_set = _load_class_features(cfg, out_dir)
+    truth_path = out_dir / "dataset" / "ground_truth.json"
+    truth = None
+    if truth_path.exists():
+        truth = _read_json(truth_path, ("informative_indices",), "simulate")
     sel_dir = out_dir / "selection"
     sel_dir.mkdir(parents=True, exist_ok=True)
 
@@ -348,9 +378,8 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
     (sel_dir / "result.json").write_text(json.dumps(out, indent=2) + "\n")
     (sel_dir / "trace.csv").write_text(result.trace_csv())  # header only for a fixed set
     meta: dict = {"top_ties": result.top_ties()}
-    truth_path = out_dir / "dataset" / "ground_truth.json"
-    if truth_path.exists():
-        planted = json.loads(truth_path.read_text())["informative_indices"]
+    if truth is not None:
+        planted = truth["informative_indices"]
         hits = len(set(planted) & set(result.best_set))
         meta["informative_indices"] = planted
         meta["recall"] = hits / len(planted) if planted else None
@@ -368,10 +397,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
         selected = _parse_fixed(cfg.selection_mode, features[0].n_components)
     else:
         result_path = out_dir / "selection" / "result.json"
-        if not result_path.exists():
-            raise ManifestError(f"selection result not found: {result_path} (run select first)")
-        result = _checked(json.loads(result_path.read_text()), ("best_set",), result_path)
-        selected = result["best_set"]
+        selected = _read_json(result_path, ("best_set",), "select")["best_set"]
 
     eval_cfg = dataclasses.replace(cfg.evaluation, class_set=class_set)
     report = run_experiment(

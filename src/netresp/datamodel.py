@@ -164,6 +164,26 @@ class Subject:
         return self.bold.shape[1]
 
 
+def _checked_subjects(template: Template, class_set: tuple, subjects, error=ValueError):
+    """Yield `subjects`, each checked against Dataset's invariants as it
+    arrives: ids unique, labels in `class_set`, the template's voxel count."""
+    if len(class_set) < 2:
+        raise error("class_set needs at least 2 classes")
+    if len(set(class_set)) != len(class_set):
+        raise error("class_set contains duplicates")
+    ids: set[str] = set()
+    v = template.n_voxels
+    for s in subjects:
+        if s.id in ids:
+            raise error(f"duplicate subject id: {s.id!r}")
+        if s.n_voxels != v:
+            raise error(f"subject {s.id}: {s.n_voxels} voxels, template has {v}")
+        if s.label not in class_set:
+            raise error(f"subject {s.id}: label {s.label!r} not in class_set")
+        ids.add(s.id)
+        yield s
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A template plus subjects sharing its voxel space."""
@@ -173,24 +193,9 @@ class Dataset:
     class_set: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "subjects", tuple(self.subjects))
         object.__setattr__(self, "class_set", tuple(self.class_set))
-        if len(self.class_set) < 2:
-            raise ValueError("class_set needs at least 2 classes")
-        if len(set(self.class_set)) != len(self.class_set):
-            raise ValueError("class_set contains duplicates")
-        ids = [s.id for s in self.subjects]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate subject ids: {dupes}")
-        v = self.template.n_voxels
-        for s in self.subjects:
-            if s.n_voxels != v:
-                raise ValueError(
-                    f"subject {s.id}: {s.n_voxels} voxels, template has {v}"
-                )
-            if s.label not in self.class_set:
-                raise ValueError(f"subject {s.id}: label {s.label!r} not in class_set")
+        subjects = tuple(_checked_subjects(self.template, self.class_set, self.subjects))
+        object.__setattr__(self, "subjects", subjects)
 
     @property
     def n_subjects(self) -> int:
@@ -262,12 +267,30 @@ _MANIFEST_OPTIONAL = {"component_ids", "scale_order"}
 _SUBJECT_KEYS = {"id", "bold", "label", "group"}
 
 
-def load_dataset(manifest_path) -> Dataset:
-    """Load and fully validate a dataset from a JSON manifest.
+@dataclass(frozen=True)
+class Manifest:
+    """A validated dataset manifest: template, class set and subject entries
+    ``{id, bold, label, group}``, `bold` resolved to an existing path."""
+
+    template: Template
+    class_set: tuple[str, ...]
+    entries: tuple[dict, ...]
+
+    def subjects(self):
+        """Yield each entry's Subject, reading its bold matrix only when the
+        subject is asked for, checked against Dataset's invariants."""
+        read = (Subject(**dict(e, bold=read_matrix(e["bold"]))) for e in self.entries)
+        return _checked_subjects(self.template, self.class_set, read, ManifestError)
+
+
+def read_manifest(manifest_path) -> Manifest:
+    """Load and validate a JSON dataset manifest, leaving bold matrices unread.
 
     The manifest lists the template matrix path, per-component domain tags,
     the class set and per-subject ``{id, bold, label, group}`` entries.
-    Paths are resolved relative to the manifest's directory.
+    Paths are resolved relative to the manifest's directory. The manifest's
+    structure, the template and the existence of every referenced file are
+    checked here; :meth:`Manifest.subjects` reads and checks the subjects.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -309,7 +332,7 @@ def load_dataset(manifest_path) -> Dataset:
         scale_order=manifest.get("scale_order"),
     )
 
-    subjects = []
+    entries = []
     for entry in manifest["subjects"]:
         if not isinstance(entry, dict):
             raise ManifestError("subject entries must be JSON objects")
@@ -319,49 +342,53 @@ def load_dataset(manifest_path) -> Dataset:
         miss = _SUBJECT_KEYS - set(entry)
         if miss:
             raise ManifestError(f"subject entry missing keys: {sorted(miss)}")
-        bold = read_matrix(_resolve(entry["bold"]))
-        subjects.append(
-            Subject(
-                id=str(entry["id"]),
-                bold=bold,
-                label=str(entry["label"]),
-                group=str(entry["group"]),
-            )
+        entries.append(
+            {k: _resolve(v) if k == "bold" else str(v) for k, v in entry.items()}
         )
-
-    try:
-        return Dataset(
-            template=template,
-            subjects=tuple(subjects),
-            class_set=tuple(str(c) for c in manifest["class_set"]),
-        )
-    except ValueError as e:
-        raise ManifestError(str(e)) from e
+    class_set = tuple(str(c) for c in manifest["class_set"])
+    return Manifest(template, class_set, tuple(entries))
 
 
-def write_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write `dataset` as manifest.json plus matrix containers under `out_dir`.
+def load_dataset(manifest_path) -> Dataset:
+    """Load and fully validate a dataset from a JSON manifest, every
+    subject's bold matrix in memory (see :func:`read_manifest`)."""
+    manifest = read_manifest(manifest_path)
+    return Dataset(manifest.template, tuple(manifest.subjects()), manifest.class_set)
 
-    Returns the manifest path. Output is byte-deterministic for equal inputs.
+
+def write_subjects(template: Template, class_set, subjects, out_dir) -> Path:
+    """Write a dataset as manifest.json plus matrix containers under `out_dir`,
+    taking `subjects` one at a time from any iterable.
+
+    Each subject is checked against Dataset's invariants as it arrives. Any
+    old manifest is removed before the first matrix is written, and the new
+    one is written last, so a failed write leaves no manifest. Returns the
+    manifest path. Output is byte-deterministic for equal inputs.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix(dataset.template.maps, out_dir / "template.msmx")
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
+    write_matrix(template.maps, out_dir / "template.msmx")
     manifest = {
         "template": "template.msmx",
-        "domains": list(dataset.template.domains),
-        "component_ids": list(dataset.template.component_ids),
-        "class_set": list(dataset.class_set),
+        "domains": list(template.domains),
+        "component_ids": list(template.component_ids),
+        "class_set": list(class_set),
         "subjects": [],
     }
-    if dataset.template.scale_order is not None:
-        manifest["scale_order"] = list(dataset.template.scale_order)
-    for s in dataset.subjects:
+    if template.scale_order is not None:
+        manifest["scale_order"] = list(template.scale_order)
+    for s in _checked_subjects(template, tuple(class_set), subjects):
         bold_name = f"{s.id}.bold.msmx"
         write_matrix(s.bold, out_dir / bold_name)
         manifest["subjects"].append(
             {"id": s.id, "bold": bold_name, "label": s.label, "group": s.group}
         )
-    manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest_path
+
+
+def write_dataset(dataset: Dataset, out_dir) -> Path:
+    """Write an in-memory `dataset` with :func:`write_subjects`."""
+    return write_subjects(dataset.template, dataset.class_set, dataset.subjects, out_dir)

@@ -32,24 +32,6 @@ def detrend(tc) -> np.ndarray:
     return centered - np.outer(x, slope)
 
 
-def pearson_corr(x, y) -> float:
-    """Sample Pearson correlation of two equal-length series."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"inputs must be equal-length vectors, got {x.shape}, {y.shape}")
-    if x.size < 2:
-        raise ValueError("correlation needs at least 2 samples")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = xc @ xc
-    vy = yc @ yc
-    if vx <= 0.0 or vy <= 0.0:
-        raise ZeroVarianceError("correlation undefined for zero-variance input")
-    r = (xc @ yc) / np.sqrt(vx * vy)
-    return float(min(1.0, max(-1.0, r)))
-
-
 def compute_fnc(tc) -> np.ndarray:
     """Pairwise Pearson correlations between detrended component time courses.
 

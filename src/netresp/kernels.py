@@ -100,18 +100,6 @@ def _rank_message(s: np.ndarray, rows: int) -> str:
     return f"map subset of {rows} rows has numerical rank {int((s > RCOND * s[0]).sum())}"
 
 
-def orthonormalize(maps_subset) -> np.ndarray:
-    """Column-orthonormal V x K basis spanning the rows of a K x V map subset.
-
-    Raises RankDeficiencyError when the rows are (numerically) dependent.
-    """
-    maps_subset = as_matrix(maps_subset, "map subset")
-    u, s, _ = np.linalg.svd(maps_subset.T, full_matrices=False)
-    if s[0] <= 0 or s[-1] <= RCOND * s[0]:
-        raise RankDeficiencyError(_rank_message(s, maps_subset.shape[0]))
-    return u
-
-
 def apply_spectrum_fix(matrix, params: PabsKernelParams) -> np.ndarray:
     """Repair an (indefinite) symmetric kernel according to params.spectrum_fix."""
     m = as_matrix(matrix, "kernel")

@@ -43,15 +43,6 @@ class SvmConfig:
             raise ValueError("max_passes must be at least 1")
 
 
-def dual_objective(alphas, k, y) -> float:
-    """Soft-margin dual objective: sum(a) - 0.5 a^T (yy^T * K) a."""
-    k = as_matrix(k, "kernel")
-    a = np.asarray(alphas, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    ay = a * y
-    return float(a.sum() - 0.5 * ay @ k @ ay)
-
-
 def per_sample_c(y, cfg: SvmConfig) -> np.ndarray:
     """Box constraint per sample; inverse class-frequency scaled when enabled.
 
@@ -249,20 +240,6 @@ def decision_values(model: SmoSolution, k_test_train) -> np.ndarray:
             f"test-train kernel has {k.shape[1]} columns, expected {model.alphas.size}"
         )
     return k @ (model.alphas * model.y) + model.bias
-
-
-def check_kkt(model: SmoSolution, k_train) -> np.ndarray:
-    """KKT violation of each training point of a single solved problem.
-
-    A point with alpha below its box bound must satisfy y f(x) >= 1 - v,
-    one with alpha above zero must satisfy y f(x) <= 1 + v; the result
-    gives the smallest v >= 0 per point.
-    """
-    margins = model.y * decision_values(model, k_train)
-    return np.maximum(
-        np.where(model.alphas < model.box, 1.0 - margins, 0.0),
-        np.where(model.alphas > 0, margins - 1.0, 0.0),
-    )
 
 
 def ovr_labels(labels, class_set) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import derive_seed, parallel_map
-from .datamodel import Dataset, Subject, SubjectFeatures, Template
+from .datamodel import Dataset, Subject, Template
 
 DOMAIN_TAGS_6 = ("VI", "CB", "TP", "SC", "SM", "HC")
 DOMAIN_TAGS_7 = ("SC", "AU", "SM", "VI", "CO", "DM", "CB")
@@ -193,15 +193,22 @@ def _class_fnc_target(cfg: SynthConfig, class_idx: int, informative) -> np.ndarr
     return (fixed + fixed.T) / 2.0
 
 
-def generate_cohort(cfg: SynthConfig, threads: int = 1) -> tuple[Dataset, GroundTruth]:
-    """Full synthetic dataset plus the ground truth that produced it.
+@dataclass(frozen=True)
+class CohortPlan:
+    """Cohort-level draws that every subject of a cohort shares."""
 
-    Per subject: true maps are the template plus a class-dependent pattern
-    on the informative components (expression strength spatial_effect with
-    relative per-subject spread spatial_scatter) plus subject noise, rows
-    re-z-scored; time courses are drawn with the class's correlation
-    structure; bold is TC @ maps plus Gaussian noise of scale noise_sigma.
-    """
+    cfg: SynthConfig
+    template: Template
+    class_set: tuple[str, ...]
+    labels: tuple[str, ...]  # one per subject, in subject order
+    informative_indices: tuple[int, ...]
+    class_spatial: dict[str, np.ndarray]
+    class_fnc: dict[str, np.ndarray]
+    class_chol: dict[str, np.ndarray]
+
+
+def plan_cohort(cfg: SynthConfig) -> CohortPlan:
+    """Template, labels, informative components and per-class signal."""
     template, _ = generate_template(cfg)
     rng = np.random.default_rng(derive_seed(cfg.seed, "cohort"))
     k, v = cfg.n_components, cfg.n_voxels
@@ -211,7 +218,6 @@ def generate_cohort(cfg: SynthConfig, threads: int = 1) -> tuple[Dataset, Ground
         for i in sorted(rng.choice(k, size=cfg.informative_components, replace=False))
     )
     counts = cfg.scaled_counts()
-    class_names = [c for c, _ in counts]
 
     class_spatial: dict[str, np.ndarray] = {}
     class_fnc: dict[str, np.ndarray] = {}
@@ -220,7 +226,7 @@ def generate_cohort(cfg: SynthConfig, threads: int = 1) -> tuple[Dataset, Ground
     lo = np.array([0.0, 0.0, 0.0])
     hi = np.asarray(cfg.grid, dtype=np.float64) - 1.0
     r_lo, r_hi = _blob_radius_range(cfg)
-    for ci, cls in enumerate(class_names):
+    for ci, (cls, _) in enumerate(counts):
         prng = np.random.default_rng(derive_seed(cfg.seed, "class-pattern", ci))
         patterns = np.zeros((len(informative), v))
         for p in range(len(informative)):
@@ -233,88 +239,61 @@ def generate_cohort(cfg: SynthConfig, threads: int = 1) -> tuple[Dataset, Ground
         class_fnc[cls] = target
         class_chol[cls] = np.linalg.cholesky(target)
 
-    labels = [cls for cls, n in counts for _ in range(n)]
-
-    def make_subject(args):
-        s_idx, cls = args
-        srng = np.random.default_rng(derive_seed(cfg.seed, "subject", s_idx))
-        maps = template.maps.copy()
-        patterns = class_spatial[cls]
-        for p, comp in enumerate(informative):
-            strength = cfg.spatial_effect * (
-                1.0 + cfg.spatial_scatter * srng.standard_normal()
-            )
-            maps[comp] = maps[comp] + strength * patterns[p]
-        maps = maps + cfg.map_noise * srng.standard_normal((k, v))
-        maps = _zscore_rows(maps)
-        tc = srng.standard_normal((cfg.timepoints, k)) @ class_chol[cls].T
-        bold = tc @ maps + cfg.noise_sigma * srng.standard_normal((cfg.timepoints, v))
-        subject = Subject(id=f"s{s_idx:04d}", bold=bold, label=cls, group=cls)
-        return subject, maps, tc
-
-    results = parallel_map(make_subject, list(enumerate(labels)), threads)
-    subjects = tuple(r[0] for r in results)
-    dataset = Dataset(template=template, subjects=subjects, class_set=tuple(class_names))
-    truth = GroundTruth(
-        planted_maps=template.maps,
-        subject_maps=tuple(r[1] for r in results),
-        planted_tcs=tuple(r[2] for r in results),
+    return CohortPlan(
+        cfg,
+        template,
+        class_set=tuple(cls for cls, _ in counts),
+        labels=tuple(cls for cls, n in counts for _ in range(n)),
         informative_indices=informative,
         class_spatial=class_spatial,
         class_fnc=class_fnc,
+        class_chol=class_chol,
+    )
+
+
+def make_subject(plan: CohortPlan, s_idx: int) -> tuple[Subject, np.ndarray, np.ndarray]:
+    """Subject `s_idx` of a planned cohort, with its true maps and time courses.
+
+    True maps are the template plus a class-dependent pattern on the
+    informative components (expression strength spatial_effect with
+    relative per-subject spread spatial_scatter) plus subject noise, rows
+    re-z-scored; time courses are drawn with the class's correlation
+    structure; bold is TC @ maps plus Gaussian noise of scale noise_sigma.
+    Each subject draws from its own seed, so subjects can be made in any
+    order.
+    """
+    cfg = plan.cfg
+    cls = plan.labels[s_idx]
+    srng = np.random.default_rng(derive_seed(cfg.seed, "subject", s_idx))
+    maps = plan.template.maps.copy()
+    patterns = plan.class_spatial[cls]
+    for p, comp in enumerate(plan.informative_indices):
+        strength = cfg.spatial_effect * (1.0 + cfg.spatial_scatter * srng.standard_normal())
+        maps[comp] = maps[comp] + strength * patterns[p]
+    maps = maps + cfg.map_noise * srng.standard_normal((cfg.n_components, cfg.n_voxels))
+    maps = _zscore_rows(maps)
+    tc = srng.standard_normal((cfg.timepoints, cfg.n_components)) @ plan.class_chol[cls].T
+    bold = tc @ maps + cfg.noise_sigma * srng.standard_normal((cfg.timepoints, cfg.n_voxels))
+    subject = Subject(id=f"s{s_idx:04d}", bold=bold, label=cls, group=cls)
+    return subject, maps, tc
+
+
+def generate_cohort(cfg: SynthConfig, threads: int = 1) -> tuple[Dataset, GroundTruth]:
+    """Full synthetic dataset plus the ground truth that produced it,
+    collected from :func:`make_subject` over every subject in memory."""
+    plan = plan_cohort(cfg)
+    results = parallel_map(lambda i: make_subject(plan, i), range(len(plan.labels)), threads)
+    dataset = Dataset(
+        template=plan.template,
+        subjects=tuple(r[0] for r in results),
+        class_set=plan.class_set,
+    )
+    truth = GroundTruth(
+        planted_maps=plan.template.maps,
+        subject_maps=tuple(r[1] for r in results),
+        planted_tcs=tuple(r[2] for r in results),
+        informative_indices=plan.informative_indices,
+        class_spatial=plan.class_spatial,
+        class_fnc=plan.class_fnc,
     )
     return dataset, truth
-
-
-def generate_interaction_cohort(
-    n_per_class: int = 32,
-    n_voxels: int = 400,
-    marginal_effect: float = 0.35,
-    marginal_scatter: float = 0.35,
-    pair_effect: float = 0.9,
-    map_noise: float = 0.25,
-    timepoints: int = 24,
-    seed: int = 0,
-) -> tuple[list[SubjectFeatures], list[str], dict]:
-    """Cohort where one component pair interacts but is marginally silent.
-
-    Two domains with two components each (A: 0, 1; B: 2, 3). Component 0
-    carries a weak direct class signal whose per-subject expression is
-    scattered (marginal_scatter), so it alone separates the classes only
-    partially. Components 1 and 3 share a pattern whose signs agree for one
-    class and disagree for the other, with the overall sign random per
-    subject: each is uninformative alone, while the pair determines the
-    class through the relative orientation of the two subspaces. Returns
-    ready-made features, labels and metadata.
-    """
-    rng = np.random.default_rng(derive_seed(seed, "interaction"))
-    k = 4
-    base = _zscore_rows(rng.standard_normal((k, n_voxels)))
-    weak_pattern = rng.standard_normal(n_voxels)
-    weak_pattern /= weak_pattern.std()
-    shared_pattern = rng.standard_normal(n_voxels)
-    shared_pattern /= shared_pattern.std()
-
-    features: list[SubjectFeatures] = []
-    labels: list[str] = []
-    for s in range(2 * n_per_class):
-        cls = +1 if s < n_per_class else -1
-        srng = np.random.default_rng(derive_seed(seed, "interaction-subject", s))
-        e = 1.0 if srng.random() < 0.5 else -1.0
-        weak_coeff = marginal_effect * cls + marginal_scatter * srng.standard_normal()
-        maps = base.copy()
-        maps[0] = maps[0] + weak_coeff * weak_pattern
-        maps[1] = maps[1] + pair_effect * e * shared_pattern
-        maps[3] = maps[3] + pair_effect * (e * cls) * shared_pattern
-        maps = maps + map_noise * srng.standard_normal((k, n_voxels))
-        maps = _zscore_rows(maps)
-        tc = srng.standard_normal((timepoints, k))
-        features.append(SubjectFeatures(spatial_maps=maps, time_courses=tc))
-        labels.append("R" if cls > 0 else "Q")
-    meta = {
-        "domains": ["A", "A", "B", "B"],
-        "weak_component": 0,
-        "interacting_pair": (1, 3),
-        "class_set": ("Q", "R"),
-    }
-    return features, labels, meta

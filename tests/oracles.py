@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own code paths: loops
 instead of vectorization, eigendecompositions instead of SVDs, projected
 gradient instead of SMO, exhaustive enumeration instead of recursions,
-one ICA unit at a time instead of a batch of them.
+one ICA unit at a time instead of a batch of them. The reference helpers
+and the planted-interaction cohort at the end serve tests only; no
+pipeline stage calls them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from netresp._util import derive_seed
+from netresp.datamodel import SubjectFeatures, as_matrix
+from netresp.fnc import ZeroVarianceError
+from netresp.kernels import RCOND, RankDeficiencyError
 from netresp.scica import DAMPING, preprocess_subject
+from netresp.svm import decision_values
 
 
 def naive_pearson(x, y) -> float:
@@ -332,3 +338,107 @@ def cv_rows_per_cell(raw, labels, parts, kernel_params, svm_cfg, class_set):
                 sum(not m.converged for m in models),
             ))
     return rows, cell_scores
+
+
+def pearson_corr(x, y) -> float:
+    """Sample Pearson correlation of two equal-length series."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"inputs must be equal-length vectors, got {x.shape}, {y.shape}")
+    if x.size < 2:
+        raise ValueError("correlation needs at least 2 samples")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    vx = xc @ xc
+    vy = yc @ yc
+    if vx <= 0.0 or vy <= 0.0:
+        raise ZeroVarianceError("correlation undefined for zero-variance input")
+    r = (xc @ yc) / np.sqrt(vx * vy)
+    return float(min(1.0, max(-1.0, r)))
+
+
+def orthonormalize(maps_subset) -> np.ndarray:
+    """Column-orthonormal V x K basis spanning the rows of a K x V map subset.
+
+    Raises RankDeficiencyError when the rows are (numerically) dependent.
+    """
+    maps_subset = as_matrix(maps_subset, "map subset")
+    u, s, _ = np.linalg.svd(maps_subset.T, full_matrices=False)
+    if s[0] <= 0 or s[-1] <= RCOND * s[0]:
+        raise RankDeficiencyError(f"map subset of {maps_subset.shape[0]} rows is rank deficient")
+    return u
+
+
+def _zscore_rows(m: np.ndarray) -> np.ndarray:
+    m = m - m.mean(axis=1, keepdims=True)
+    return m / m.std(axis=1, keepdims=True)
+
+
+def generate_interaction_cohort(
+    n_per_class: int = 32,
+    n_voxels: int = 400,
+    marginal_effect: float = 0.35,
+    marginal_scatter: float = 0.35,
+    pair_effect: float = 0.9,
+    map_noise: float = 0.25,
+    timepoints: int = 24,
+    seed: int = 0,
+) -> tuple[list[SubjectFeatures], list[str], dict]:
+    """Cohort where one component pair interacts but is marginally silent.
+
+    Two domains with two components each (A: 0, 1; B: 2, 3). Component 0
+    carries a weak direct class signal whose per-subject expression is
+    scattered (marginal_scatter), so it alone separates the classes only
+    partially. Components 1 and 3 share a pattern whose signs agree for one
+    class and disagree for the other, with the overall sign random per
+    subject: each is uninformative alone, while the pair determines the
+    class through the relative orientation of the two subspaces. Returns
+    ready-made features, labels and metadata.
+    """
+    rng = np.random.default_rng(derive_seed(seed, "interaction"))
+    k = 4
+    base = _zscore_rows(rng.standard_normal((k, n_voxels)))
+    weak_pattern = rng.standard_normal(n_voxels)
+    weak_pattern /= weak_pattern.std()
+    shared_pattern = rng.standard_normal(n_voxels)
+    shared_pattern /= shared_pattern.std()
+
+    features: list[SubjectFeatures] = []
+    labels: list[str] = []
+    for s in range(2 * n_per_class):
+        cls = +1 if s < n_per_class else -1
+        srng = np.random.default_rng(derive_seed(seed, "interaction-subject", s))
+        e = 1.0 if srng.random() < 0.5 else -1.0
+        weak_coeff = marginal_effect * cls + marginal_scatter * srng.standard_normal()
+        maps = base.copy()
+        maps[0] = maps[0] + weak_coeff * weak_pattern
+        maps[1] = maps[1] + pair_effect * e * shared_pattern
+        maps[3] = maps[3] + pair_effect * (e * cls) * shared_pattern
+        maps = maps + map_noise * srng.standard_normal((k, n_voxels))
+        maps = _zscore_rows(maps)
+        tc = srng.standard_normal((timepoints, k))
+        features.append(SubjectFeatures(spatial_maps=maps, time_courses=tc))
+        labels.append("R" if cls > 0 else "Q")
+    meta = {
+        "domains": ["A", "A", "B", "B"],
+        "weak_component": 0,
+        "interacting_pair": (1, 3),
+        "class_set": ("Q", "R"),
+    }
+    return features, labels, meta
+
+
+def check_kkt(model, k_train) -> np.ndarray:
+    """KKT violation of each training point of a single solved problem.
+
+    A point with alpha below its box bound must satisfy y f(x) >= 1 - v,
+    one with alpha above zero must satisfy y f(x) <= 1 + v; the result
+    gives the smallest v >= 0 per point.
+    """
+    margins = model.y * decision_values(model, k_train)
+    return np.maximum(
+        np.where(model.alphas < model.box, 1.0 - margins, 0.0),
+        np.where(model.alphas > 0, margins - 1.0, 0.0),
+    )
+

@@ -21,12 +21,20 @@ from netresp.evaluation import (
     run_experiment,
 )
 from netresp.fnc import compute_fnc
-from netresp.kernels import PabsKernelParams, build_kernel_matrix, orthonormalize
+from netresp.kernels import PabsKernelParams, build_kernel_matrix
 from netresp.scica import ScicaConfig, extract_cohort
 from netresp.selection import SsfsConfig, ssfs
-from netresp.svm import SvmConfig, check_kkt, dual_objective, solve_binary_smo
-from netresp.synth import SynthConfig, generate_cohort, generate_interaction_cohort
-from oracles import ap_step_oracle, dual_value, pabs_sum_via_gram, qp_dual_oracle
+from netresp.svm import SvmConfig, solve_binary_smo
+from netresp.synth import SynthConfig, generate_cohort
+from oracles import (
+    ap_step_oracle,
+    check_kkt,
+    dual_value,
+    generate_interaction_cohort,
+    orthonormalize,
+    pabs_sum_via_gram,
+    qp_dual_oracle,
+)
 
 
 RESULTS: list[str] = []
@@ -151,7 +159,7 @@ def test_c04_svm_against_qp_oracle():
         cfg = SvmConfig(C=1.0, smo_tol=1e-3)
         model = solve_binary_smo(kernel, y, cfg)
         gap = abs(
-            dual_objective(model.alphas, kernel, y)
+            dual_value(model.alphas, kernel, y)
             - dual_value(qp_dual_oracle(kernel, y, model.box), kernel, y)
         )
         worst_gap = max(worst_gap, gap)

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "result.json" in err and "'best_set'" in err
 
+    @pytest.mark.parametrize(
+        "rel, command",
+        [
+            ("features/features.json", "select"),
+            ("selection/result.json", "evaluate"),
+            ("dataset/ground_truth.json", "select"),
+        ],
+    )
+    def test_invalid_json_names_the_file(self, pipeline_dir, tmp_path, capsys, rel, command):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, copied=("features",))
+        path = run / rel
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("{not json")
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON")
+        assert not (run / "selection" / "trace.csv").exists()
+
+    def test_truth_without_informative_indices_exits_1(self, pipeline_dir, tmp_path, capsys):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("features",))
+        truth = run / "dataset" / "ground_truth.json"
+        truth.parent.mkdir()
+        truth.write_text(json.dumps({"class_set": ["AD", "MS", "NR"]}))
+        capsys.readouterr()
+        assert main(["select", "--config", str(config), "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {truth}: missing key 'informative_indices'")
+        assert not (run / "selection" / "result.json").exists()
+        assert not (run / "selection" / "trace.csv").exists()
+
     def test_invalid_features_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["select", "--out", str(tmp_path), "--features", "everything"])
@@ -448,6 +482,61 @@ class TestExitCodes:
         rc = main(["simulate", "--threads", threads, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "threads must be an integer >= 1" in capsys.readouterr().err
+
+
+class TestStreaming:
+    """simulate, extract and fnc hold one subject per worker, not the cohort."""
+
+    @staticmethod
+    def _config(tmp_path, n_per_class) -> Path:
+        counts = {"AD": n_per_class, "MS": n_per_class}
+        synth = dict(TINY_CONFIG["synth"], timepoints=20, class_counts=counts)
+        config = tmp_path / f"config{n_per_class}.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, threads=1, synth=synth)))
+        return config
+
+    def test_peak_memory_flat_in_subject_count(self, tmp_path):
+        bold_bytes = 20 * 8 * 8 * 6 * 8  # timepoints x voxels float64
+        peaks = {}
+        for n in (4, 4, 8):  # the first pass takes one-time allocations (imports, caches)
+            config, out = self._config(tmp_path, n), tmp_path / f"run{n}"
+            for stage in ("simulate", "extract", "fnc"):
+                tracemalloc.start()
+                try:
+                    assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+                    peaks[stage, n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        for stage in ("simulate", "extract", "fnc"):
+            growth = peaks[stage, 8] - peaks[stage, 4]
+            assert growth < bold_bytes, (stage, peaks[stage, 4], peaks[stage, 8])
+
+    def test_thread_count_gives_identical_artifacts(self, tmp_path):
+        config = self._config(tmp_path, 5)
+        for threads in ("1", "3"):
+            out = tmp_path / f"t{threads}"
+            for stage in ("simulate", "extract", "fnc"):
+                args = [stage, "--config", str(config), "--out", str(out), "--threads", threads]
+                assert main(args) == 0
+        t1, t3 = tmp_path / "t1", tmp_path / "t3"
+        files = sorted(p.relative_to(t1) for p in t1.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(t3) for p in t3.rglob("*") if p.is_file())
+        assert {str(f).split("/")[0] for f in files} == {"dataset", "features"}
+        for rel in files:
+            assert (t1 / rel).read_bytes() == (t3 / rel).read_bytes(), rel
+
+    def test_truncated_bold_fails_extract_without_manifest(self, tmp_path, capsys):
+        config, out = self._config(tmp_path, 3), tmp_path / "run"
+        for stage in ("simulate", "extract"):
+            assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "features" / "features.json").exists()
+        bold = out / "dataset" / "s0003.bold.msmx"
+        bold.write_bytes(bold.read_bytes()[:-8])
+        capsys.readouterr()
+        rc = main(["extract", "--config", str(config), "--out", str(out), "--threads", "3"])
+        assert rc == 1
+        assert str(bold) in capsys.readouterr().err
+        assert not (out / "features" / "features.json").exists()
 
 
 class TestMasterSeed:

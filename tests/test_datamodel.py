@@ -17,9 +17,11 @@ from netresp.datamodel import (
     Template,
     TruncatedPayloadError,
     load_dataset,
+    read_manifest,
     read_matrix,
     write_dataset,
     write_matrix,
+    write_subjects,
 )
 
 
@@ -326,3 +328,45 @@ class TestManifest:
         assert p1.read_bytes() == p2.read_bytes()
         for f in sorted((tmp_path / "a").glob("*.msmx")):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    def test_read_manifest_leaves_bold_unread(self, tmp_path):
+        manifest_path, _ = _write_tiny_dataset(tmp_path)
+        bold = tmp_path / "s1.bold.msmx"
+        bold.write_bytes(bold.read_bytes()[:-8])
+        manifest = read_manifest(manifest_path)
+        assert [e["id"] for e in manifest.entries] == ["s0", "s1"]
+        subjects = manifest.subjects()
+        assert next(subjects).id == "s0"
+        with pytest.raises(TruncatedPayloadError, match="s1.bold.msmx"):
+            next(subjects)
+
+
+class TestWriteSubjects:
+    def test_checks_each_subject_as_it_arrives(self, tmp_path):
+        manifest_path, ds = _write_tiny_dataset(tmp_path)
+        written = []
+
+        def subjects():
+            for s in (ds.subjects[0], ds.subjects[0], ds.subjects[1]):
+                written.append(s.id)
+                yield s
+
+        with pytest.raises(ValueError, match="duplicate subject id"):
+            write_subjects(ds.template, ds.class_set, subjects(), tmp_path)
+        assert written == ["s0", "s0"]
+        assert not manifest_path.exists()  # the old manifest went before the first write
+
+    @pytest.mark.parametrize("field", ["label", "voxels"])
+    def test_rejects_what_dataset_rejects(self, tmp_path, field):
+        _, ds = _write_tiny_dataset(tmp_path / "src")
+        s = ds.subjects[1]
+        if field == "label":
+            s = Subject(id=s.id, bold=s.bold, label="nope", group=s.group)
+        else:
+            s = Subject(id=s.id, bold=s.bold[:, :-1], label=s.label, group=s.group)
+        with pytest.raises(ValueError) as streamed:
+            write_subjects(ds.template, ds.class_set, [ds.subjects[0], s], tmp_path / "out")
+        with pytest.raises(ValueError) as in_memory:
+            Dataset(ds.template, (ds.subjects[0], s), ds.class_set)
+        assert str(streamed.value) == str(in_memory.value)
+        assert not (tmp_path / "out" / "manifest.json").exists()

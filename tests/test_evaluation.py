@@ -19,9 +19,9 @@ from netresp.evaluation import (
 )
 from netresp.fnc import compute_fnc
 from netresp.kernels import SPECTRUM_FIXES, PabsKernelParams
-from netresp.svm import SmoSolution, SvmConfig, check_kkt
+from netresp.svm import SmoSolution, SvmConfig
 from netresp.synth import SynthConfig, generate_cohort
-from oracles import ap_step_oracle, cv_rows_per_cell, worst_case_ap
+from oracles import ap_step_oracle, check_kkt, cv_rows_per_cell, worst_case_ap
 
 
 class TestStratifiedKfold:

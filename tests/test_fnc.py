@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netresp.fnc import ZeroVarianceError, compute_fnc, detrend, fisher_z, pearson_corr
-from oracles import naive_detrend_column, naive_fnc, naive_pearson
+from netresp.fnc import ZeroVarianceError, compute_fnc, detrend, fisher_z
+from oracles import naive_detrend_column, naive_fnc, naive_pearson, pearson_corr
 
 
 class TestDetrend:

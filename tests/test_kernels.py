@@ -11,10 +11,9 @@ from netresp.kernels import (
     RankDeficiencyError,
     apply_spectrum_fix,
     build_kernel_matrix,
-    orthonormalize,
     subspace_factors,
 )
-from oracles import fnc_kernel, pabs_sum_via_gram, pairwise_kernel_matrix
+from oracles import fnc_kernel, orthonormalize, pabs_sum_via_gram, pairwise_kernel_matrix
 
 
 def _basis(rows, v, seed):

@@ -15,7 +15,7 @@ from netresp.selection import (
     ssfs,
 )
 from netresp.svm import SvmConfig
-from netresp.synth import generate_interaction_cohort
+from oracles import generate_interaction_cohort
 
 KP = PabsKernelParams()
 SVM = SvmConfig()

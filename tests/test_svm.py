@@ -4,9 +4,7 @@ import pytest
 from netresp.svm import (
     SingleClassError,
     SvmConfig,
-    check_kkt,
     decision_values,
-    dual_objective,
     per_sample_c,
     predict_labels,
     predict_scores,
@@ -15,7 +13,7 @@ from netresp.svm import (
     train_multiclass,
 )
 from netresp.kernels import SPECTRUM_FIXES, PabsKernelParams, apply_spectrum_fix
-from oracles import dual_value, qp_dual_oracle, smo_serial
+from oracles import check_kkt, dual_value, qp_dual_oracle, smo_serial
 
 
 def _random_psd_problem(seed, n_max=15):
@@ -55,7 +53,7 @@ class TestBinarySmo:
             cfg = SvmConfig(C=1.0, smo_tol=1e-3)
             model = solve_binary_smo(kernel, y, cfg)
             oracle = qp_dual_oracle(kernel, y, model.box)
-            w_smo = dual_objective(model.alphas, kernel, y)
+            w_smo = dual_value(model.alphas, kernel, y)
             w_pg = dual_value(oracle, kernel, y)
             assert abs(w_smo - w_pg) < 1e-3, f"seed {seed}: {w_smo} vs {w_pg}"
             assert check_kkt(model, kernel).max() <= cfg.smo_tol + 1e-9
@@ -262,7 +260,7 @@ class TestSolverInvariants:
         for seed in (13, 14, 15, 16):
             kernel, y = _random_psd_problem(seed)
             solutions = _solves_at_step_caps(kernel, y)
-            obj = [0.0] + [dual_objective(s.alphas, kernel, y) for s in solutions]
+            obj = [0.0] + [dual_value(s.alphas, kernel, y) for s in solutions]
             assert len(obj) > 2
             assert np.all(np.diff(obj) >= -1e-9)
 

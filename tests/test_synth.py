@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from netresp.datamodel import load_dataset, write_dataset
-from netresp.synth import (
-    SynthConfig,
-    generate_cohort,
-    generate_interaction_cohort,
-    generate_template,
-)
+from netresp.synth import SynthConfig, generate_cohort, generate_template
+from oracles import generate_interaction_cohort
 
 
 class TestTemplate:
