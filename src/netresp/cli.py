@@ -96,15 +96,8 @@ def _section_from_dict(cls, data: dict, path: str):
     unknown = set(data) - fields
     if unknown:
         raise ConfigError(f"unknown config key: {path}.{sorted(unknown)[0]}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in ("class_counts",) and isinstance(value, dict):
-            value = tuple((str(k), int(v)) for k, v in value.items())
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
     try:
-        return cls(**kwargs)
+        return cls(**data)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid {path} config: {e}") from e
 
@@ -316,28 +309,45 @@ def _load_class_features(cfg: RunConfig, out_dir: Path):
     return [features[i] for i in kept], [labels[i] for i in kept], doc, class_set
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _component_indices(values, n_components: int, what: str, error) -> list[int]:
+    """`values` when it is a non-empty list of distinct integer component
+    indices below `n_components`; otherwise raises `error` naming `what`."""
+    if not isinstance(values, list) or not values:
+        raise error(f"{what} must be a non-empty list of component indices, got {values!r}")
+    for i in values:
+        if not _is_int(i):
+            raise error(f"{what} holds {i!r}, not an integer")
+        if not 0 <= i < n_components:
+            raise error(f"{what} index {i} out of range")
+    if len(set(values)) != len(values):
+        raise error(f"{what} repeats a component: {values}")
+    return values
+
+
 def _parse_fixed(mode: str, n_components: int) -> list[int]:
     try:
         indices = [int(x) for x in mode.split(":", 1)[1].split(",") if x.strip() != ""]
     except ValueError as e:
         raise ConfigError(f"bad fixed selection {mode!r}: {e}") from e
-    if not indices:
-        raise ConfigError("fixed selection is empty")
-    for i in indices:
-        if not 0 <= i < n_components:
-            raise ConfigError(f"fixed selection index {i} out of range")
-    if len(set(indices)) != len(indices):
-        raise ConfigError(f"fixed selection repeats a component: {mode!r}")
-    return indices
+    return _component_indices(indices, n_components, "fixed selection", ConfigError)
 
 
 def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
     use_fnc = cfg.features == "sm+fnc"
     features, labels, doc, class_set = _load_class_features(cfg, out_dir)
     truth_path = out_dir / "dataset" / "ground_truth.json"
-    truth = None
+    planted = None
     if truth_path.exists():
         truth = _read_json(truth_path, ("informative_indices",), "simulate")
+        planted = truth["informative_indices"]
+        if not isinstance(planted, list) or not all(_is_int(i) for i in planted):
+            raise ManifestError(
+                f"{truth_path}: 'informative_indices' must be a list of integers, got {planted!r}"
+            )
     sel_dir = out_dir / "selection"
     sel_dir.mkdir(parents=True, exist_ok=True)
 
@@ -378,8 +388,7 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
     (sel_dir / "result.json").write_text(json.dumps(out, indent=2) + "\n")
     (sel_dir / "trace.csv").write_text(result.trace_csv())  # header only for a fixed set
     meta: dict = {"top_ties": result.top_ties()}
-    if truth is not None:
-        planted = truth["informative_indices"]
+    if planted is not None:
         hits = len(set(planted) & set(result.best_set))
         meta["informative_indices"] = planted
         meta["recall"] = hits / len(planted) if planted else None
@@ -397,7 +406,12 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
         selected = _parse_fixed(cfg.selection_mode, features[0].n_components)
     else:
         result_path = out_dir / "selection" / "result.json"
-        selected = _read_json(result_path, ("best_set",), "select")["best_set"]
+        selected = _component_indices(
+            _read_json(result_path, ("best_set",), "select")["best_set"],
+            features[0].n_components,
+            f"{result_path}: 'best_set'",
+            ManifestError,
+        )
 
     eval_cfg = dataclasses.replace(cfg.evaluation, class_set=class_set)
     report = run_experiment(

@@ -156,10 +156,6 @@ class Subject:
             raise ValueError(f"subject {self.id}: needs at least 2 timepoints")
 
     @property
-    def n_timepoints(self) -> int:
-        return self.bold.shape[0]
-
-    @property
     def n_voxels(self) -> int:
         return self.bold.shape[1]
 

@@ -8,7 +8,7 @@ interpolation with ties broken by stable original order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,16 +148,6 @@ def f1_macro(labels, predictions, class_set=None) -> float:
 
 
 @dataclass(frozen=True)
-class FoldRepeatRow:
-    fold: int
-    repeat: int
-    macro_pr_auc: float
-    macro_f1: float
-    per_class_ap: tuple[float, ...]
-    unconverged: int  # one-vs-rest solves of the cell stopped by the step cap
-
-
-@dataclass(frozen=True)
 class BoxStats:
     """Box-plot statistics: median, quartiles, Tukey whiskers."""
 
@@ -184,39 +174,36 @@ def box_stats(values) -> BoxStats:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    rows: tuple[FoldRepeatRow, ...]
+    """A cross-validation's results, one entry per (fold, repeat) cell in
+    fold-major order: `cells` (C, 2) holds each cell's fold and repeat,
+    `rows` (C, metrics) its metrics in `metrics()` order, and `unconverged`
+    (C,) its one-vs-rest solves stopped by the step cap unconverged."""
+
+    cells: np.ndarray
+    rows: np.ndarray
+    unconverged: np.ndarray
     class_set: tuple[str, ...]
-    seed: int
-    config: dict = field(default_factory=dict)
 
     @property
     def unconverged_solves(self) -> int:
         """SMO solves, over all cells, that hit the step cap unconverged."""
-        return sum(r.unconverged for r in self.rows)
-
-    def metric_values(self, metric: str) -> np.ndarray:
-        if metric == "macro_pr_auc":
-            return np.array([r.macro_pr_auc for r in self.rows])
-        if metric == "macro_f1":
-            return np.array([r.macro_f1 for r in self.rows])
-        for j, cls in enumerate(self.class_set):
-            if metric == f"ap_{cls}":
-                return np.array([r.per_class_ap[j] for r in self.rows])
-        raise KeyError(metric)
+        return int(self.unconverged.sum())
 
     def metrics(self) -> tuple[str, ...]:
         return METRICS + tuple(f"ap_{c}" for c in self.class_set)
+
+    def metric_values(self, metric: str) -> np.ndarray:
+        if metric not in self.metrics():
+            raise KeyError(metric)
+        return self.rows[:, self.metrics().index(metric)]
 
     def aggregates(self) -> dict[str, BoxStats]:
         return {m: box_stats(self.metric_values(m)) for m in self.metrics()}
 
     def to_report_csv(self) -> str:
         lines = ["fold,repeat,metric,value"]
-        for row in self.rows:
-            lines.append(f"{row.fold},{row.repeat},macro_pr_auc,{row.macro_pr_auc!r}")
-            lines.append(f"{row.fold},{row.repeat},macro_f1,{row.macro_f1!r}")
-            for cls, ap in zip(self.class_set, row.per_class_ap):
-                lines.append(f"{row.fold},{row.repeat},ap_{cls},{ap!r}")
+        for (fold, repeat), row in zip(self.cells.tolist(), self.rows.tolist()):
+            lines += [f"{fold},{repeat},{m},{v!r}" for m, v in zip(self.metrics(), row)]
         return "\n".join(lines) + "\n"
 
     def to_summary_csv(self) -> str:
@@ -323,10 +310,11 @@ def cross_validate(
     kernel_params: PabsKernelParams,
     svm_cfg: SvmConfig,
     class_set,
-) -> tuple[FoldRepeatRow, ...]:
+) -> ExperimentReport:
     """Stratified k-fold CV on a raw kernel, once per fold assignment in
     `parts` (repeat r uses `parts[r]`); each (fold, repeat) cell gives one
-    row, in fold-major order. Deterministic given the assignments.
+    row of the report, in fold-major order. Deterministic given the
+    assignments.
 
     The metrics of a run of cells are array operations over the run; each
     row is bit-identical to `average_precision` and `f1_macro` on that
@@ -336,26 +324,22 @@ def cross_validate(
     labels = _class_labels(labels, class_set)
     member = labels[None, :] == np.asarray(class_set)[:, None]
     classes = np.arange(len(class_set))[:, None]
-    rows = []
-    for cells, te, scores, unconverged in _held_out(
-        raw, labels, parts, kernel_params, svm_cfg, class_set
-    ):
+    cells, rows, unconverged = [], [], []
+    for batch, te, scores, u in _held_out(raw, labels, parts, kernel_params, svm_cfg, class_set):
         truth = member[:, te].transpose(1, 0, 2)  # (cells, classes, test)
         try:
             aps = average_precision(truth, scores)
         except ValueError as e:  # some class has no members or no non-members in a test fold
             n_pos = truth.sum(axis=2)
-            f, rep = cells[int(((n_pos == 0) | (n_pos == te.shape[1])).any(axis=1).argmax())]
+            f, rep = batch[int(((n_pos == 0) | (n_pos == te.shape[1])).any(axis=1).argmax())]
             raise EvalError(f"fold {f}, repeat {rep}: {e}") from e
         f1 = _f1(truth, scores.argmax(axis=1)[:, None, :] == classes)
-        rows += [
-            FoldRepeatRow(f, rep, pr_auc, macro_f1, tuple(ap), u)
-            for (f, rep), pr_auc, macro_f1, ap, u in zip(
-                cells, aps.mean(axis=1).tolist(), f1.mean(axis=1).tolist(), aps.tolist(),
-                unconverged.tolist(),
-            )
-        ]
-    return tuple(rows)
+        cells += batch
+        rows.append(np.column_stack([aps.mean(axis=1), f1.mean(axis=1), aps]))
+        unconverged.append(u)
+    return ExperimentReport(
+        np.array(cells), np.concatenate(rows), np.concatenate(unconverged), class_set
+    )
 
 
 def run_experiment(
@@ -377,18 +361,7 @@ def run_experiment(
     labels = _class_labels(labels, eval_cfg.class_set)
     raw = raw_kernel(features, selected, kernel_params, use_fnc)
     parts = partitions(labels, eval_cfg.outer_folds, eval_cfg.seed, eval_cfg.repeats)
-    rows = cross_validate(raw, labels, parts, kernel_params, svm_cfg, eval_cfg.class_set)
-    return ExperimentReport(
-        rows=rows,
-        class_set=eval_cfg.class_set,
-        seed=eval_cfg.seed,
-        config={
-            "outer_folds": eval_cfg.outer_folds,
-            "repeats": eval_cfg.repeats,
-            "selected": [int(i) for i in selected],
-            "use_fnc": bool(use_fnc),
-        },
-    )
+    return cross_validate(raw, labels, parts, kernel_params, svm_cfg, eval_cfg.class_set)
 
 
 @dataclass(frozen=True)
@@ -396,25 +369,6 @@ class PermutationBaseline:
     scores: tuple[float, ...]
     mean: float
     p95: float
-
-
-def cross_validated_scores(
-    raw: np.ndarray,
-    labels,
-    kernel_params: PabsKernelParams,
-    svm_cfg: SvmConfig,
-    eval_cfg: EvalConfig,
-) -> np.ndarray:
-    """One held-out score row per subject from a single outer CV pass over
-    the raw kernel `raw`."""
-    labels = _class_labels(labels, eval_cfg.class_set)
-    scores = np.zeros((labels.size, len(eval_cfg.class_set)))
-    parts = partitions(labels, eval_cfg.outer_folds, eval_cfg.seed, 1)
-    for _, te, cell_scores, _ in _held_out(
-        raw, labels, parts, kernel_params, svm_cfg, eval_cfg.class_set
-    ):
-        scores[te] = cell_scores.transpose(0, 2, 1)
-    return scores
 
 
 def permutation_baseline(
@@ -449,8 +403,13 @@ def permutation_baseline(
     def one_round(r):
         rng = np.random.default_rng(derive_seed(eval_cfg.seed, "permutation", r))
         permuted = labels[rng.permutation(labels.size)]
-        cfg = replace(eval_cfg, repeats=1, seed=derive_seed(eval_cfg.seed, "permutation-eval", r))
-        scores = cross_validated_scores(raw, permuted, kernel_params, svm_cfg, cfg)
+        seed = derive_seed(eval_cfg.seed, "permutation-eval", r)
+        parts = partitions(permuted, eval_cfg.outer_folds, seed, 1)
+        scores = np.zeros((labels.size, len(eval_cfg.class_set)))
+        for _, te, cell_scores, _ in _held_out(
+            raw, permuted, parts, kernel_params, svm_cfg, eval_cfg.class_set
+        ):
+            scores[te] = cell_scores.transpose(0, 2, 1)
         return macro_pr_auc(permuted, scores, eval_cfg.class_set)
 
     scores = parallel_map(one_round, range(eval_cfg.permutation_rounds), threads)

@@ -118,14 +118,12 @@ def score_feature_set(
             partitions(labels, cfg.inner_folds, derive_seed(seed, "inner", rep), 1)[0]
             for rep in range(cfg.inner_repeats)
         ]
-        rows = cross_validate(raw, labels, parts, kernel_params, svm_cfg, class_set)
+        report = cross_validate(raw, labels, parts, kernel_params, svm_cfg, class_set)
     except Exception as e:
         raise SelectionError(f"candidate {list(selected)}: {e}") from e
-    scores = [
-        np.mean([getattr(row, cfg.scorer) for row in rows if row.repeat == rep])
-        for rep in range(cfg.inner_repeats)
-    ]
-    return float(np.mean(scores))
+    # one mean per repeat over its cells, then their mean, summed in this order
+    values, repeat = report.metric_values(cfg.scorer), report.cells[:, 1]
+    return float(np.mean([np.mean(values[repeat == rep]) for rep in range(cfg.inner_repeats)]))
 
 
 def _domain_pools(domains, order) -> list[tuple[str, list[int]]]:
@@ -193,8 +191,10 @@ def ssfs(
     labels = [str(x) for x in labels]
     if class_set is None:
         class_set = tuple(sorted(set(labels)))
-    pools = _domain_pools(domains, cfg.domain_order)
     n_comp = features[0].n_components
+    if len(domains) != n_comp:
+        raise SelectionError(f"{len(domains)} domain labels for {n_comp} components")
+    pools = _domain_pools(domains, cfg.domain_order)
     stages: list[list[int]] = [pool for _, pool in pools]
     for _ in range(cfg.extra_passes):
         stages.append(list(range(n_comp)))

@@ -9,6 +9,7 @@ the ground-truth oracle standing in for clinical data.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,10 @@ class SynthConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))
-        object.__setattr__(
-            self, "class_counts", tuple((str(c), int(n)) for c, n in self.class_counts)
-        )
+        counts = self.class_counts
+        if isinstance(counts, Mapping):  # {"AD": 47, ...}, as in a JSON config
+            counts = counts.items()
+        object.__setattr__(self, "class_counts", tuple((str(c), int(n)) for c, n in counts))
         if any(g < 2 for g in self.grid):
             raise ValueError(f"grid dims must be at least 2, got {self.grid}")
         if self.n_components < 1 or self.n_domains < 1 or self.timepoints < 2:

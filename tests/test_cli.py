@@ -447,6 +447,57 @@ class TestExitCodes:
         assert not (run / "selection" / "result.json").exists()
         assert not (run / "selection" / "trace.csv").exists()
 
+    @pytest.mark.parametrize("planted", [5, [1.5, 2], [True], "0,1"])
+    def test_truth_indices_not_integers_exits_1(self, pipeline_dir, tmp_path, capsys, planted):
+        # {"informative_indices": 5} ended select in a TypeError after
+        # result.json and trace.csv were written
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("features",))
+        truth = run / "dataset" / "ground_truth.json"
+        truth.parent.mkdir()
+        truth.write_text(json.dumps({"informative_indices": planted}))
+        capsys.readouterr()
+        assert main(["select", "--config", str(config), "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {truth}: 'informative_indices' must be a list of integers")
+        assert not (run / "selection" / "result.json").exists()
+        assert not (run / "selection" / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "best_set, reason",
+        [
+            ([0.7, 2.2], "holds 0.7, not an integer"),  # was evaluated as [0, 2]
+            (3, "must be a non-empty list"),  # was a TypeError traceback
+            ([True, 2], "holds True, not an integer"),
+            ([], "must be a non-empty list"),
+            ([1, 1], "repeats a component"),
+            ([0, 6], "index 6 out of range"),
+        ],
+    )
+    def test_bad_best_set_exits_1(self, pipeline_dir, tmp_path, capsys, best_set, reason):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("features",))
+        result = run / "selection" / "result.json"
+        result.parent.mkdir()
+        result.write_text(json.dumps({"best_set": best_set}))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {result}: 'best_set' ") and reason in err
+        assert not (run / "eval").exists()
+
+    def test_domains_not_matching_components_exits_1(self, pipeline_dir, tmp_path, capsys):
+        # with domains cut to 2 of 3 entries select searched two domains and exited 0
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, copied=("features",))
+        doc_path = run / "features" / "features.json"
+        doc = json.loads(doc_path.read_text())
+        doc["domains"] = doc["domains"][:2]
+        doc_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["select", "--config", str(config), "--out", str(run)]) == 1
+        assert "error: 2 domain labels for 6 components" in capsys.readouterr().err
+
     def test_invalid_features_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["select", "--out", str(tmp_path), "--features", "everything"])

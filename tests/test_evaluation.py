@@ -262,11 +262,14 @@ class TestRunExperiment:
         feats, labels = _planted_features({"AD": 4, "MS": 4, "NR": 4}, seed=1)
         cfg = EvalConfig(outer_folds=2, repeats=1, seed=0)
         report = run_experiment(feats, labels, [0, 1], PabsKernelParams(), SvmConfig(), cfg)
-        assert len(report.rows) == 2
-        for row in report.rows:
-            assert 0.0 <= row.macro_pr_auc <= 1.0
-            assert 0.0 <= row.macro_f1 <= 1.0
-            assert len(row.per_class_ap) == 3
+        assert report.metrics() == ("macro_pr_auc", "macro_f1", "ap_AD", "ap_MS", "ap_NR")
+        assert report.cells.tolist() == [[0, 0], [1, 0]]
+        assert report.rows.shape == (2, 5)
+        assert ((report.rows >= 0.0) & (report.rows <= 1.0)).all()
+        assert report.unconverged.shape == (2,)
+        np.testing.assert_array_equal(report.metric_values("ap_MS"), report.rows[:, 3])
+        with pytest.raises(KeyError, match="ap_XX"):
+            report.metric_values("ap_XX")
 
     def test_planted_signal_detected(self):
         feats, labels = _planted_features({"AD": 8, "MS": 8, "NR": 6}, seed=2)
@@ -283,7 +286,9 @@ class TestRunExperiment:
         )
         assert default.unconverged_solves == 0
         assert 0 < capped.unconverged_solves <= 3 * 2 * 3
-        assert capped.unconverged_solves == sum(r.unconverged for r in capped.rows)
+        assert capped.unconverged.shape == (3 * 2,)
+        assert capped.unconverged.max() <= 3  # one solve per class in a cell
+        assert capped.unconverged_solves == capped.unconverged.sum()
 
     def test_split_stacks_give_identical_rows(self, monkeypatch):
         feats, labels = _planted_features({"AD": 7, "MS": 6, "NR": 5}, seed=6)
@@ -291,7 +296,9 @@ class TestRunExperiment:
         whole = run_experiment(feats, labels, [0, 1], PabsKernelParams(), SvmConfig(), cfg)
         monkeypatch.setattr(evaluation, "STACK_BYTES", 1)  # one cell per batch
         split = run_experiment(feats, labels, [0, 1], PabsKernelParams(), SvmConfig(), cfg)
-        assert split.rows == whole.rows
+        assert np.array_equal(split.cells, whole.cells)
+        assert np.array_equal(split.rows, whole.rows)
+        assert np.array_equal(split.unconverged, whole.unconverged)
 
     def test_deterministic_csv_bytes(self):
         feats, labels = _planted_features({"AD": 5, "MS": 5, "NR": 5}, seed=3)
@@ -434,18 +441,25 @@ def _cv_case(n_per_class, seed, folds, repeats, effect=2.0):
 
 
 class TestCrossValidateMatchesPerCellOracle:
-    """`cross_validate` rows and held-out scores against one model at a time."""
+    """`cross_validate` reports and held-out scores against one model at a time."""
 
     CLASSES = ("AD", "MS", "NR")
 
     def _check(self, raw, labels, parts, params=PabsKernelParams(), svm_cfg=SvmConfig()):
-        rows = evaluation.cross_validate(raw, labels, parts, params, svm_cfg, self.CLASSES)
+        report = evaluation.cross_validate(raw, labels, parts, params, svm_cfg, self.CLASSES)
         expected, scores = cv_rows_per_cell(raw, labels, parts, params, svm_cfg, self.CLASSES)
-        got = [
-            (r.fold, r.repeat, r.macro_pr_auc, r.macro_f1, r.per_class_ap, r.unconverged)
-            for r in rows
-        ]
-        assert got == expected
+        for got, want in (
+            (report.cells, np.array([row[:2] for row in expected])),
+            (report.rows, np.array([(row[2], row[3], *row[4]) for row in expected])),
+            (report.unconverged, np.array([row[5] for row in expected])),
+        ):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        metrics = ("macro_pr_auc", "macro_f1", *(f"ap_{c}" for c in self.CLASSES))
+        csv = ["fold,repeat,metric,value"]
+        for f, rep, pr_auc, f1, aps, _ in expected:
+            csv += [f"{f},{rep},{m},{v!r}" for m, v in zip(metrics, (pr_auc, f1, *aps))]
+        assert report.to_report_csv() == "\n".join(csv) + "\n"
         held = [
             cell.T
             for _, _, run, _ in evaluation._held_out(
@@ -516,12 +530,13 @@ class TestCrossValidateMatchesPerCellOracle:
                 raw, labels, [parts[0], odd], PabsKernelParams(), SvmConfig(), self.CLASSES
             )
 
-    def test_cross_validated_scores_rejects_labels_outside_class_set(self):
-        raw, labels, _ = _cv_case({"AD": 7, "MS": 7, "NR": 6}, seed=8, folds=2, repeats=1)
-        labels = np.where(labels == "AD", "A", np.where(labels == "MS", "B", "Z"))
-        cfg = EvalConfig(outer_folds=2, class_set=("A", "B"))
+    def test_permutation_baseline_rejects_labels_outside_class_set(self):
+        feats, labels = _planted_features({"AD": 7, "MS": 7, "NR": 6}, seed=8)
+        raw = evaluation.raw_kernel(feats, [0, 1], PabsKernelParams(), use_fnc=False)
+        labels = np.array([{"AD": "A", "MS": "B"}.get(lab, "Z") for lab in labels])
+        cfg = EvalConfig(outer_folds=2, class_set=("A", "B"), permutation_rounds=1)
         with pytest.raises(ValueError, match=r"outside class_set: \['Z'\]"):
-            evaluation.cross_validated_scores(raw, labels, PabsKernelParams(), SvmConfig(), cfg)
+            permutation_baseline(feats, labels, [0, 1], PabsKernelParams(), SvmConfig(), cfg)
         with pytest.raises(ValueError, match=r"outside class_set: \['Z'\]"):
             evaluation.cross_validate(
                 raw, labels, evaluation.partitions(labels, 2, 0, 1), PabsKernelParams(),

@@ -293,6 +293,13 @@ class TestSsfs:
         with pytest.raises(SelectionError, match="C"):
             ssfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
 
+    def test_domain_count_must_match_components(self):
+        # with domains cut to 2 of 4 entries ssfs searched components 0 and 1 only
+        feats, labels, meta = generate_interaction_cohort(n_per_class=6, seed=13)
+        cfg = SsfsConfig(beam_width=2, inner_folds=3, inner_repeats=1, seed=6)
+        with pytest.raises(SelectionError, match="2 domain labels for 4 components"):
+            ssfs(feats, labels, meta["domains"][:2], cfg, KP, SVM, class_set=meta["class_set"])
+
     def test_trace_csv_round_trip(self):
         feats, labels, meta = generate_interaction_cohort(n_per_class=8, seed=14)
         cfg = SsfsConfig(beam_width=2, inner_folds=3, inner_repeats=1, seed=8)

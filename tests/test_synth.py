@@ -151,6 +151,13 @@ class TestCohort:
         with pytest.raises(ValueError):
             SynthConfig(noise_sigma=-1.0)
 
+    def test_class_counts_mapping_equals_pairs(self):
+        # the mapping form is how a JSON run config writes class_counts
+        pairs = SynthConfig(class_counts=(("AD", 3), ("MS", 2)))
+        assert SynthConfig(class_counts={"AD": 3, "MS": 2}) == pairs
+        assert SynthConfig(class_counts=[["AD", 3], ["MS", 2]]) == pairs
+        assert pairs.class_counts == (("AD", 3), ("MS", 2))
+
 
 class TestInteractionCohort:
     def test_structure(self):
