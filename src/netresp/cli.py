@@ -348,6 +348,9 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
             raise ManifestError(
                 f"{truth_path}: 'informative_indices' must be a list of integers, got {planted!r}"
             )
+        if planted:  # an empty list is valid: recall is then null
+            what = f"{truth_path}: 'informative_indices'"
+            _component_indices(planted, features[0].n_components, what, ManifestError)
     sel_dir = out_dir / "selection"
     sel_dir.mkdir(parents=True, exist_ok=True)
 
@@ -454,10 +457,10 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_kernel(cfg: RunConfig, out_dir: Path) -> int:
-    use_fnc = cfg.features == "sm+fnc"
-    features = _load_features(out_dir, need_fnc=use_fnc)[0]
     if not cfg.selection_mode.startswith("fixed:"):
         raise ConfigError("kernel dump requires --selection fixed:<list>")
+    use_fnc = cfg.features == "sm+fnc"
+    features = _load_features(out_dir, need_fnc=use_fnc)[0]
     selected = _parse_fixed(cfg.selection_mode, features[0].n_components)
     kernel = build_kernel_matrix(features, selected, cfg.kernel, use_fnc=use_fnc)
     kdir = out_dir / "kernel"

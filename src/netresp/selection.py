@@ -4,8 +4,12 @@ One component per domain is chosen stage by stage; instead of keeping only
 the single best partial set (classic forward selection), the top
 `beam_width` sets survive each stage, so combinations that underperform
 early but pay off once later domains join are retained. Each candidate is
-scored by repeated stratified CV over the subjects it is given; keeping
-those subjects apart from any later evaluation is the caller's job.
+scored by repeated stratified CV over the subjects it is given. One run
+draws one list of `inner_repeats` fold partitions from the selection seed
+(`evaluation.partitions`, the draw `evaluate` makes for its repeats) and
+scores every candidate on it, so candidates are compared on the same
+splits. Keeping those subjects apart from any later evaluation is the
+caller's job.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import derive_seed, parallel_map
+from ._util import parallel_map
 
 # run_experiment is not called here; it stays bound so that perfbench's
 # traced run, which wraps netresp.selection.run_experiment, still finds it.
@@ -93,37 +97,31 @@ def score_feature_set(
     kernel_params: PabsKernelParams,
     svm_cfg: SvmConfig,
     cfg: SsfsConfig,
-    seed: int,
+    parts: list[np.ndarray],
     use_fnc: bool = False,
     factors: SubspaceFactors | None = None,
 ) -> float:
-    """Mean inner-CV score of a candidate component set.
+    """Mean inner-CV score of a candidate component set over the fold
+    assignments `parts`.
 
     The candidate's raw kernel is built once, from `factors` when given (a
     component set containing the candidate) and from its own factors
-    otherwise; each of the `inner_repeats` repeats draws its fold partition
-    from a seed derived from `seed`, and one `cross_validate` call runs
-    every repeat on that one matrix, applying the spectrum fix per training
-    fold. The same (candidate, seed, factor components) triple therefore
-    scores bit-identically wherever it is evaluated; kernels from factors
-    over different component sets agree only within about 1e-14, so a
-    score near a CV decision boundary can differ between them.
+    otherwise, and one `cross_validate` call runs every partition on that
+    one matrix, applying the spectrum fix per training fold. `ssfs` passes
+    every candidate the one partition list it draws from the selection
+    seed, so candidates are compared on the same splits. Kernels from
+    factors over different component sets agree only within about 1e-14,
+    so a score near a CV decision boundary can differ between them.
     """
     selected = tuple(int(i) for i in selected)
     if not selected:
         raise SelectionError("candidate set is empty")
     try:
         raw = raw_kernel(features, selected, kernel_params, use_fnc, factors)
-        parts = [
-            partitions(labels, cfg.inner_folds, derive_seed(seed, "inner", rep), 1)[0]
-            for rep in range(cfg.inner_repeats)
-        ]
         report = cross_validate(raw, labels, parts, kernel_params, svm_cfg, class_set)
     except Exception as e:
         raise SelectionError(f"candidate {list(selected)}: {e}") from e
-    # one mean per repeat over its cells, then their mean, summed in this order
-    values, repeat = report.metric_values(cfg.scorer), report.cells[:, 1]
-    return float(np.mean([np.mean(values[repeat == rep]) for rep in range(cfg.inner_repeats)]))
+    return float(np.mean(report.metric_values(cfg.scorer)))
 
 
 def _domain_pools(domains, order) -> list[tuple[str, list[int]]]:
@@ -139,10 +137,11 @@ def _domain_pools(domains, order) -> list[tuple[str, list[int]]]:
 
 
 def _score_stage(
-    features, labels, class_set, candidates, kernel_params, svm_cfg, cfg, use_fnc, threads
+    features, labels, class_set, candidates, kernel_params, svm_cfg, cfg, parts, use_fnc, threads
 ) -> list[float]:
-    """Scores of one stage's candidates, every kernel built from one factor
-    set over the union of their components; the factors are freed on return."""
+    """Scores of one stage's candidates on the partitions `parts`, every
+    kernel built from one factor set over the union of their components;
+    the factors are freed on return."""
     union = sorted({c for cand in candidates for c in cand})
     try:
         factors = subspace_factors(features, union)
@@ -150,18 +149,8 @@ def _score_stage(
         raise SelectionError(f"components {union}: {e}") from e
 
     def score_one(cand):
-        cand_seed = derive_seed(cfg.seed, "candidate", tuple(sorted(cand)))
         return score_feature_set(
-            features,
-            labels,
-            class_set,
-            cand,
-            kernel_params,
-            svm_cfg,
-            cfg,
-            cand_seed,
-            use_fnc=use_fnc,
-            factors=factors,
+            features, labels, class_set, cand, kernel_params, svm_cfg, cfg, parts, use_fnc, factors
         )
 
     return parallel_map(score_one, candidates, threads)
@@ -198,6 +187,10 @@ def ssfs(
     stages: list[list[int]] = [pool for _, pool in pools]
     for _ in range(cfg.extra_passes):
         stages.append(list(range(n_comp)))
+    try:
+        parts = partitions(labels, cfg.inner_folds, cfg.seed, cfg.inner_repeats)
+    except ValueError as e:
+        raise SelectionError(f"inner folds: {e}") from e
 
     beam: list[tuple[int, ...]] = [()]
     trace: list[BeamCandidate] = []
@@ -219,11 +212,10 @@ def ssfs(
             raise SelectionError(f"stage {stage_idx}: no candidates to evaluate")
 
         scores = _score_stage(
-            features, labels, class_set, candidates, kernel_params, svm_cfg, cfg, use_fnc, threads
+            features, labels, class_set, candidates, kernel_params, svm_cfg, cfg, parts, use_fnc,
+            threads
         )
-        ranked = sorted(
-            zip(candidates, scores), key=lambda cs: (-cs[1], cs[0])
-        )
+        ranked = sorted(zip(candidates, scores), key=lambda cs: (-cs[1], cs[0]))
         kept = {cand for cand, _ in ranked[: cfg.beam_width]}
         trace.extend(
             BeamCandidate(

@@ -250,6 +250,22 @@ class TestDeterminism:
         header = (run / "eval" / "report.csv").read_text().splitlines()[0]
         assert header == "fold,repeat,metric,value"
 
+    def test_select_threads_byte_identical(self, pipeline_dir, tmp_path):
+        # every worker thread reads the one inner partition list
+        config, out = pipeline_dir
+        written = []
+        for threads in ("1", "3"):
+            run = tmp_path / f"threads{threads}"
+            run.mkdir()
+            for name in ("dataset", "features"):
+                (run / name).symlink_to(out / name)
+            args = ["select", "--config", str(config), "--out", str(run), "--features", "sm+fnc"]
+            assert main(args + ["--threads", threads]) == 0
+            sel = run / "selection"
+            written.append({p.name: p.read_bytes() for p in sorted(sel.iterdir())})
+        assert list(written[0]) == ["result.json", "selection_meta.json", "trace.csv"]
+        assert written[0] == written[1]
+
     def test_sfs_evaluations_contained_in_ssfs_trace(self, pipeline_dir, tmp_path):
         config, out = pipeline_dir
         out_sfs = tmp_path / "sfs_run"
@@ -462,6 +478,44 @@ class TestExitCodes:
         assert err.startswith(f"error: {truth}: 'informative_indices' must be a list of integers")
         assert not (run / "selection" / "result.json").exists()
         assert not (run / "selection" / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "planted, reason", [([99, 0], "index 99 out of range"), ([0, 0], "repeats a component")]
+    )
+    def test_truth_indices_not_components_exits_1(
+        self, pipeline_dir, tmp_path, capsys, planted, reason
+    ):
+        # [99, 0] on a 4-component cohort was scored as recall 0.5
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("features",))
+        truth = run / "dataset" / "ground_truth.json"
+        truth.parent.mkdir()
+        truth.write_text(json.dumps({"informative_indices": planted}))
+        capsys.readouterr()
+        args = ["select", "--config", str(config), "--out", str(run), "--selection", "fixed:0,1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {truth}: 'informative_indices' ")
+        assert reason in err
+        assert not (run / "selection").exists()
+
+    def test_empty_truth_indices_give_null_recall(self, pipeline_dir, tmp_path):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("features",))
+        truth = run / "dataset" / "ground_truth.json"
+        truth.parent.mkdir()
+        truth.write_text(json.dumps({"informative_indices": []}))
+        args = ["select", "--config", str(config), "--out", str(run), "--selection", "fixed:0,1"]
+        assert main(args) == 0
+        meta = json.loads((run / "selection" / "selection_meta.json").read_text())
+        assert meta["informative_indices"] == [] and meta["recall"] is None
+
+    def test_kernel_without_fixed_selection_exits_2(self, tmp_path, capsys):
+        # the mode alone is a config error, so no features need to exist
+        capsys.readouterr()
+        assert main(["kernel", "--out", str(tmp_path / "empty")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kernel dump requires --selection fixed:")
 
     @pytest.mark.parametrize(
         "best_set, reason",

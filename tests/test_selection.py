@@ -4,9 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netresp._util import derive_seed
 from netresp.datamodel import SubjectFeatures
-from netresp.evaluation import EvalConfig, run_experiment
+from netresp.evaluation import cross_validate, partitions, raw_kernel
 from netresp.kernels import PabsKernelParams
 from netresp.selection import (
     SelectionError,
@@ -39,58 +38,53 @@ def _two_class_features(n_per_class=10, k=4, v=120, effect=2.5, seed=0):
     return feats, labels
 
 
-def _cand_seed(cfg, cand):
-    return derive_seed(cfg.seed, "candidate", tuple(sorted(cand)))
+def _parts(labels, cfg):
+    """The inner partitions `ssfs` scores every candidate on."""
+    return partitions(labels, cfg.inner_folds, cfg.seed, cfg.inner_repeats)
 
 
 class TestScoreFeatureSet:
     def test_separating_component_scores_near_one(self):
         feats, labels = _two_class_features(seed=1)
-        s = score_feature_set(
-            feats, labels, ("P", "Q"), (0,), KP, SVM, FAST, _cand_seed(FAST, (0,))
-        )
+        s = score_feature_set(feats, labels, ("P", "Q"), (0,), KP, SVM, FAST, _parts(labels, FAST))
         assert s >= 0.98
 
     def test_noise_component_scores_near_chance(self):
         # wide folds keep the ranking-AP small-sample bias inside the band
         feats, labels = _two_class_features(n_per_class=20, seed=2)
         cfg = SsfsConfig(inner_folds=2, inner_repeats=4, seed=13)
-        s = score_feature_set(
-            feats, labels, ("P", "Q"), (2,), KP, SVM, cfg, _cand_seed(cfg, (2,))
-        )
+        s = score_feature_set(feats, labels, ("P", "Q"), (2,), KP, SVM, cfg, _parts(labels, cfg))
         assert abs(s - 0.5) < 0.1
 
     def test_bit_identical_for_same_seed(self):
         feats, labels = _two_class_features(n_per_class=6, seed=3)
-        args = (feats, labels, ("P", "Q"), (0, 1), KP, SVM, FAST, 1234)
+        parts = partitions(labels, FAST.inner_folds, 1234, FAST.inner_repeats)
+        args = (feats, labels, ("P", "Q"), (0, 1), KP, SVM, FAST, parts)
         assert score_feature_set(*args) == score_feature_set(*args)
 
     def test_empty_candidate_rejected(self):
         feats, labels = _two_class_features(n_per_class=6, seed=4)
         with pytest.raises(SelectionError, match="empty"):
-            score_feature_set(feats, labels, ("P", "Q"), (), KP, SVM, FAST, 0)
+            score_feature_set(feats, labels, ("P", "Q"), (), KP, SVM, FAST, _parts(labels, FAST))
 
     def test_errors_annotated_with_candidate(self):
         feats, labels = _two_class_features(n_per_class=2, seed=5)
+        # a test fold holding one class only has no precision-recall curve
+        parts = [np.array([0, 0, 1, 1])]
         with pytest.raises(SelectionError, match=r"\[0, 1\]"):
-            # 2 per class cannot support 3 inner folds
-            score_feature_set(feats, labels, ("P", "Q"), (0, 1), KP, SVM, FAST, 0)
+            score_feature_set(feats, labels, ("P", "Q"), (0, 1), KP, SVM, FAST, parts)
 
 
-def _per_repeat_reference(features, labels, class_set, selected, kernel_params, cfg, seed):
-    """Candidate score computed as one full experiment per inner repeat,
-    each building its own kernel."""
+def _per_repeat_reference(features, labels, class_set, selected, kernel_params, cfg, parts):
+    """Candidate score computed as one cross-validation per partition,
+    each building its own kernel, averaged over every cell in fold-major
+    order."""
     scores = []
-    for rep in range(cfg.inner_repeats):
-        inner = EvalConfig(
-            outer_folds=cfg.inner_folds,
-            repeats=1,
-            class_set=tuple(class_set),
-            seed=derive_seed(seed, "inner", rep),
-        )
-        report = run_experiment(features, labels, selected, kernel_params, SVM, inner)
-        scores.append(report.metric_values(cfg.scorer).mean())
-    return float(np.mean(scores))
+    for part in parts:
+        raw = raw_kernel(features, selected, kernel_params, use_fnc=False)
+        report = cross_validate(raw, labels, [part], kernel_params, SVM, class_set)
+        scores.append(report.metric_values(cfg.scorer))
+    return float(np.mean(np.array(scores).T.ravel()))
 
 
 class TestBuildOnce:
@@ -101,13 +95,14 @@ class TestBuildOnce:
         cfg = SsfsConfig(inner_folds=3, inner_repeats=3, scorer=scorer, seed=2)
         kp = PabsKernelParams(spectrum_fix=fix)
         args = (feats, labels, ("P", "Q"), (1, 2))
-        expected = _per_repeat_reference(*args, kp, cfg, 77)
-        assert score_feature_set(*args, kp, SVM, cfg, 77) == expected
+        parts = partitions(labels, cfg.inner_folds, 77, cfg.inner_repeats)
+        expected = _per_repeat_reference(*args, kp, cfg, parts)
+        assert score_feature_set(*args, kp, SVM, cfg, parts) == expected
 
     def test_one_build_per_candidate(self, kernel_builds):
         feats, labels = _two_class_features(n_per_class=6, seed=22)
         cfg = SsfsConfig(inner_folds=3, inner_repeats=4, seed=2)
-        score_feature_set(feats, labels, ("P", "Q"), (2, 0), KP, SVM, cfg, 5)
+        score_feature_set(feats, labels, ("P", "Q"), (2, 0), KP, SVM, cfg, _parts(labels, cfg))
         assert kernel_builds == [(2, 0)]
 
     def test_ssfs_one_build_per_trace_row(self, kernel_builds):
@@ -157,6 +152,33 @@ class TestBuildOnce:
         assert len(made) == len({c.stage for c in result.beam_trace})
 
 
+class TestSharedSplits:
+    def test_every_candidate_scored_on_one_partition_list(self, monkeypatch):
+        from netresp import selection
+
+        seen = []
+        original = selection.cross_validate
+
+        def recorded(raw, labels, parts, *args, **kwargs):
+            seen.append(parts)
+            return original(raw, labels, parts, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "cross_validate", recorded)
+        feats, labels, meta = generate_interaction_cohort(n_per_class=8, seed=26)
+        cfg = SsfsConfig(beam_width=2, inner_folds=3, inner_repeats=3, seed=4)
+        result = ssfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
+        expected = _parts(labels, cfg)
+        assert len(seen) == len(result.beam_trace) > 1
+        for parts in seen:
+            assert len(parts) == cfg.inner_repeats
+            assert all(np.array_equal(a, b) for a, b in zip(parts, expected))
+
+    def test_too_few_subjects_for_inner_folds(self):
+        feats, labels = _two_class_features(n_per_class=2, seed=5)
+        with pytest.raises(SelectionError, match="fewer than k=3"):
+            ssfs(feats, labels, ["A"] * 4, FAST, KP, SVM, class_set=("P", "Q"))
+
+
 def _brute_force_best(feats, labels, class_set, domains, cfg):
     """Enumerate every one-per-domain set and rank by the same scorer."""
     pools = {}
@@ -166,14 +188,9 @@ def _brute_force_best(feats, labels, class_set, domains, cfg):
     sets = [()]
     for d in names:
         sets = [s + (c,) for s in sets for c in pools[d]]
+    parts = _parts(labels, cfg)
     scored = [
-        (
-            score_feature_set(
-                feats, labels, class_set, s, KP, SVM, cfg, _cand_seed(cfg, s)
-            ),
-            s,
-        )
-        for s in sets
+        (score_feature_set(feats, labels, class_set, s, KP, SVM, cfg, parts), s) for s in sets
     ]
     best = sorted(scored, key=lambda t: (-t[0], t[1]))[0]
     return best[1], best[0], dict((s, v) for v, s in scored)
@@ -225,10 +242,9 @@ class TestSsfs:
         domains = ["A", "A", "A", "A"]
         cfg = SsfsConfig(beam_width=2, inner_folds=3, inner_repeats=2, seed=3)
         result = ssfs(feats, labels, domains, cfg, KP, SVM, class_set=("P", "Q"))
+        parts = _parts(labels, cfg)
         scores = {
-            (i,): score_feature_set(
-                feats, labels, ("P", "Q"), (i,), KP, SVM, cfg, _cand_seed(cfg, (i,))
-            )
+            (i,): score_feature_set(feats, labels, ("P", "Q"), (i,), KP, SVM, cfg, parts)
             for i in range(4)
         }
         best = sorted(scores.items(), key=lambda t: (-t[1], t[0]))[0]
