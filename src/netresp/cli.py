@@ -44,19 +44,40 @@ class ConfigError(ValueError):
     pass
 
 
-_SECTIONS = {
-    "synth": SynthConfig,
-    "scica": ScicaConfig,
-    "kernel": PabsKernelParams,
-    "svm": SvmConfig,
-    "selection": SsfsConfig,
-    "evaluation": EvalConfig,
+# synth sizes of the template presets; any other template is a dataset path
+_TEMPLATE_PRESETS = {
+    "default": {},
+    "n53": {"n_components": 53, "n_domains": 7},
+    "n105": {"n_components": 105, "n_domains": 6},
 }
-_TOP_KEYS = {"seed", "threads", "features", "selection_mode", "template"} | set(_SECTIONS)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _component_indices(values, n_components: int | None, what: str, error) -> list[int]:
+    """`values` when it is a non-empty list of distinct integer component
+    indices in [0, n_components), or >= 0 when `n_components` is None;
+    otherwise raises `error` naming `what`."""
+    if not isinstance(values, list) or not values:
+        raise error(f"{what} must be a non-empty list of component indices, got {values!r}")
+    for i in values:
+        if not _is_int(i):
+            raise error(f"{what} holds {i!r}, not an integer")
+        if i < 0 or (n_components is not None and i >= n_components):
+            raise error(f"{what} index {i} out of range")
+    if len(set(values)) != len(values):
+        raise error(f"{what} repeats a component: {values}")
+    return values
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
+    """Every run setting, derived once: section seeds from the master seed,
+    the template preset's synth sizes, beam width 1 for `sfs`, and the
+    component indices of a `fixed:` selection (`fixed`, None otherwise)."""
+
     seed: int = 0
     threads: int = 1
     features: str = "sm"  # sm | sm+fnc
@@ -68,26 +89,48 @@ class RunConfig:
     svm: SvmConfig = SvmConfig()
     selection: SsfsConfig = SsfsConfig()
     evaluation: EvalConfig = EvalConfig()
+    fixed: tuple[int, ...] | None = dataclasses.field(default=None, init=False)
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
             raise ConfigError(f"threads must be an integer >= 1, got {self.threads!r}")
-        # every section seed derives from the one master seed
-        for name, seed in (
-            ("synth", self.seed),
-            ("selection", derive_seed(self.seed, "selection")),
-            ("evaluation", derive_seed(self.seed, "evaluation")),
-        ):
-            object.__setattr__(self, name, dataclasses.replace(getattr(self, name), seed=seed))
         if self.features not in ("sm", "sm+fnc"):
             raise ConfigError(f"features must be 'sm' or 'sm+fnc', got {self.features!r}")
+        for key in ("selection_mode", "template"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigError(f"{key} must be a string, got {getattr(self, key)!r}")
         mode = self.selection_mode
-        if mode not in ("ssfs", "sfs") and not mode.startswith("fixed:"):
+        if mode.startswith("fixed:"):
+            try:
+                indices = [int(x) for x in mode.split(":", 1)[1].split(",") if x.strip() != ""]
+            except ValueError as e:
+                raise ConfigError(f"bad fixed selection {mode!r}: {e}") from e
+            fixed = _component_indices(indices, None, "fixed selection", ConfigError)
+            object.__setattr__(self, "fixed", tuple(fixed))
+        elif mode not in ("ssfs", "sfs"):
             raise ConfigError(
                 f"selection_mode must be 'ssfs', 'sfs' or 'fixed:<list>', got {mode!r}"
             )
+        # every section seed derives from the one master seed; a preset sets the synth sizes
+        derived = {
+            "synth": {"seed": self.seed, **_TEMPLATE_PRESETS.get(self.template, {})},
+            "selection": {"seed": derive_seed(self.seed, "selection")},
+            "evaluation": {"seed": derive_seed(self.seed, "evaluation")},
+        }
+        if mode == "sfs":  # SFS is SSFS with a beam of one
+            derived["selection"]["beam_width"] = 1
+        for name, updates in derived.items():
+            try:
+                section = dataclasses.replace(getattr(self, name), **updates)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"invalid {name} config: {e}") from e
+            object.__setattr__(self, name, section)
+
+    @property
+    def use_fnc(self) -> bool:
+        return self.features == "sm+fnc"
 
 
 def _section_from_dict(cls, data: dict, path: str):
@@ -103,7 +146,8 @@ def _section_from_dict(cls, data: dict, path: str):
 
 
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus CLI overrides.
+    """Build the RunConfig of an optional JSON file with the CLI flags that
+    were given (the non-None `overrides`) merged over it.
 
     Unknown keys anywhere in the document are rejected by name.
     """
@@ -118,50 +162,29 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"{p}: invalid JSON: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"{p}: config must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
+    data.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.init}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
-    kwargs: dict = {}
-    for key in ("seed", "threads", "features", "selection_mode", "template"):
-        if key in data:
-            kwargs[key] = data[key]
-    for key, cls in _SECTIONS.items():
-        if key in data:
-            if not isinstance(data[key], dict):
+    for key, value in data.items():
+        if dataclasses.is_dataclass(defaults[key]):
+            if not isinstance(value, dict):
                 raise ConfigError(f"config section {key!r} must be an object")
-            kwargs[key] = _section_from_dict(cls, data[key], key)
-    cfg = RunConfig(**kwargs)
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg
-
-
-def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    """Apply the CLI flags that were given."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    return dataclasses.replace(cfg, **updates)
-
-
-def _apply_template_preset(cfg: RunConfig) -> SynthConfig:
-    synth = cfg.synth
-    if cfg.template == "n53":
-        return dataclasses.replace(synth, n_components=53, n_domains=7)
-    if cfg.template == "n105":
-        return dataclasses.replace(synth, n_components=105, n_domains=6)
-    if cfg.template == "default":
-        return synth
-    raise ConfigError(
-        f"simulate supports template presets 'default', 'n53', 'n105'; "
-        f"got {cfg.template!r} (external template paths apply to extract)"
-    )
+            data[key] = _section_from_dict(type(defaults[key]), value, key)
+    return RunConfig(**data)
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    synth_cfg = _apply_template_preset(cfg)
-    plan = plan_cohort(synth_cfg)
+    if cfg.template not in _TEMPLATE_PRESETS:
+        raise ConfigError(
+            f"simulate supports template presets {', '.join(map(repr, _TEMPLATE_PRESETS))}; "
+            f"got {cfg.template!r} (external template paths apply to extract)"
+        )
+    plan = plan_cohort(cfg.synth)
     dataset_dir = out_dir / "dataset"
     subjects = parallel_imap(
         lambda i: make_subject(plan, i)[0], range(len(plan.labels)), cfg.threads
@@ -171,7 +194,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         "informative_indices": list(plan.informative_indices),
         "class_set": list(plan.class_set),
         "counts": {c: plan.labels.count(c) for c in plan.class_set},
-        "seed": synth_cfg.seed,
+        "seed": cfg.synth.seed,
     }
     (dataset_dir / "ground_truth.json").write_text(json.dumps(truth_doc, indent=2) + "\n")
     print(
@@ -183,7 +206,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def _manifest_for(cfg: RunConfig, out_dir: Path) -> Manifest:
     manifest = out_dir / "dataset" / "manifest.json"
-    if cfg.template not in ("default", "n53", "n105"):
+    if cfg.template not in _TEMPLATE_PRESETS:
         # external dataset directory or manifest path
         p = Path(cfg.template)
         manifest = p / "manifest.json" if p.is_dir() else p
@@ -254,11 +277,20 @@ def _read_json(path: Path, keys, stage: str) -> dict:
 
 
 def _features_doc(out_dir: Path) -> tuple[Path, dict]:
-    """features.json, with its subject entries checked; and its path."""
+    """features.json, with its subject entries and domains checked; and its path."""
     doc_path = out_dir / "features" / "features.json"
     doc = _read_json(doc_path, ("subjects", "domains"), "extract")
-    for n, entry in enumerate(doc["subjects"]):
-        _checked(entry, ("id", "label", "sm", "tc"), f"{doc_path}: subject entry {n}")
+    subjects, domains = doc["subjects"], doc["domains"]
+    if not isinstance(subjects, list):
+        raise ManifestError(f"{doc_path}: 'subjects' must be a list of entries, got {subjects!r}")
+    if not isinstance(domains, list) or not all(isinstance(d, str) for d in domains):
+        raise ManifestError(f"{doc_path}: 'domains' must be a list of names, got {domains!r}")
+    for n, entry in enumerate(subjects):
+        where = f"{doc_path}: subject entry {n}"
+        _checked(entry, ("id", "label", "sm", "tc"), where)
+        for key in ("id", "label", "sm", "tc", "fnc"):  # fnc is added by the fnc stage
+            if not isinstance(entry.get(key, ""), str):
+                raise ManifestError(f"{where}: {key!r} must be a string, got {entry[key]!r}")
     return doc_path, doc
 
 
@@ -277,10 +309,8 @@ def _read_features(feat_dir: Path, entry: dict, need_fnc: bool) -> SubjectFeatur
     )
 
 
-def _load_features(out_dir: Path, need_fnc: bool):
-    doc_path, doc = _features_doc(out_dir)
-    features = [_read_features(doc_path.parent, e, need_fnc) for e in doc["subjects"]]
-    return features, [e["label"] for e in doc["subjects"]], doc
+def _load_features(feat_dir: Path, entries: list[dict], need_fnc: bool) -> list[SubjectFeatures]:
+    return [_read_features(feat_dir, e, need_fnc) for e in entries]
 
 
 def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
@@ -296,49 +326,26 @@ def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _load_class_features(cfg: RunConfig, out_dir: Path):
-    """Features and labels of the subjects in the configured classes that
-    the data has, plus the features document and that class set."""
-    features, labels, doc = _load_features(out_dir, need_fnc=cfg.features == "sm+fnc")
-    class_set = tuple(c for c in cfg.evaluation.class_set if c in set(labels))
+def _class_entries(cfg: RunConfig, doc: dict) -> tuple[list[dict], tuple[str, ...]]:
+    """The features.json entries of the subjects in the configured classes
+    that the data has, and that class set."""
+    labels = {e["label"] for e in doc["subjects"]}
+    class_set = tuple(c for c in cfg.evaluation.class_set if c in labels)
     if len(class_set) < 2:
         raise ConfigError(
             f"need at least 2 of the configured classes in the data, have {class_set}"
         )
-    kept = [i for i, lab in enumerate(labels) if lab in class_set]
-    return [features[i] for i in kept], [labels[i] for i in kept], doc, class_set
+    return [e for e in doc["subjects"] if e["label"] in class_set], class_set
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _component_indices(values, n_components: int, what: str, error) -> list[int]:
-    """`values` when it is a non-empty list of distinct integer component
-    indices below `n_components`; otherwise raises `error` naming `what`."""
-    if not isinstance(values, list) or not values:
-        raise error(f"{what} must be a non-empty list of component indices, got {values!r}")
-    for i in values:
-        if not _is_int(i):
-            raise error(f"{what} holds {i!r}, not an integer")
-        if not 0 <= i < n_components:
-            raise error(f"{what} index {i} out of range")
-    if len(set(values)) != len(values):
-        raise error(f"{what} repeats a component: {values}")
-    return values
-
-
-def _parse_fixed(mode: str, n_components: int) -> list[int]:
-    try:
-        indices = [int(x) for x in mode.split(":", 1)[1].split(",") if x.strip() != ""]
-    except ValueError as e:
-        raise ConfigError(f"bad fixed selection {mode!r}: {e}") from e
-    return _component_indices(indices, n_components, "fixed selection", ConfigError)
+def _fixed_set(cfg: RunConfig, doc: dict) -> list[int]:
+    """The fixed selection, range-checked against features.json's domains."""
+    return _component_indices(list(cfg.fixed), len(doc["domains"]), "fixed selection", ConfigError)
 
 
 def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
-    use_fnc = cfg.features == "sm+fnc"
-    features, labels, doc, class_set = _load_class_features(cfg, out_dir)
+    doc_path, doc = _features_doc(out_dir)
+    entries, class_set = _class_entries(cfg, doc)
     truth_path = out_dir / "dataset" / "ground_truth.json"
     planted = None
     if truth_path.exists():
@@ -350,34 +357,31 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
             )
         if planted:  # an empty list is valid: recall is then null
             what = f"{truth_path}: 'informative_indices'"
-            _component_indices(planted, features[0].n_components, what, ManifestError)
-    sel_dir = out_dir / "selection"
-    sel_dir.mkdir(parents=True, exist_ok=True)
+            _component_indices(planted, len(doc["domains"]), what, ManifestError)
 
-    if cfg.selection_mode.startswith("fixed:"):
-        indices = _parse_fixed(cfg.selection_mode, features[0].n_components)
+    if cfg.fixed is not None:  # reads no matrix
+        fixed = tuple(_fixed_set(cfg, doc))
         result = SelectionResult(
-            best_set=tuple(indices),
+            best_set=fixed,
             best_score=float("nan"),
             beam_trace=(),
-            final_beam=((tuple(indices), float("nan")),),
+            final_beam=((fixed, float("nan")),),
         )
     else:
-        sel_cfg = cfg.selection
-        if cfg.selection_mode == "sfs":
-            sel_cfg = dataclasses.replace(sel_cfg, beam_width=1)
         result = ssfs(
-            features,
-            labels,
+            _load_features(doc_path.parent, entries, cfg.use_fnc),
+            [e["label"] for e in entries],
             doc["domains"],
-            sel_cfg,
+            cfg.selection,
             cfg.kernel,
             cfg.svm,
             class_set=class_set,
-            use_fnc=use_fnc,
+            use_fnc=cfg.use_fnc,
             threads=cfg.threads,
         )
 
+    sel_dir = out_dir / "selection"
+    sel_dir.mkdir(parents=True, exist_ok=True)
     out = {
         "best_set": list(result.best_set),
         "best_score": None if np.isnan(result.best_score) else result.best_score,
@@ -402,29 +406,29 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
-    use_fnc = cfg.features == "sm+fnc"
-    features, labels, doc, class_set = _load_class_features(cfg, out_dir)
-
-    if cfg.selection_mode.startswith("fixed:"):
-        selected = _parse_fixed(cfg.selection_mode, features[0].n_components)
+    doc_path, doc = _features_doc(out_dir)
+    entries, class_set = _class_entries(cfg, doc)
+    if cfg.fixed is not None:
+        selected = _fixed_set(cfg, doc)
     else:
         result_path = out_dir / "selection" / "result.json"
         selected = _component_indices(
             _read_json(result_path, ("best_set",), "select")["best_set"],
-            features[0].n_components,
+            len(doc["domains"]),
             f"{result_path}: 'best_set'",
             ManifestError,
         )
 
+    labels = [e["label"] for e in entries]
     eval_cfg = dataclasses.replace(cfg.evaluation, class_set=class_set)
     report = run_experiment(
-        features,
+        _load_features(doc_path.parent, entries, cfg.use_fnc),
         labels,
         selected,
         cfg.kernel,
         cfg.svm,
         eval_cfg,
-        use_fnc=use_fnc,
+        use_fnc=cfg.use_fnc,
     )
     eval_dir = out_dir / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
@@ -457,12 +461,12 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_kernel(cfg: RunConfig, out_dir: Path) -> int:
-    if not cfg.selection_mode.startswith("fixed:"):
+    if cfg.fixed is None:
         raise ConfigError("kernel dump requires --selection fixed:<list>")
-    use_fnc = cfg.features == "sm+fnc"
-    features = _load_features(out_dir, need_fnc=use_fnc)[0]
-    selected = _parse_fixed(cfg.selection_mode, features[0].n_components)
-    kernel = build_kernel_matrix(features, selected, cfg.kernel, use_fnc=use_fnc)
+    doc_path, doc = _features_doc(out_dir)
+    selected = _fixed_set(cfg, doc)
+    features = _load_features(doc_path.parent, doc["subjects"], cfg.use_fnc)
+    kernel = build_kernel_matrix(features, selected, cfg.kernel, use_fnc=cfg.use_fnc)
     kdir = out_dir / "kernel"
     kdir.mkdir(parents=True, exist_ok=True)
     # the dump is the kernel a training block would see: spectrum-fixed
@@ -599,6 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--selection",
+            dest="selection_mode",
             type=str,
             default=None,
             help="selection mode: ssfs | sfs | fixed:<comma-separated indices>",
@@ -610,14 +615,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = {
-            "seed": args.seed,
-            "threads": args.threads,
-            "template": args.template,
-            "features": args.features,
-            "selection_mode": args.selection,
-        }
-        cfg = load_run_config(args.config, overrides)
+        # every flag but these is named after the config key it overrides
+        flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
+        cfg = load_run_config(args.config, flags)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)

@@ -11,7 +11,7 @@ import pytest
 
 import netresp
 from netresp._util import derive_seed
-from netresp.cli import _load_features, load_run_config, main
+from netresp.cli import ConfigError, _load_features, load_run_config, main
 from netresp.datamodel import read_matrix, write_matrix
 from netresp.kernels import PabsKernelParams, apply_spectrum_fix, build_kernel_matrix
 
@@ -155,7 +155,8 @@ class TestPipeline:
         assert main(args + ["--selection", "fixed:0,1,2"]) == 0
         k = read_matrix(run / "kernel" / "kernel.msmx")
         assert np.linalg.eigvalsh(k).min() >= -1e-8
-        features = _load_features(run, need_fnc=True)[0]
+        entries = json.loads((run / "features" / "features.json").read_text())["subjects"]
+        features = _load_features(run / "features", entries, need_fnc=True)
         raw = build_kernel_matrix(features, [0, 1, 2], PabsKernelParams(), use_fnc=True).values
         assert np.array_equal(k, apply_spectrum_fix(raw, PabsKernelParams()))
 
@@ -552,6 +553,39 @@ class TestExitCodes:
         assert main(["select", "--config", str(config), "--out", str(run)]) == 1
         assert "error: 2 domain labels for 6 components" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "keys, value, command, selection, message",
+        [
+            # each was a TypeError traceback, except the silent success noted
+            (("subjects",), 7, "select", "ssfs", "'subjects'"),
+            (("subjects",), 7, "fnc", "ssfs", "'subjects'"),
+            (("domains",), 5, "select", "ssfs", "'domains'"),
+            (("domains",), 5, "select", "fixed:0,1", "'domains'"),  # exited 0
+            (("domains",), ["D0", 3], "evaluate", "fixed:0,1", "'domains'"),
+            (("domains",), None, "kernel", "fixed:0,1", "'domains'"),
+            (("subjects", 0, "label"), ["AD"], "select", "fixed:0,1", "subject entry 0: 'label'"),
+            (("subjects", 0, "sm"), 5, "evaluate", "fixed:0,1", "subject entry 0: 'sm'"),
+            (("subjects", 0, "fnc"), None, "evaluate", "fixed:0,1", "subject entry 0: 'fnc'"),
+        ],
+    )
+    def test_features_json_shape_exits_1(
+        self, pipeline_dir, tmp_path, capsys, keys, value, command, selection, message
+    ):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, copied=("features",))
+        doc_path = run / "features" / "features.json"
+        doc = json.loads(doc_path.read_text())
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        doc_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        args = [command, "--config", str(config), "--out", str(run), "--features", "sm+fnc"]
+        assert main(args + ["--selection", selection]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {doc_path}: {message} must be a")
+        assert not (run / "selection").exists()
+
     def test_invalid_features_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["select", "--out", str(tmp_path), "--features", "everything"])
@@ -587,6 +621,61 @@ class TestExitCodes:
         rc = main(["simulate", "--threads", threads, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "threads must be an integer >= 1" in capsys.readouterr().err
+
+
+class TestMatrixReads:
+    """A fixed selection is checked before any subject matrix is read."""
+
+    @staticmethod
+    def _counted_reads(monkeypatch) -> list:
+        from netresp import cli
+
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return read_matrix(path)
+
+        monkeypatch.setattr(cli, "read_matrix", counting)
+        return reads
+
+    @pytest.mark.parametrize("command", ["kernel", "evaluate"])
+    def test_out_of_range_fixed_set_reads_nothing(
+        self, pipeline_dir, tmp_path, monkeypatch, capsys, command
+    ):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("features",))
+        reads = self._counted_reads(monkeypatch)
+        capsys.readouterr()
+        args = [command, "--config", str(config), "--out", str(run), "--selection", "fixed:0,99"]
+        assert main(args) == 2
+        assert "fixed selection index 99 out of range" in capsys.readouterr().err
+        assert reads == []
+
+    def test_malformed_fixed_set_exits_2_without_features(self, tmp_path, monkeypatch, capsys):
+        # the set is parsed with the config, before the stage looks for its inputs
+        reads = self._counted_reads(monkeypatch)
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(tmp_path / "empty"), "--selection", "fixed:x"]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad fixed selection 'fixed:x'")
+        assert reads == []
+
+    def test_fixed_select_reads_no_matrix(self, pipeline_dir, tmp_path, monkeypatch):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("dataset", "features"))
+        reads = self._counted_reads(monkeypatch)
+        args = ["select", "--config", str(config), "--out", str(run), "--selection", "fixed:0,1"]
+        assert main(args) == 0
+        assert reads == []
+        expected = {
+            "best_set": [0, 1],
+            "best_score": None,
+            "mode": "fixed:0,1",
+            "features": "sm",
+            "final_beam": [{"set": [0, 1], "score": None}],
+        }
+        result = (run / "selection" / "result.json").read_text()
+        assert result == json.dumps(expected, indent=2) + "\n"
 
 
 class TestStreaming:
@@ -670,6 +759,73 @@ class TestMasterSeed:
         config.write_text(block)
         cfg = load_run_config(config)
         assert cfg.seed == json.loads(block)["seed"]
+
+
+class TestRunConfig:
+    """load_run_config merges the given flags into the file and derives once."""
+
+    @staticmethod
+    def _load(tmp_path, doc, **flags):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        return load_run_config(config, flags)
+
+    @pytest.mark.parametrize("template, sizes", [("n53", (53, 7)), ("n105", (105, 6))])
+    def test_template_preset_sets_synth_sizes(self, tmp_path, template, sizes):
+        cfg = self._load(tmp_path, {"synth": {"n_components": 8}}, template=template)
+        assert (cfg.synth.n_components, cfg.synth.n_domains) == sizes
+
+    def test_flag_template_overrides_file_preset(self, tmp_path):
+        cfg = self._load(tmp_path, {"template": "n53"}, template="default")
+        assert cfg.synth.n_components == 20
+        assert cfg == load_run_config()
+
+    def test_flag_ssfs_keeps_file_beam_width(self, tmp_path):
+        doc = {"selection_mode": "sfs", "selection": {"beam_width": 3}}
+        assert self._load(tmp_path, doc).selection.beam_width == 1
+        assert self._load(tmp_path, doc, selection_mode="ssfs").selection.beam_width == 3
+
+    @pytest.mark.parametrize("doc", [{}, {"selection": {"beam_width": 3}}])
+    def test_sfs_is_beam_width_one(self, tmp_path, doc):
+        assert self._load(tmp_path, doc, selection_mode="sfs").selection.beam_width == 1
+
+    @pytest.mark.parametrize(
+        "mode, fixed", [("ssfs", None), ("fixed:3,0", (3, 0)), ("fixed: 1,,2 ", (1, 2))]
+    )
+    def test_fixed_set_parsed_with_the_config(self, mode, fixed):
+        cfg = load_run_config(None, {"selection_mode": mode})
+        assert cfg.fixed == fixed and cfg.selection_mode == mode
+
+    @pytest.mark.parametrize(
+        "mode, reason",
+        [
+            ("fixed:x", "bad fixed selection"),
+            ("fixed:", "must be a non-empty list"),
+            ("fixed:2,2", "repeats a component"),
+            ("fixed:-1", "index -1 out of range"),
+            ("greedy", "selection_mode must be"),
+        ],
+    )
+    def test_bad_selection_mode_is_config_error(self, mode, reason):
+        with pytest.raises(ConfigError, match=reason):
+            load_run_config(None, {"selection_mode": mode})
+
+    @pytest.mark.parametrize("key", ["selection_mode", "template"])
+    def test_non_string_mode_or_template_exits_2(self, tmp_path, capsys, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: ["ssfs"]}))
+        assert main(["extract", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} must be a string" in capsys.readouterr().err
+
+    def test_simulate_rejects_template_path(self, tmp_path, capsys):
+        rc = main(["simulate", "--out", str(tmp_path / "o"), "--template", str(tmp_path)])
+        assert rc == 2
+        assert "simulate supports template presets" in capsys.readouterr().err
+
+    def test_simulate_fixed_x_exits_2(self, tmp_path):
+        rc = main(["simulate", "--out", str(tmp_path / "o"), "--selection", "fixed:x"])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestHelp:
