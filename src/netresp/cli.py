@@ -291,6 +291,13 @@ def _features_doc(out_dir: Path) -> tuple[Path, dict]:
         for key in ("id", "label", "sm", "tc", "fnc"):  # fnc is added by the fnc stage
             if not isinstance(entry.get(key, ""), str):
                 raise ManifestError(f"{where}: {key!r} must be a string, got {entry[key]!r}")
+        # extract writes one flag per component, so the count is checked without a read
+        converged = entry.get("converged")
+        if isinstance(converged, list) and len(converged) != len(domains):
+            raise ManifestError(
+                f"{where}: 'converged' must be a flag per 'domains' entry, "
+                f"got {len(converged)} flags for {len(domains)} domains"
+            )
     return doc_path, doc
 
 
@@ -316,10 +323,16 @@ def _load_features(feat_dir: Path, entries: list[dict], need_fnc: bool) -> list[
 def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
     doc_path, doc = _features_doc(out_dir)
     doc_path.unlink()
+    n_components = len(doc["domains"])
     for entry in doc["subjects"]:
-        f = _read_features(doc_path.parent, entry, need_fnc=False)
+        tc = read_matrix(doc_path.parent / entry["tc"])
+        if tc.shape[1] != n_components:
+            raise ManifestError(
+                f"subject {entry['id']}: time courses have {tc.shape[1]} columns, "
+                f"expected {n_components}, one per 'domains' entry"
+            )
         name = f"{entry['id']}.fnc.msmx"
-        write_matrix(compute_fnc(f.time_courses), doc_path.parent / name)
+        write_matrix(compute_fnc(tc), doc_path.parent / name)
         entry["fnc"] = name
     doc_path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"computed FNC matrices for {len(doc['subjects'])} subjects")

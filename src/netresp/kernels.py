@@ -33,7 +33,7 @@ import numpy as np
 from .datamodel import SubjectFeatures, as_matrix
 from .fnc import fisher_z
 
-SPECTRUM_FIXES = ("none", "clip", "ridge")
+SPECTRUM_FIXES = ("none", "clip")
 # a selected map set is rank deficient when s_min <= RCOND * s_max
 RCOND = 1e-10
 
@@ -50,15 +50,13 @@ class PabsKernelParams:
     combine_weight w blends w * K_maps + (1 - w) * K_fnc when FNC features
     are enabled. The tanh kernel is generally indefinite, so `spectrum_fix`
     selects how `apply_spectrum_fix` repairs training kernels: "clip" zeroes
-    negative eigenvalues, "ridge" adds ridge_lambda to the diagonal, "none"
-    passes the matrix through.
+    negative eigenvalues, "none" passes the matrix through.
     """
 
     gamma: float = 1.0
     fnc_gamma: float = 1.0
     combine_weight: float = 0.5
     spectrum_fix: str = "clip"
-    ridge_lambda: float = 1e-6
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -71,8 +69,6 @@ class PabsKernelParams:
             raise ValueError(
                 f"spectrum_fix must be one of {SPECTRUM_FIXES}, got {self.spectrum_fix!r}"
             )
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,6 @@ def apply_spectrum_fix(matrix, params: PabsKernelParams) -> np.ndarray:
     m = as_matrix(matrix, "kernel")
     if params.spectrum_fix == "none":
         return m.copy()
-    if params.spectrum_fix == "ridge":
-        return m + params.ridge_lambda * np.eye(m.shape[0])
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
     fixed = (v * w) @ v.T

@@ -1,8 +1,8 @@
 """Spatially constrained ICA: one anchored unit per template component.
 
 Each template row seeds a one-unit fixed-point ICA iteration (negentropy
-contrast) augmented with a penalty pulling the unit's output map toward
-positive correlation with its reference. Units are not orthogonalized
+contrast, g = tanh) augmented with a penalty pulling the unit's output map
+toward positive correlation with its reference. Units are not orthogonalized
 against each other, so constrained components may correlate; each one is
 identified by its own reference, not by deflation order.
 
@@ -23,8 +23,6 @@ import numpy as np
 from ._util import derive_seed, parallel_map
 from .datamodel import SubjectFeatures, Template, as_matrix
 
-NONLINEARITIES = ("tanh", "gauss", "cube")
-
 
 class ZeroVarianceVoxelError(ValueError):
     """A voxel has no variance over time, so it cannot be normalized."""
@@ -39,7 +37,6 @@ class ScicaConfig:
     max_iters: int = 500
     tol: float = 1e-6
     constraint_weight: float = 1.0
-    nonlinearity: str = "tanh"
     pca_retained: int | None = None  # None: match the template's K
 
     def __post_init__(self):
@@ -49,10 +46,6 @@ class ScicaConfig:
             raise ValueError("tol must be positive")
         if self.constraint_weight < 0:
             raise ValueError("constraint_weight must be non-negative")
-        if self.nonlinearity not in NONLINEARITIES:
-            raise ValueError(
-                f"nonlinearity must be one of {NONLINEARITIES}, got {self.nonlinearity!r}"
-            )
         if self.pca_retained is not None and self.pca_retained < 1:
             raise ValueError("pca_retained must be at least 1")
 
@@ -72,27 +65,15 @@ class WhitenedData:
     voxel_stds: np.ndarray
 
 
-def _apply_contrast(name: str, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g(y) and the row means of g'(y) for the chosen contrast.
+def _apply_contrast(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(y) = tanh(y) and the row means of g'(y) = 1 - g(y)^2.
 
     `y` is a (B, V) stack of unit outputs and is overwritten with g(y). The
-    means come from row sums and row dot products, so a round allocates no
-    (B, V) array beyond y (gauss and cube: one). The cube is two products,
-    y * y * y, because np.power is over ten times slower.
+    means come from row dot products, so a round allocates no (B, V) array
+    beyond y.
     """
-    v = y.shape[1]
-    if name == "tanh":
-        gy = np.tanh(y, out=y)
-        return gy, 1.0 - _rowdot(gy, gy) / v  # g' = 1 - g^2
-    if name == "gauss":
-        e = y * y
-        e *= -0.5
-        np.exp(e, out=e)
-        e_sum = np.add.reduce(e, axis=1)
-        gy = np.multiply(y, e, out=e)
-        return gy, (e_sum - _rowdot(y, gy)) / v  # g' = e - y g
-    gp_mean = 3.0 * _rowdot(y, y) / v  # g' = 3 y^2
-    return np.multiply(y * y, y, out=y), gp_mean
+    gy = np.tanh(y, out=y)
+    return gy, 1.0 - _rowdot(gy, gy) / y.shape[1]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,7 +151,7 @@ def constrained_unit_update(w, whitened, reference_projected, cfg: ScicaConfig) 
     w = np.atleast_2d(w)
     b = np.atleast_2d(np.asarray(reference_projected, dtype=np.float64))
     v = whitened.shape[1]
-    gy, gp_mean = _apply_contrast(cfg.nonlinearity, w @ whitened)
+    gy, gp_mean = _apply_contrast(w @ whitened)
     w_fp = gy @ whitened.T
     w_fp /= v
     w_fp -= gp_mean[:, None] * w

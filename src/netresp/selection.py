@@ -26,8 +26,6 @@ from .evaluation import cross_validate, partitions, raw_kernel, run_experiment  
 from .kernels import PabsKernelParams, SubspaceFactors, subspace_factors
 from .svm import SvmConfig
 
-SCORERS = ("macro_pr_auc", "macro_f1")
-
 
 class SelectionError(RuntimeError):
     pass
@@ -36,10 +34,8 @@ class SelectionError(RuntimeError):
 @dataclass(frozen=True)
 class SsfsConfig:
     beam_width: int = 5
-    scorer: str = "macro_pr_auc"
     inner_folds: int = 5
     inner_repeats: int = 10
-    domain_order: tuple[str, ...] | None = None
     extra_passes: int = 0
     seed: int = 0
 
@@ -50,12 +46,8 @@ class SsfsConfig:
             raise ValueError("inner_folds must be at least 2")
         if self.inner_repeats < 1:
             raise ValueError("inner_repeats must be at least 1")
-        if self.scorer not in SCORERS:
-            raise ValueError(f"scorer must be one of {SCORERS}, got {self.scorer!r}")
         if self.extra_passes < 0:
             raise ValueError("extra_passes must be non-negative")
-        if self.domain_order is not None:
-            object.__setattr__(self, "domain_order", tuple(self.domain_order))
 
 
 @dataclass(frozen=True)
@@ -96,12 +88,11 @@ def score_feature_set(
     selected,
     kernel_params: PabsKernelParams,
     svm_cfg: SvmConfig,
-    cfg: SsfsConfig,
     parts: list[np.ndarray],
     use_fnc: bool = False,
     factors: SubspaceFactors | None = None,
 ) -> float:
-    """Mean inner-CV score of a candidate component set over the fold
+    """Mean inner-CV macro PR-AUC of a candidate component set over the fold
     assignments `parts`.
 
     The candidate's raw kernel is built once, from `factors` when given (a
@@ -121,23 +112,19 @@ def score_feature_set(
         report = cross_validate(raw, labels, parts, kernel_params, svm_cfg, class_set)
     except Exception as e:
         raise SelectionError(f"candidate {list(selected)}: {e}") from e
-    return float(np.mean(report.metric_values(cfg.scorer)))
+    return float(np.mean(report.metric_values("macro_pr_auc")))
 
 
-def _domain_pools(domains, order) -> list[tuple[str, list[int]]]:
+def _domain_pools(domains) -> list[list[int]]:
+    """Component indices per domain, domains in first-appearance order."""
     by_domain: dict[str, list[int]] = {}
     for i, d in enumerate(domains):
         by_domain.setdefault(str(d), []).append(i)
-    if order is None:
-        order = tuple(by_domain)  # first-appearance order
-    missing = [d for d in order if d not in by_domain]
-    if missing:
-        raise SelectionError(f"domains without components: {missing}")
-    return [(d, by_domain[d]) for d in order]
+    return list(by_domain.values())
 
 
 def _score_stage(
-    features, labels, class_set, candidates, kernel_params, svm_cfg, cfg, parts, use_fnc, threads
+    features, labels, class_set, candidates, kernel_params, svm_cfg, parts, use_fnc, threads
 ) -> list[float]:
     """Scores of one stage's candidates on the partitions `parts`, every
     kernel built from one factor set over the union of their components;
@@ -150,7 +137,7 @@ def _score_stage(
 
     def score_one(cand):
         return score_feature_set(
-            features, labels, class_set, cand, kernel_params, svm_cfg, cfg, parts, use_fnc, factors
+            features, labels, class_set, cand, kernel_params, svm_cfg, parts, use_fnc, factors
         )
 
     return parallel_map(score_one, candidates, threads)
@@ -183,8 +170,7 @@ def ssfs(
     n_comp = features[0].n_components
     if len(domains) != n_comp:
         raise SelectionError(f"{len(domains)} domain labels for {n_comp} components")
-    pools = _domain_pools(domains, cfg.domain_order)
-    stages: list[list[int]] = [pool for _, pool in pools]
+    stages = _domain_pools(domains)
     for _ in range(cfg.extra_passes):
         stages.append(list(range(n_comp)))
     try:
@@ -212,8 +198,7 @@ def ssfs(
             raise SelectionError(f"stage {stage_idx}: no candidates to evaluate")
 
         scores = _score_stage(
-            features, labels, class_set, candidates, kernel_params, svm_cfg, cfg, parts, use_fnc,
-            threads
+            features, labels, class_set, candidates, kernel_params, svm_cfg, parts, use_fnc, threads
         )
         ranked = sorted(zip(candidates, scores), key=lambda cs: (-cs[1], cs[0]))
         kept = {cand for cand, _ in ranked[: cfg.beam_width]}

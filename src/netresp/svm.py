@@ -30,7 +30,6 @@ class SvmConfig:
     pair updates for n training points."""
 
     C: float = 1.0
-    class_weighted: bool = True
     smo_tol: float = 1e-3
     max_passes: int = 10_000
 
@@ -44,15 +43,13 @@ class SvmConfig:
 
 
 def per_sample_c(y, cfg: SvmConfig) -> np.ndarray:
-    """Box constraint per sample; inverse class-frequency scaled when enabled.
+    """Box constraint per sample, scaled by inverse class frequency: samples
+    of a class with n_c members get C * N / (2 n_c).
 
-    With weighting on, samples of a class with n_c members get C * N / (2 n_c).
     Counts run along the last axis of `y`, so a (B, n) stack of padded label
     rows gets one box row per problem; padding entries (label 0) get box 0.
     """
     y = np.asarray(y)
-    if not cfg.class_weighted:
-        return np.where(y != 0, cfg.C, 0.0)
     n_pos = (y > 0).sum(axis=-1, keepdims=True)
     n_neg = (y < 0).sum(axis=-1, keepdims=True)
     n = n_pos + n_neg
@@ -108,8 +105,8 @@ def solve_smo_arrays(kernels, cells, y, cfg: SvmConfig) -> SmoSolution:
     I_low) and replaces the end whose second-order partner gains more,
     b^2 / a, by that partner (WSS2 of Fan, Chen & Lin 2005, JMLR 6:1889);
     trying both ends makes flipped labels give the exactly flipped model. A
-    non-positive curvature a (the none and ridge spectrum fixes leave the
-    kernel indefinite) is replaced by TAU, which sends the step to the box
+    non-positive curvature a (the none spectrum fix leaves the kernel
+    indefinite) is replaced by TAU, which sends the step to the box
     edge. No randomness is involved. All arithmetic is elementwise along a
     problem's row and every argmax/argmin keeps the first index, so each
     solution is bit-identical to the one its problem gives when solved alone.

@@ -233,15 +233,8 @@ def unit_update_1d(w, whitened, b, cfg) -> np.ndarray:
     """One constrained fixed-point step for a single unit, as matrix-vector
     products (see scica.constrained_unit_update for the update rule)."""
     v = whitened.shape[1]
-    y = w @ whitened
-    if cfg.nonlinearity == "tanh":
-        gy = np.tanh(y)
-        gp_mean = float(np.mean(1.0 - gy * gy))
-    elif cfg.nonlinearity == "gauss":
-        e = np.exp(-0.5 * y * y)
-        gy, gp_mean = y * e, float(np.mean((1.0 - y * y) * e))
-    else:
-        gy, gp_mean = y**3, float(np.mean(3.0 * y * y))
+    gy = np.tanh(w @ whitened)
+    gp_mean = float(np.mean(1.0 - gy * gy))
     w_fp = whitened @ gy / v - gp_mean * w
     if w_fp @ w < 0:
         w_fp = -w_fp

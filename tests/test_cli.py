@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ import pytest
 
 import netresp
 from netresp._util import derive_seed
-from netresp.cli import ConfigError, _load_features, load_run_config, main
+from netresp.cli import ConfigError, RunConfig, _load_features, load_run_config, main
 from netresp.datamodel import read_matrix, write_matrix
 from netresp.kernels import PabsKernelParams, apply_spectrum_fix, build_kernel_matrix
 
@@ -54,6 +55,12 @@ def pipeline_dir(tmp_path_factory):
     )
     assert main(["report", "--config", str(config), "--out", str(out)]) == 0
     return config, out
+
+
+def _readme_config_block() -> str:
+    """The example config document under the README's run configuration heading."""
+    section = README.read_text().split("### Run configuration", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
 
 
 def _run_dir(tmp_path, out, linked=(), copied=()):
@@ -305,12 +312,25 @@ class TestExitCodes:
         assert rc == 2
         assert "bogus_key" in capsys.readouterr().err
 
-    def test_unknown_nested_key_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "synth.sigma_typo",
+            # removed keys, whose code paths no run took
+            "scica.nonlinearity",
+            "kernel.ridge_lambda",
+            "svm.class_weighted",
+            "selection.scorer",
+            "selection.domain_order",
+        ],
+    )
+    def test_unknown_nested_key_exits_2(self, tmp_path, capsys, key):
+        section, name = key.split(".")
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"synth": {"sigma_typo": 1}}))
+        config.write_text(json.dumps({section: {name: 1}}))
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "synth.sigma_typo" in capsys.readouterr().err
+        assert f"unknown config key: {key}" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         rc = main(
@@ -548,10 +568,26 @@ class TestExitCodes:
         doc_path = run / "features" / "features.json"
         doc = json.loads(doc_path.read_text())
         doc["domains"] = doc["domains"][:2]
+        for entry in doc["subjects"]:  # without flags to count, the matrices are checked
+            del entry["converged"]
         doc_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["select", "--config", str(config), "--out", str(run)]) == 1
         assert "error: 2 domain labels for 6 components" in capsys.readouterr().err
+
+    def test_fnc_time_course_columns_checked(self, pipeline_dir, tmp_path, capsys):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, copied=("features",))
+        doc = json.loads((run / "features" / "features.json").read_text())
+        entry = doc["subjects"][1]
+        tc = run / "features" / entry["tc"]
+        write_matrix(read_matrix(tc)[:, :5], tc)
+        capsys.readouterr()
+        assert main(["fnc", "--config", str(config), "--out", str(run)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: subject {entry['id']}: time courses have 5 columns, "
+            "expected 6, one per 'domains' entry\n"
+        )
 
     @pytest.mark.parametrize(
         "keys, value, command, selection, message",
@@ -566,6 +602,8 @@ class TestExitCodes:
             (("subjects", 0, "label"), ["AD"], "select", "fixed:0,1", "subject entry 0: 'label'"),
             (("subjects", 0, "sm"), 5, "evaluate", "fixed:0,1", "subject entry 0: 'sm'"),
             (("subjects", 0, "fnc"), None, "evaluate", "fixed:0,1", "subject entry 0: 'fnc'"),
+            # 11 domains for 6 components: exited 0 and wrote best_set [0, 8]
+            (("domains",), ["D0"] * 11, "select", "fixed:0,8", "subject entry 0: 'converged'"),
         ],
     )
     def test_features_json_shape_exits_1(
@@ -753,12 +791,25 @@ class TestMasterSeed:
 
     def test_readme_config_loads(self, tmp_path):
         # the documented example must use only keys the loader accepts
-        section = README.read_text().split("### Run configuration", 1)[1]
-        block = section.split("```json\n", 1)[1].split("```", 1)[0]
         config = tmp_path / "config.json"
-        config.write_text(block)
+        config.write_text(_readme_config_block())
         cfg = load_run_config(config)
-        assert cfg.seed == json.loads(block)["seed"]
+        assert cfg.seed == json.loads(config.read_text())["seed"]
+
+    def test_readme_config_lists_every_key(self, tmp_path):
+        # ... and name every key a config may set
+        config = tmp_path / "config.json"
+        config.write_text(_readme_config_block())
+        load_run_config(config)
+        fields = [f for f in dataclasses.fields(RunConfig) if f.init]
+        sections = {f.name: f.default for f in fields if dataclasses.is_dataclass(f.default)}
+        settable = {f.name for f in fields if f.name not in sections}
+        for name, default in sections.items():
+            settable |= {f"{name}.{f.name}" for f in dataclasses.fields(default) if f.name != "seed"}
+        documented = set()
+        for key, value in json.loads(config.read_text()).items():
+            documented |= {f"{key}.{k}" for k in value} if key in sections else {key}
+        assert documented == settable
 
 
 class TestRunConfig:

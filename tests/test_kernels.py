@@ -368,11 +368,6 @@ class TestSpectrumFix:
         fixed = apply_spectrum_fix(m, PabsKernelParams(spectrum_fix="clip"))
         np.testing.assert_allclose(fixed, m, atol=1e-10)
 
-    def test_ridge_adds_lambda(self):
-        m = np.eye(3)
-        fixed = apply_spectrum_fix(m, PabsKernelParams(spectrum_fix="ridge", ridge_lambda=0.5))
-        np.testing.assert_allclose(fixed, 1.5 * np.eye(3))
-
     def test_none_passes_through(self):
         rng = np.random.default_rng(11)
         m = rng.standard_normal((4, 4))

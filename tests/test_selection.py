@@ -46,36 +46,36 @@ def _parts(labels, cfg):
 class TestScoreFeatureSet:
     def test_separating_component_scores_near_one(self):
         feats, labels = _two_class_features(seed=1)
-        s = score_feature_set(feats, labels, ("P", "Q"), (0,), KP, SVM, FAST, _parts(labels, FAST))
+        s = score_feature_set(feats, labels, ("P", "Q"), (0,), KP, SVM, _parts(labels, FAST))
         assert s >= 0.98
 
     def test_noise_component_scores_near_chance(self):
         # wide folds keep the ranking-AP small-sample bias inside the band
         feats, labels = _two_class_features(n_per_class=20, seed=2)
         cfg = SsfsConfig(inner_folds=2, inner_repeats=4, seed=13)
-        s = score_feature_set(feats, labels, ("P", "Q"), (2,), KP, SVM, cfg, _parts(labels, cfg))
+        s = score_feature_set(feats, labels, ("P", "Q"), (2,), KP, SVM, _parts(labels, cfg))
         assert abs(s - 0.5) < 0.1
 
     def test_bit_identical_for_same_seed(self):
         feats, labels = _two_class_features(n_per_class=6, seed=3)
         parts = partitions(labels, FAST.inner_folds, 1234, FAST.inner_repeats)
-        args = (feats, labels, ("P", "Q"), (0, 1), KP, SVM, FAST, parts)
+        args = (feats, labels, ("P", "Q"), (0, 1), KP, SVM, parts)
         assert score_feature_set(*args) == score_feature_set(*args)
 
     def test_empty_candidate_rejected(self):
         feats, labels = _two_class_features(n_per_class=6, seed=4)
         with pytest.raises(SelectionError, match="empty"):
-            score_feature_set(feats, labels, ("P", "Q"), (), KP, SVM, FAST, _parts(labels, FAST))
+            score_feature_set(feats, labels, ("P", "Q"), (), KP, SVM, _parts(labels, FAST))
 
     def test_errors_annotated_with_candidate(self):
         feats, labels = _two_class_features(n_per_class=2, seed=5)
         # a test fold holding one class only has no precision-recall curve
         parts = [np.array([0, 0, 1, 1])]
         with pytest.raises(SelectionError, match=r"\[0, 1\]"):
-            score_feature_set(feats, labels, ("P", "Q"), (0, 1), KP, SVM, FAST, parts)
+            score_feature_set(feats, labels, ("P", "Q"), (0, 1), KP, SVM, parts)
 
 
-def _per_repeat_reference(features, labels, class_set, selected, kernel_params, cfg, parts):
+def _per_repeat_reference(features, labels, class_set, selected, kernel_params, parts):
     """Candidate score computed as one cross-validation per partition,
     each building its own kernel, averaged over every cell in fold-major
     order."""
@@ -83,26 +83,24 @@ def _per_repeat_reference(features, labels, class_set, selected, kernel_params, 
     for part in parts:
         raw = raw_kernel(features, selected, kernel_params, use_fnc=False)
         report = cross_validate(raw, labels, [part], kernel_params, SVM, class_set)
-        scores.append(report.metric_values(cfg.scorer))
+        scores.append(report.metric_values("macro_pr_auc"))
     return float(np.mean(np.array(scores).T.ravel()))
 
 
 class TestBuildOnce:
-    @pytest.mark.parametrize("scorer", ["macro_pr_auc", "macro_f1"])
     @pytest.mark.parametrize("fix", ["clip", "none"])
-    def test_score_equals_per_repeat_experiments(self, scorer, fix):
+    def test_score_equals_per_repeat_experiments(self, fix):
         feats, labels = _two_class_features(n_per_class=6, seed=21)
-        cfg = SsfsConfig(inner_folds=3, inner_repeats=3, scorer=scorer, seed=2)
         kp = PabsKernelParams(spectrum_fix=fix)
         args = (feats, labels, ("P", "Q"), (1, 2))
-        parts = partitions(labels, cfg.inner_folds, 77, cfg.inner_repeats)
-        expected = _per_repeat_reference(*args, kp, cfg, parts)
-        assert score_feature_set(*args, kp, SVM, cfg, parts) == expected
+        parts = partitions(labels, 3, 77, 3)
+        expected = _per_repeat_reference(*args, kp, parts)
+        assert score_feature_set(*args, kp, SVM, parts) == expected
 
     def test_one_build_per_candidate(self, kernel_builds):
         feats, labels = _two_class_features(n_per_class=6, seed=22)
         cfg = SsfsConfig(inner_folds=3, inner_repeats=4, seed=2)
-        score_feature_set(feats, labels, ("P", "Q"), (2, 0), KP, SVM, cfg, _parts(labels, cfg))
+        score_feature_set(feats, labels, ("P", "Q"), (2, 0), KP, SVM, _parts(labels, cfg))
         assert kernel_builds == [(2, 0)]
 
     def test_ssfs_one_build_per_trace_row(self, kernel_builds):
@@ -180,7 +178,7 @@ class TestSharedSplits:
 
 
 def _brute_force_best(feats, labels, class_set, domains, cfg):
-    """Enumerate every one-per-domain set and rank by the same scorer."""
+    """Enumerate every one-per-domain set and rank by the same score."""
     pools = {}
     for i, d in enumerate(domains):
         pools.setdefault(d, []).append(i)
@@ -190,7 +188,7 @@ def _brute_force_best(feats, labels, class_set, domains, cfg):
         sets = [s + (c,) for s in sets for c in pools[d]]
     parts = _parts(labels, cfg)
     scored = [
-        (score_feature_set(feats, labels, class_set, s, KP, SVM, cfg, parts), s) for s in sets
+        (score_feature_set(feats, labels, class_set, s, KP, SVM, parts), s) for s in sets
     ]
     best = sorted(scored, key=lambda t: (-t[0], t[1]))[0]
     return best[1], best[0], dict((s, v) for v, s in scored)
@@ -244,7 +242,7 @@ class TestSsfs:
         result = ssfs(feats, labels, domains, cfg, KP, SVM, class_set=("P", "Q"))
         parts = _parts(labels, cfg)
         scores = {
-            (i,): score_feature_set(feats, labels, ("P", "Q"), (i,), KP, SVM, cfg, parts)
+            (i,): score_feature_set(feats, labels, ("P", "Q"), (i,), KP, SVM, parts)
             for i in range(4)
         }
         best = sorted(scores.items(), key=lambda t: (-t[1], t[0]))[0]
@@ -301,13 +299,12 @@ class TestSsfs:
         assert len(result.best_set) == 3
         assert len(set(result.best_set)) == 3
 
-    def test_empty_domain_rejected(self):
-        feats, labels, meta = generate_interaction_cohort(n_per_class=6, seed=13)
-        cfg = SsfsConfig(
-            beam_width=2, inner_folds=3, inner_repeats=1, domain_order=("A", "C"), seed=6
-        )
-        with pytest.raises(SelectionError, match="C"):
-            ssfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
+    def test_stages_follow_first_appearance_of_domains(self):
+        feats, labels = _two_class_features(n_per_class=6, seed=15)
+        cfg = SsfsConfig(beam_width=1, inner_folds=3, inner_repeats=1, seed=6)
+        result = ssfs(feats, labels, ["B", "A", "A", "B"], cfg, KP, SVM, class_set=("P", "Q"))
+        stage0 = [c.indices for c in result.beam_trace if c.stage == 0]
+        assert stage0 == [(0,), (3,)]
 
     def test_domain_count_must_match_components(self):
         # with domains cut to 2 of 4 entries ssfs searched components 0 and 1 only
