@@ -9,6 +9,7 @@ across parallel workers.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -65,35 +66,42 @@ def write_matrix(m, path) -> None:
 
     Layout: magic ``MSMX``, format version (u32 LE), rows (u64 LE),
     cols (u64 LE), then rows*cols float64 LE values in row-major order.
+    The payload is written straight from the array's buffer.
     """
-    m = as_matrix(m)
+    m = as_matrix(m).astype("<f8", copy=False)
     rows, cols = m.shape
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, rows, cols)
-    payload = m.astype("<f8", copy=False).tobytes(order="C")
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, rows, cols))
+        f.write(m.data)
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix container file; exact inverse of :func:`write_matrix`.
 
-    Raises BadMagicError, BadVersionError, TruncatedPayloadError or
-    NonFiniteValueError depending on which part of the contract is broken.
+    The payload is read into one new array, which the caller owns and may
+    write to. Raises BadMagicError, BadVersionError, TruncatedPayloadError
+    or NonFiniteValueError depending on which part of the contract is
+    broken; the file size is checked before the array is allocated.
     """
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise BadMagicError(f"{path}: expected magic {MAGIC!r}, got {data[:4]!r}")
-    if len(data) < _HEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than header")
-    _, version, rows, cols = _HEADER.unpack_from(data)
-    if version != FORMAT_VERSION:
-        raise BadVersionError(f"{path}: unsupported format version {version}")
-    expected = _HEADER.size + rows * cols * 8
-    if len(data) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(data)}"
-        )
-    values = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
-    m = values.astype(np.float64).reshape(rows, cols)
+    with open(path, "rb") as f:
+        head = f.read(_HEADER.size)
+        if head[:4] != MAGIC:
+            raise BadMagicError(f"{path}: expected magic {MAGIC!r}, got {head[:4]!r}")
+        if len(head) < _HEADER.size:
+            raise TruncatedPayloadError(f"{path}: file shorter than header")
+        _, version, rows, cols = _HEADER.unpack(head)
+        if version != FORMAT_VERSION:
+            raise BadVersionError(f"{path}: unsupported format version {version}")
+        expected = _HEADER.size + rows * cols * 8
+        size = os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise TruncatedPayloadError(
+                f"{path}: expected {expected} bytes for {rows}x{cols}, got {size}"
+            )
+        m = np.empty((rows, cols), dtype="<f8")
+        if f.readinto(m) != expected - _HEADER.size:
+            raise TruncatedPayloadError(f"{path}: file changed size while being read")
+    m = m.astype(np.float64, copy=False)
     if not np.isfinite(m).all():
         raise NonFiniteValueError(f"{path}: payload contains non-finite values")
     return m

@@ -12,6 +12,12 @@ array, so one (B, R) @ (R, V) product gives all their outputs and one
 (B, V) @ (V, R) product all their fixed-point directions, while every
 other step acts row by row. A unit leaves the batch when it converges or
 reaches max_iters, so each unit follows exactly its own fixed-point map.
+
+Time courses regress the z-scored bold, kept from whitening, onto the
+maps. They are solved on the K x K Gram of the maps, with one correction
+against the full residual where cond(maps) exceeds GRAM_REFINE_COND;
+`np.linalg.lstsq` solves instead where the maps are rank-deficient by
+construction (pca_retained < K) or cond(maps) exceeds GRAM_MAX_COND.
 """
 
 from __future__ import annotations
@@ -54,8 +60,9 @@ class ScicaConfig:
 class WhitenedData:
     """Whitened spatial views of one subject's bold run.
 
-    `whitened` rows are zero-mean, unit-variance and mutually uncorrelated
-    over voxels; `mixing_back @ whitened` reconstructs the normalized,
+    `normalized` is the bold with each voxel z-scored over time; `whitened`
+    rows are zero-mean, unit-variance and mutually uncorrelated over
+    voxels, and `mixing_back @ whitened` reconstructs the normalized,
     row-centered bold up to PCA truncation.
     """
 
@@ -63,6 +70,7 @@ class WhitenedData:
     mixing_back: np.ndarray  # (T, R)
     voxel_means: np.ndarray
     voxel_stds: np.ndarray
+    normalized: np.ndarray  # (T, V)
 
 
 def _apply_contrast(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,9 +112,11 @@ def preprocess_subject(bold, pca_retained: int | None = None) -> WhitenedData:
         raise ZeroVarianceVoxelError(
             f"zero-variance voxels (first few): {dead[:8].tolist()}"
         )
-    xz = (bold - mu) / sd
+    xz = bold - mu
+    xz /= sd
     xc = xz - xz.mean(axis=1, keepdims=True)
-    cov = xc @ xc.T / v
+    cov = xc @ xc.T
+    cov /= v
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:r]
     lam = evals[order]
@@ -118,7 +128,8 @@ def preprocess_subject(bold, pca_retained: int | None = None) -> WhitenedData:
     whitened = (e / np.sqrt(lam)).T @ xc
     mixing_back = e * np.sqrt(lam)
     return WhitenedData(
-        whitened=whitened, mixing_back=mixing_back, voxel_means=mu, voxel_stds=sd
+        whitened=whitened, mixing_back=mixing_back, voxel_means=mu, voxel_stds=sd,
+        normalized=xz,
     )
 
 
@@ -194,8 +205,12 @@ def extract_subject(
     stacked :func:`constrained_unit_update` call per round, and each unit
     leaves that batch as soon as its own test passes. Output maps are
     expressed in data units (the voxel normalization is undone), z-scored
-    over voxels and sign-aligned to the template; time courses come from
-    least-squares regression of the normalized bold onto the maps.
+    over voxels and sign-aligned to the template. Time courses are the
+    least-squares regression of the normalized bold onto the maps, solved
+    on the maps' Gram and corrected once against the full residual when
+    cond(maps) > GRAM_REFINE_COND; `np.linalg.lstsq` solves instead when
+    pca_retained < K makes the maps rank-deficient, or when cond(maps) >
+    GRAM_MAX_COND (see :func:`_time_courses`).
     Deterministic given the seed, which only matters for the degenerate
     case of a reference with no energy in the retained subspace: those
     units start from random draws, taken in component order.
@@ -242,11 +257,37 @@ def extract_subject(
     flip = _rowdot(maps, template.maps - template.maps.mean(axis=1, keepdims=True)) < 0
     np.negative(maps, out=maps, where=flip[:, None])
 
-    xz = (bold - wd.voxel_means) / sd
-    tc, *_ = np.linalg.lstsq(maps.T, xz.T, rcond=None)
-    return SubjectFeatures(
-        spatial_maps=maps, time_courses=tc.T, converged=converged
-    )
+    tc = _time_courses(maps, wd.normalized, full_rank=r >= k)
+    return SubjectFeatures(spatial_maps=maps, time_courses=tc, converged=converged)
+
+
+GRAM_MAX_COND = 1e5  # cond(maps) above which time courses are solved by lstsq
+GRAM_REFINE_COND = 50.0  # cond(maps) above which the Gram solve is corrected once
+
+
+def _time_courses(maps: np.ndarray, xz: np.ndarray, full_rank: bool) -> np.ndarray:
+    """(T, K) time courses minimizing ||xz - tc @ maps|| for (K, V) maps.
+
+    Solved on the K x K Gram of the maps, whose rounding costs the solution
+    about cond(maps)^2 * eps of its largest entry. Above GRAM_REFINE_COND
+    the solution is therefore corrected once, by solving for the residual
+    xz - tc @ maps against the same Gram (corrected semi-normal equations,
+    Bjorck 1987), which brings it within the error of an SVD solve.
+    cond(maps) is read off the Gram's eigenvalues. `np.linalg.lstsq` solves
+    instead when the maps are not `full_rank` by construction or when
+    cond(maps) exceeds GRAM_MAX_COND, a Gram that is not positive definite
+    included.
+    """
+    if full_rank:
+        gram = maps @ maps.T
+        ev = np.linalg.eigvalsh(gram)  # ascending; cond(maps)^2 = ev[-1] / ev[0]
+        if ev[0] > 0 and ev[-1] <= GRAM_MAX_COND**2 * ev[0]:
+            tc = np.linalg.solve(gram, maps @ xz.T)
+            if ev[-1] > GRAM_REFINE_COND**2 * ev[0]:
+                resid = xz - tc.T @ maps
+                tc += np.linalg.solve(gram, maps @ resid.T)
+            return tc.T
+    return np.linalg.lstsq(maps.T, xz.T, rcond=None)[0].T
 
 
 def extract_cohort(

@@ -90,22 +90,22 @@ class GroundTruth:
     class_fnc: dict[str, np.ndarray]  # per-class time-course correlation targets
 
 
-def _zscore_rows(m: np.ndarray) -> np.ndarray:
-    m = m - m.mean(axis=1, keepdims=True)
-    return m / m.std(axis=1, keepdims=True)
+def _blob_rows(grid, centers, radii) -> np.ndarray:
+    """Gaussian blobs on the voxel grid, one row per center and radius.
 
-
-def _grid_coords(grid) -> np.ndarray:
-    nx, ny, nz = grid
-    xs, ys, zs = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
+    The squared distance to a center is summed per axis, x then y then z,
+    from the grid's separable coordinates, which gives the bits of summing
+    each voxel's three coordinate offsets in turn.
+    """
+    centers = np.atleast_2d(centers)
+    radii = np.atleast_1d(radii)
+    dx, dy, dz = (
+        (np.arange(n, dtype=np.float64) - centers[:, [a]]) ** 2 for a, n in enumerate(grid)
     )
-    return np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()]).astype(np.float64)
-
-
-def _blob_row(coords, center, radius) -> np.ndarray:
-    d2 = ((coords - center) ** 2).sum(axis=1)
-    return np.exp(-d2 / (2.0 * radius * radius))
+    d2 = dx[:, :, None, None] + dy[:, None, :, None] + dz[:, None, None, :]
+    d2 = d2.reshape(len(radii), -1)
+    d2 /= -(2.0 * radii * radii)[:, None]
+    return np.exp(d2, out=d2)
 
 
 def _blob_radius_range(cfg: SynthConfig) -> tuple[float, float]:
@@ -116,42 +116,59 @@ def _blob_radius_range(cfg: SynthConfig) -> tuple[float, float]:
     return (0.8 * r, 1.2 * r)
 
 
+PLACEMENT_ATTEMPTS = 200  # per component, before generate_template gives up
+_ATTEMPT_BATCH = 32
+
+
 def generate_template(cfg: SynthConfig) -> tuple[Template, dict]:
     """K Gaussian-blob components with pairwise |corr| < 0.5.
+
+    Components are placed in order: an attempt draws a center and a radius
+    (4 uniform doubles whatever its outcome) and is accepted when its
+    z-scored blob correlates below 0.5 in magnitude with every row placed
+    so far; a component that fails PLACEMENT_ATTEMPTS attempts raises
+    RuntimeError. Attempts are drawn and tested in batches, the
+    correlations of a batch's untried attempts being updated as each row
+    is placed, so the template is the one the attempt-by-attempt loop
+    gives.
 
     Domains are assigned round-robin over components ranked by blob
     location; a coarse radius rank stands in for the model-order tag.
     Returns the template plus blob metadata (centers, radii).
     """
     rng = np.random.default_rng(derive_seed(cfg.seed, "template"))
-    coords = _grid_coords(cfg.grid)
-    lo = np.array([0.0, 0.0, 0.0])
-    hi = np.asarray(cfg.grid, dtype=np.float64) - 1.0
     r_lo, r_hi = _blob_radius_range(cfg)
+    low = np.array([1.0, 1.0, 1.0, r_lo])
+    high = np.append(np.asarray(cfg.grid, dtype=np.float64) - 2.0, r_hi)
+    n, v = cfg.n_components, cfg.n_voxels
 
-    rows = np.zeros((cfg.n_components, cfg.n_voxels))
-    centers = np.zeros((cfg.n_components, 3))
-    radii = np.zeros(cfg.n_components)
-    for k in range(cfg.n_components):
-        for attempt in range(200):
-            center = rng.uniform(lo + 1.0, hi - 1.0)
-            radius = rng.uniform(r_lo, r_hi)
-            row = _blob_row(coords, center, radius)
-            if row.std() <= 0:
-                continue
-            row = (row - row.mean()) / row.std()
-            if k == 0:
+    rows = np.zeros((n, v))
+    draws = np.zeros((n, 4))  # center and radius of each placed row
+    placed, tried = 0, 0  # tried: failed attempts of the component being placed
+    while placed < n:
+        batch = rng.uniform(low, high, size=(_ATTEMPT_BATCH, 4))
+        blobs = _blob_rows(cfg.grid, batch[:, :3], batch[:, 3])
+        sd = blobs.std(axis=1)
+        usable = sd > 0
+        blobs -= blobs.mean(axis=1, keepdims=True)
+        np.divide(blobs, sd[:, None], out=blobs, where=usable[:, None])
+        worst = np.abs(blobs @ rows[:placed].T).max(axis=1, initial=0.0) / v
+        i = 0
+        while i < _ATTEMPT_BATCH and placed < n:
+            hits = np.flatnonzero(usable[i:] & (worst[i:] < 0.5))
+            if not hits.size or tried + hits[0] >= PLACEMENT_ATTEMPTS:
+                tried += _ATTEMPT_BATCH - i
+                if tried >= PLACEMENT_ATTEMPTS:
+                    raise RuntimeError(
+                        f"could not place component {placed} under the overlap constraint"
+                    )
                 break
-            corr = rows[:k] @ row / cfg.n_voxels
-            if np.abs(corr).max() < 0.5:
-                break
-        else:
-            raise RuntimeError(
-                f"could not place component {k} under the overlap constraint"
-            )
-        rows[k] = row
-        centers[k] = center
-        radii[k] = radius
+            j = i + hits[0]
+            rows[placed], draws[placed] = blobs[j], batch[j]
+            placed, tried, i = placed + 1, 0, j + 1
+            later = np.abs(blobs[i:] @ blobs[j]) / v
+            np.maximum(worst[i:], later, out=worst[i:])
+    centers, radii = draws[:, :3], draws[:, 3]
 
     location_rank = np.argsort(
         np.lexsort((centers[:, 2], centers[:, 1], centers[:, 0]))
@@ -224,7 +241,6 @@ def plan_cohort(cfg: SynthConfig) -> CohortPlan:
     class_spatial: dict[str, np.ndarray] = {}
     class_fnc: dict[str, np.ndarray] = {}
     class_chol: dict[str, np.ndarray] = {}
-    coords = _grid_coords(cfg.grid)
     lo = np.array([0.0, 0.0, 0.0])
     hi = np.asarray(cfg.grid, dtype=np.float64) - 1.0
     r_lo, r_hi = _blob_radius_range(cfg)
@@ -232,9 +248,9 @@ def plan_cohort(cfg: SynthConfig) -> CohortPlan:
         prng = np.random.default_rng(derive_seed(cfg.seed, "class-pattern", ci))
         patterns = np.zeros((len(informative), v))
         for p in range(len(informative)):
-            blob = _blob_row(
-                coords, prng.uniform(lo + 1.0, hi - 1.0), prng.uniform(r_lo, r_hi)
-            )
+            blob = _blob_rows(
+                cfg.grid, prng.uniform(lo + 1.0, hi - 1.0), prng.uniform(r_lo, r_hi)
+            )[0]
             patterns[p] = (blob - blob.mean()) / blob.std()
         class_spatial[cls] = patterns
         target = _class_fnc_target(cfg, ci, informative)
@@ -271,11 +287,16 @@ def make_subject(plan: CohortPlan, s_idx: int) -> tuple[Subject, np.ndarray, np.
     patterns = plan.class_spatial[cls]
     for p, comp in enumerate(plan.informative_indices):
         strength = cfg.spatial_effect * (1.0 + cfg.spatial_scatter * srng.standard_normal())
-        maps[comp] = maps[comp] + strength * patterns[p]
-    maps = maps + cfg.map_noise * srng.standard_normal((cfg.n_components, cfg.n_voxels))
-    maps = _zscore_rows(maps)
+        maps[comp] += strength * patterns[p]
+    noise = srng.standard_normal((cfg.n_components, cfg.n_voxels))
+    noise *= cfg.map_noise
+    maps += noise
+    maps -= maps.mean(axis=1, keepdims=True)
+    maps /= maps.std(axis=1, keepdims=True)
     tc = srng.standard_normal((cfg.timepoints, cfg.n_components)) @ plan.class_chol[cls].T
-    bold = tc @ maps + cfg.noise_sigma * srng.standard_normal((cfg.timepoints, cfg.n_voxels))
+    bold = srng.standard_normal((cfg.timepoints, cfg.n_voxels))
+    bold *= cfg.noise_sigma
+    bold += tc @ maps
     subject = Subject(id=f"s{s_idx:04d}", bold=bold, label=cls, group=cls)
     return subject, maps, tc
 

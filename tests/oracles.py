@@ -18,6 +18,7 @@ from netresp.fnc import ZeroVarianceError
 from netresp.kernels import RCOND, RankDeficiencyError
 from netresp.scica import DAMPING, preprocess_subject
 from netresp.svm import decision_values
+from netresp.synth import _blob_radius_range
 
 
 def naive_pearson(x, y) -> float:
@@ -361,6 +362,48 @@ def orthonormalize(maps_subset) -> np.ndarray:
     if s[0] <= 0 or s[-1] <= RCOND * s[0]:
         raise RankDeficiencyError(f"map subset of {maps_subset.shape[0]} rows is rank deficient")
     return u
+
+
+def template_rows_per_attempt(cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blob placement of synth.generate_template one attempt at a time.
+
+    Each attempt draws a center (3 uniforms) and a radius (1 uniform),
+    builds its blob from the full voxel coordinate list, z-scores it and
+    correlates it with every placed row; the first attempt below 0.5 in
+    magnitude is placed, and a component that fails 200 attempts raises
+    RuntimeError naming it. Returns (rows, centers, radii).
+    """
+    rng = np.random.default_rng(derive_seed(cfg.seed, "template"))
+    nx, ny, nz = cfg.grid
+    xs, ys, zs = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
+    coords = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()]).astype(np.float64)
+    lo = np.array([0.0, 0.0, 0.0])
+    hi = np.asarray(cfg.grid, dtype=np.float64) - 1.0
+    r_lo, r_hi = _blob_radius_range(cfg)
+
+    rows = np.zeros((cfg.n_components, cfg.n_voxels))
+    centers = np.zeros((cfg.n_components, 3))
+    radii = np.zeros(cfg.n_components)
+    for k in range(cfg.n_components):
+        for _ in range(200):
+            center = rng.uniform(lo + 1.0, hi - 1.0)
+            radius = rng.uniform(r_lo, r_hi)
+            d2 = ((coords - center) ** 2).sum(axis=1)
+            row = np.exp(-d2 / (2.0 * radius * radius))
+            if row.std() <= 0:
+                continue
+            row = (row - row.mean()) / row.std()
+            if k == 0:
+                break
+            corr = rows[:k] @ row / cfg.n_voxels
+            if np.abs(corr).max() < 0.5:
+                break
+        else:
+            raise RuntimeError(f"could not place component {k} under the overlap constraint")
+        rows[k] = row
+        centers[k] = center
+        radii[k] = radius
+    return rows, centers, radii
 
 
 def _zscore_rows(m: np.ndarray) -> np.ndarray:

@@ -716,6 +716,26 @@ class TestMatrixReads:
         assert result == json.dumps(expected, indent=2) + "\n"
 
 
+def test_rank_deficient_extraction_runs_through_evaluate(tmp_path):
+    """With fewer whitened rows than components the maps are rank-deficient,
+    so extract solves the time courses by lstsq and the later stages run."""
+    synth = dict(TINY_CONFIG["synth"], n_components=4, n_domains=2, informative_components=2)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TINY_CONFIG, synth=synth, scica={"pca_retained": 2})))
+    out = tmp_path / "run"
+    for stage in ("simulate", "extract", "fnc", "select", "evaluate"):
+        args = [stage, "--config", str(config), "--out", str(out), "--features", "sm+fnc"]
+        assert main(args[:5] if stage in ("simulate", "extract", "fnc") else args) == 0, stage
+    doc = json.loads((out / "features" / "features.json").read_text())
+    for entry in doc["subjects"]:
+        bold = read_matrix(out / "dataset" / f"{entry['id']}.bold.msmx")
+        maps = read_matrix(out / "features" / entry["sm"])
+        xz = (bold - bold.mean(axis=0)) / bold.std(axis=0)
+        expected = np.linalg.lstsq(maps.T, xz.T, rcond=None)[0].T
+        tc = read_matrix(out / "features" / entry["tc"])
+        assert tc.tobytes() == np.ascontiguousarray(expected).tobytes(), entry["id"]
+
+
 class TestStreaming:
     """simulate, extract and fnc hold one subject per worker, not the cohort."""
 

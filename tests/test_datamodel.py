@@ -117,6 +117,15 @@ class TestMatrixContainer:
         with pytest.raises(NonFiniteValueError):
             write_matrix(np.array([[np.inf]]), tmp_path / "m.msmx")
 
+    def test_read_returns_a_writable_array_of_its_own(self, tmp_path):
+        path = tmp_path / "m.msmx"
+        write_matrix(np.arange(6.0).reshape(2, 3), path)
+        m = read_matrix(path)
+        assert m.dtype == np.float64
+        assert m.flags.c_contiguous and m.flags.writeable and m.flags.owndata
+        m[0, 0] = 7.0  # the caller may change it in place
+        assert read_matrix(path)[0, 0] == 0.0
+
 
 def _template(k=3, v=50, seed=0):
     rng = np.random.default_rng(seed)

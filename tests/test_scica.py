@@ -250,6 +250,84 @@ class TestBatchedExtraction:
         np.testing.assert_array_equal(part.converged, full.converged[rows])
 
 
+def _collinear_maps(eps, seed=0, k=6, v=600, t=40):
+    """z-scored maps whose rows 1 and 4 differ by `eps`-scaled noise, and a
+    normalized bold they explain."""
+    rng = np.random.default_rng(seed)
+    maps = rng.standard_normal((k, v))
+    maps[4] = maps[1] + eps * rng.standard_normal(v)
+    maps -= maps.mean(axis=1, keepdims=True)
+    maps /= maps.std(axis=1, keepdims=True)
+    xz = rng.standard_normal((t, k)) @ maps + 0.5 * rng.standard_normal((t, v))
+    return maps, xz
+
+
+class TestTimeCourses:
+    """The Gram solve and the cases it leaves to np.linalg.lstsq."""
+
+    @staticmethod
+    def _lstsq(maps, xz):
+        return np.linalg.lstsq(maps.T, xz.T, rcond=None)[0].T
+
+    @staticmethod
+    def _no_lstsq(monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("lstsq called on a well-conditioned Gram")
+
+        monkeypatch.setattr(scica.np.linalg, "lstsq", refused)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_near_collinear_maps_match_lstsq(self, seed, monkeypatch):
+        maps, xz = _collinear_maps(1.5e-4, seed)
+        assert 1e4 <= np.linalg.cond(maps) < scica.GRAM_MAX_COND
+        expected = self._lstsq(maps, xz)
+        self._no_lstsq(monkeypatch)
+        got = scica._time_courses(maps, xz, full_rank=True)
+        assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("eps, solves", [(1.0, 1), (1.5e-4, 2)])
+    def test_refined_only_above_refine_cond(self, eps, solves, monkeypatch):
+        maps, xz = _collinear_maps(eps)
+        assert (np.linalg.cond(maps) > scica.GRAM_REFINE_COND) == (solves == 2)
+        expected = self._lstsq(maps, xz)
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        self._no_lstsq(monkeypatch)
+        monkeypatch.setattr(scica.np.linalg, "solve", counted)
+        got = scica._time_courses(maps, xz, full_rank=True)
+        assert len(calls) == solves
+        assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+
+    def test_ill_conditioned_maps_use_lstsq(self):
+        maps, xz = _collinear_maps(1e-7)
+        assert np.linalg.cond(maps) > 10 * scica.GRAM_MAX_COND
+        got = scica._time_courses(maps, xz, full_rank=True)
+        assert got.tobytes() == self._lstsq(maps, xz).tobytes()
+
+    def test_singular_gram_uses_lstsq(self):
+        maps, xz = _collinear_maps(0.0)  # rows 1 and 4 equal
+        got = scica._time_courses(maps, xz, full_rank=True)
+        assert got.tobytes() == self._lstsq(maps, xz).tobytes()
+
+    def test_rank_deficient_extraction_uses_lstsq(self):
+        template, bold = _template_and_bold(seed=34, k=4)
+        feats = extract_subject(bold, template, ScicaConfig(pca_retained=2), seed=0)
+        xz = (bold - bold.mean(axis=0)) / bold.std(axis=0)
+        expected = self._lstsq(feats.spatial_maps, xz)
+        assert feats.time_courses.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_full_rank_extraction_solves_on_the_gram(self, monkeypatch):
+        template, bold = _template_and_bold(seed=35)
+        self._no_lstsq(monkeypatch)
+        feats = extract_subject(bold, template, ScicaConfig(), seed=0)
+        assert feats.time_courses.shape == (bold.shape[0], template.n_components)
+
+
 class TestExtractSubject:
     def test_planted_sources_recovered(self):
         template = _small_template(seed=7)

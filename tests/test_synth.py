@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from netresp.cli import _TEMPLATE_PRESETS
 from netresp.datamodel import load_dataset, write_dataset
 from netresp.synth import SynthConfig, generate_cohort, generate_template
-from oracles import generate_interaction_cohort
+from oracles import generate_interaction_cohort, template_rows_per_attempt
 
 
 class TestTemplate:
@@ -50,6 +51,29 @@ class TestTemplate:
         template, _ = generate_template(cfg)
         assert template.scale_order is not None
         assert all(0 <= s < 8 for s in template.scale_order)
+
+
+class TestTemplatePlacement:
+    """Batched placement gives the template of the attempt-by-attempt loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("preset", ["default", "n53", "n105"])
+    def test_equals_attempt_by_attempt_oracle(self, preset, seed):
+        cfg = SynthConfig(seed=seed, **_TEMPLATE_PRESETS[preset])
+        template, meta = generate_template(cfg)
+        rows, centers, radii = template_rows_per_attempt(cfg)
+        assert template.maps.tobytes() == rows.tobytes()
+        assert meta["centers"].tobytes() == centers.tobytes()
+        assert meta["radii"].tobytes() == radii.tobytes()
+
+    def test_overcrowded_grid_names_the_component(self):
+        cfg = SynthConfig(grid=(4, 4, 4), n_components=40, n_domains=4, seed=0)
+        with pytest.raises(RuntimeError) as expected:
+            template_rows_per_attempt(cfg)
+        assert "could not place component" in str(expected.value)
+        with pytest.raises(RuntimeError) as got:
+            generate_template(cfg)
+        assert str(got.value) == str(expected.value)
 
 
 class TestCohort:
