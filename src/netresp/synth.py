@@ -108,12 +108,18 @@ def _blob_rows(grid, centers, radii) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
-def _blob_radius_range(cfg: SynthConfig) -> tuple[float, float]:
+def _blob_bounds(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of a blob's uniform draw: center x, y, z, radius.
+
+    Centers keep one voxel clear of the grid's faces.
+    """
     # volume fraction per blob capped so the pairwise |corr| < 0.5 constraint
     # stays satisfiable up to ~105 components on the default grid
     frac = min(0.055, 0.75 / cfg.n_components)
     r = (frac * cfg.n_voxels / 14.0) ** (1.0 / 3.0)
-    return (0.8 * r, 1.2 * r)
+    low = np.array([1.0, 1.0, 1.0, 0.8 * r])
+    high = np.append(np.asarray(cfg.grid, dtype=np.float64) - 2.0, 1.2 * r)
+    return low, high
 
 
 PLACEMENT_ATTEMPTS = 200  # per component, before generate_template gives up
@@ -137,9 +143,7 @@ def generate_template(cfg: SynthConfig) -> tuple[Template, dict]:
     Returns the template plus blob metadata (centers, radii).
     """
     rng = np.random.default_rng(derive_seed(cfg.seed, "template"))
-    r_lo, r_hi = _blob_radius_range(cfg)
-    low = np.array([1.0, 1.0, 1.0, r_lo])
-    high = np.append(np.asarray(cfg.grid, dtype=np.float64) - 2.0, r_hi)
+    low, high = _blob_bounds(cfg)
     n, v = cfg.n_components, cfg.n_voxels
 
     rows = np.zeros((n, v))
@@ -241,16 +245,13 @@ def plan_cohort(cfg: SynthConfig) -> CohortPlan:
     class_spatial: dict[str, np.ndarray] = {}
     class_fnc: dict[str, np.ndarray] = {}
     class_chol: dict[str, np.ndarray] = {}
-    lo = np.array([0.0, 0.0, 0.0])
-    hi = np.asarray(cfg.grid, dtype=np.float64) - 1.0
-    r_lo, r_hi = _blob_radius_range(cfg)
+    low, high = _blob_bounds(cfg)
     for ci, (cls, _) in enumerate(counts):
         prng = np.random.default_rng(derive_seed(cfg.seed, "class-pattern", ci))
         patterns = np.zeros((len(informative), v))
         for p in range(len(informative)):
-            blob = _blob_rows(
-                cfg.grid, prng.uniform(lo + 1.0, hi - 1.0), prng.uniform(r_lo, r_hi)
-            )[0]
+            draw = prng.uniform(low, high)
+            blob = _blob_rows(cfg.grid, draw[:3], draw[3])[0]
             patterns[p] = (blob - blob.mean()) / blob.std()
         class_spatial[cls] = patterns
         target = _class_fnc_target(cfg, ci, informative)

@@ -18,7 +18,7 @@ from netresp.fnc import ZeroVarianceError
 from netresp.kernels import RCOND, RankDeficiencyError
 from netresp.scica import DAMPING, preprocess_subject
 from netresp.svm import decision_values
-from netresp.synth import _blob_radius_range
+from netresp.synth import _blob_bounds
 
 
 def naive_pearson(x, y) -> float:
@@ -364,14 +364,14 @@ def orthonormalize(maps_subset) -> np.ndarray:
     return u
 
 
-def template_rows_per_attempt(cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def template_rows_per_attempt(cfg, attempts: int = 200) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blob placement of synth.generate_template one attempt at a time.
 
     Each attempt draws a center (3 uniforms) and a radius (1 uniform),
     builds its blob from the full voxel coordinate list, z-scores it and
     correlates it with every placed row; the first attempt below 0.5 in
-    magnitude is placed, and a component that fails 200 attempts raises
-    RuntimeError naming it. Returns (rows, centers, radii).
+    magnitude is placed, and a component that fails `attempts` attempts
+    raises RuntimeError naming it. Returns (rows, centers, radii).
     """
     rng = np.random.default_rng(derive_seed(cfg.seed, "template"))
     nx, ny, nz = cfg.grid
@@ -379,13 +379,13 @@ def template_rows_per_attempt(cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     coords = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()]).astype(np.float64)
     lo = np.array([0.0, 0.0, 0.0])
     hi = np.asarray(cfg.grid, dtype=np.float64) - 1.0
-    r_lo, r_hi = _blob_radius_range(cfg)
+    (*_, r_lo), (*_, r_hi) = _blob_bounds(cfg)
 
     rows = np.zeros((cfg.n_components, cfg.n_voxels))
     centers = np.zeros((cfg.n_components, 3))
     radii = np.zeros(cfg.n_components)
     for k in range(cfg.n_components):
-        for _ in range(200):
+        for _ in range(attempts):
             center = rng.uniform(lo + 1.0, hi - 1.0)
             radius = rng.uniform(r_lo, r_hi)
             d2 = ((coords - center) ** 2).sum(axis=1)

@@ -3,6 +3,7 @@ import pytest
 
 from netresp.cli import _TEMPLATE_PRESETS
 from netresp.datamodel import load_dataset, write_dataset
+from netresp import synth
 from netresp.synth import SynthConfig, generate_cohort, generate_template
 from oracles import generate_interaction_cohort, template_rows_per_attempt
 
@@ -74,6 +75,20 @@ class TestTemplatePlacement:
         with pytest.raises(RuntimeError) as got:
             generate_template(cfg)
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("attempts", [1, 2, 5, 40])
+    def test_attempt_limit_counts_across_batches(self, attempts, monkeypatch):
+        # limits below and above the batch size; a component that has used
+        # its attempts fails even when the next pre-drawn attempt would fit
+        monkeypatch.setattr(synth, "PLACEMENT_ATTEMPTS", attempts)
+        cfg = SynthConfig(seed=0, **_TEMPLATE_PRESETS["n105"])
+        try:
+            rows, _, _ = template_rows_per_attempt(cfg, attempts)
+        except RuntimeError as e:
+            with pytest.raises(RuntimeError, match=f"^{e}$"):
+                generate_template(cfg)
+        else:
+            assert generate_template(cfg)[0].maps.tobytes() == rows.tobytes()
 
 
 class TestCohort:
