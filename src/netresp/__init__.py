@@ -34,7 +34,6 @@ from .scica import (
     ScicaConfig,
     WhitenedData,
     constrained_unit_update,
-    extract_cohort,
     extract_subject,
     preprocess_subject,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "constrained_unit_update",
     "decision_values",
     "detrend",
-    "extract_cohort",
     "extract_subject",
     "f1_macro",
     "fisher_z",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -205,18 +205,6 @@ class Dataset:
     def n_subjects(self) -> int:
         return len(self.subjects)
 
-    def labels(self) -> list[str]:
-        return [s.label for s in self.subjects]
-
-    def subject_ids(self) -> list[str]:
-        return [s.id for s in self.subjects]
-
-    def subset(self, class_set) -> "Dataset":
-        """Restrict to subjects whose label is in `class_set` (order kept)."""
-        class_set = tuple(class_set)
-        kept = tuple(s for s in self.subjects if s.label in class_set)
-        return Dataset(self.template, kept, class_set)
-
 
 @dataclass(frozen=True)
 class SubjectFeatures:
@@ -261,9 +249,6 @@ class SubjectFeatures:
     @property
     def n_components(self) -> int:
         return self.spatial_maps.shape[0]
-
-    def with_fnc(self, fnc) -> "SubjectFeatures":
-        return replace(self, fnc=fnc)
 
 
 _MANIFEST_KEYS = {"template", "domains", "class_set", "subjects"}

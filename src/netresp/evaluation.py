@@ -117,13 +117,11 @@ def macro_pr_auc(labels, score_matrix, class_set) -> float:
         raise ValueError(
             f"score matrix shape {scores.shape}, expected ({labels.size}, {len(class_set)})"
         )
-    aps = []
-    for j, cls in enumerate(class_set):
-        y = (labels == cls).astype(np.float64)
-        if y.sum() == 0:
-            raise ValueError(f"class {cls!r} missing from labels")
-        aps.append(average_precision(y, scores[:, j]))
-    return float(np.mean(aps))
+    member = labels[None, :] == np.asarray(class_set)[:, None]
+    missing = ~member.any(axis=1)
+    if missing.any():
+        raise ValueError(f"class {class_set[int(missing.argmax())]!r} missing from labels")
+    return float(np.mean(average_precision(member.astype(np.float64), scores.T)))
 
 
 def _f1(truth, predicted) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import derive_seed, parallel_map
+from ._util import derive_seed
 from .datamodel import SubjectFeatures, Template, as_matrix
 
 
@@ -288,24 +288,3 @@ def _time_courses(maps: np.ndarray, xz: np.ndarray, full_rank: bool) -> np.ndarr
                 tc += np.linalg.solve(gram, maps @ resid.T)
             return tc.T
     return np.linalg.lstsq(maps.T, xz.T, rcond=None)[0].T
-
-
-def extract_cohort(
-    subjects_bold,
-    template: Template,
-    cfg: ScicaConfig,
-    seed: int = 0,
-    threads: int = 1,
-) -> list[SubjectFeatures]:
-    """Extract features for a list of bold matrices, in input order.
-
-    Subjects run independently (optionally in parallel) with per-subject
-    seeds derived from `seed`.
-    """
-    items = list(enumerate(subjects_bold))
-
-    def one(item):
-        idx, bold = item
-        return extract_subject(bold, template, cfg, seed=derive_seed(seed, "subject", idx))
-
-    return parallel_map(one, items, threads)

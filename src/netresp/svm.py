@@ -160,8 +160,14 @@ def solve_smo_arrays(kernels, cells, y, cfg: SvmConfig) -> SmoSolution:
         if done.any():
             out_alphas[ids[done]] = alphas[done]
             converged[ids[done & ~capped]] = True
-            live = tuple(a[~done] for a in live)
-            continue
+            # the rows left keep their selection and step on this pass
+            keep = ~done
+            live = tuple(a[keep] for a in live)
+            if not live[0].size:
+                break
+            ids, cell, yy, bx, diag, alphas, score, left = live
+            rows = rows[: ids.size]
+            up, low, i, j, s_i, s_j = (a[keep] for a in (up, low, i, j, s_i, s_j))
 
         curv_i = _curvature(diag, diag[rows, i], kernels[cell, i])
         curv_j = _curvature(diag, diag[rows, j], kernels[cell, j])

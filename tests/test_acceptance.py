@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from netresp._util import derive_seed, parallel_map
 from netresp.cli import main as cli_main
 from netresp.datamodel import SubjectFeatures
 from netresp.evaluation import (
@@ -22,7 +23,7 @@ from netresp.evaluation import (
 )
 from netresp.fnc import compute_fnc
 from netresp.kernels import PabsKernelParams, build_kernel_matrix
-from netresp.scica import ScicaConfig, extract_cohort
+from netresp.scica import ScicaConfig, extract_subject
 from netresp.selection import SsfsConfig, ssfs
 from netresp.svm import SvmConfig, solve_binary_smo
 from netresp.synth import SynthConfig, generate_cohort
@@ -50,14 +51,25 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 # ------------------------------------------------------------ heavy fixtures
 
 
+def _extract_cohort(dataset, seed: int) -> list[SubjectFeatures]:
+    """Every subject's features in cohort order, subject i extracted with
+    the seed derive_seed(seed, "subject", i), four subjects at a time."""
+
+    def one(i):
+        bold = dataset.subjects[i].bold
+        return extract_subject(
+            bold, dataset.template, ScicaConfig(), seed=derive_seed(seed, "subject", i)
+        )
+
+    return parallel_map(one, range(dataset.n_subjects), 4)
+
+
 @pytest.fixture(scope="session")
 def default_cohort():
     """The default-scale synthetic cohort with extracted features."""
     cfg = SynthConfig(seed=17)
     dataset, truth = generate_cohort(cfg, threads=4)
-    feats = extract_cohort(
-        [s.bold for s in dataset.subjects], dataset.template, ScicaConfig(), seed=3, threads=4
-    )
+    feats = _extract_cohort(dataset, seed=3)
     return cfg, dataset, truth, feats
 
 
@@ -76,10 +88,8 @@ def strong_cohort():
         fnc_effect=1.0,
     )
     dataset, truth = generate_cohort(cfg, threads=4)
-    feats = extract_cohort(
-        [s.bold for s in dataset.subjects], dataset.template, ScicaConfig(), seed=5, threads=4
-    )
-    feats = [f.with_fnc(compute_fnc(f.time_courses)) for f in feats]
+    feats = _extract_cohort(dataset, seed=5)
+    feats = [dataclasses.replace(f, fnc=compute_fnc(f.time_courses)) for f in feats]
     return cfg, dataset, truth, feats
 
 
@@ -221,7 +231,7 @@ def test_c06_scica_recovery(default_cohort):
 
 def test_c07_end_to_end_signal_detection(strong_cohort):
     cfg, dataset, truth, feats = strong_cohort
-    labels = dataset.labels()
+    labels = [s.label for s in dataset.subjects]
     kernel_params = PabsKernelParams()
     svm_cfg = SvmConfig()
     eval_cfg = EvalConfig(outer_folds=5, repeats=50, seed=11)
@@ -289,7 +299,7 @@ def test_c09_fnc_features_boost_performance():
             SubjectFeatures(spatial_maps=m, time_courses=tc, fnc=compute_fnc(tc))
             for m, tc in zip(truth.subject_maps, truth.planted_tcs)
         ]
-        labels = dataset.labels()
+        labels = [s.label for s in dataset.subjects]
         eval_cfg = EvalConfig(outer_folds=5, repeats=3, seed=seed)
         sel = truth.informative_indices
         r_sm = run_experiment(feats, labels, sel, kernel_params, svm_cfg, eval_cfg,

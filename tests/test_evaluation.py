@@ -149,6 +149,17 @@ class TestMacroPrAuc:
         macro = macro_pr_auc(labels, scores, ("p", "q"))
         assert abs(macro - (ap_p + ap_q) / 2) < 1e-12
 
+    def test_mean_of_per_class_aps_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        labels = rng.choice(np.array(["AD", "MS", "NR"]), 23)
+        scores = rng.integers(0, 4, (23, 3)) / 4.0  # ties within every column
+        class_set = ("NR", "AD", "MS")
+        aps = [
+            average_precision((labels == c).astype(float), scores[:, j])
+            for j, c in enumerate(class_set)
+        ]
+        assert macro_pr_auc(labels, scores, class_set) == np.mean(aps)
+
     def test_random_scores_match_monte_carlo_chance_oracle(self):
         # ranking-AP under random scores has a small-sample bias above
         # prevalence, so chance is calibrated by an independent Monte-Carlo
@@ -410,6 +421,7 @@ class TestSolverConvergence:
             SubjectFeatures(spatial_maps=m, time_courses=tc, fnc=compute_fnc(tc))
             for m, tc in zip(truth.subject_maps, truth.planted_tcs)
         ]
+        labels = [s.label for s in dataset.subjects]
         solves = []
         original = evaluation.solve_smo_arrays
 
@@ -427,7 +439,7 @@ class TestSolverConvergence:
         params = PabsKernelParams(spectrum_fix=fix)
         cfg = EvalConfig(outer_folds=3, repeats=2, seed=0)
         for selected in ([0, 2], [1, 3], [0, 1, 2, 3]):
-            run_experiment(feats, dataset.labels(), selected, params, SvmConfig(), cfg, use_fnc=True)
+            run_experiment(feats, labels, selected, params, SvmConfig(), cfg, use_fnc=True)
         assert len(solves) == 3 * 3 * 2 * 3
         for k_train, cfg, model in solves:
             assert model.converged

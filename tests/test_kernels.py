@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -316,7 +317,7 @@ class TestBuildKernelMatrix:
 
     def test_zero_norm_fnc_subject_named(self):
         feats = _features(3, seed=8, with_fnc=True)
-        feats[2] = feats[2].with_fnc(np.eye(6))
+        feats[2] = dataclasses.replace(feats[2], fnc=np.eye(6))
         with pytest.raises(ValueError, match="s0002.*zero-norm"):
             build_kernel_matrix(feats, [0, 1, 2], PabsKernelParams(), use_fnc=True)
 

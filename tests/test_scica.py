@@ -10,7 +10,6 @@ from netresp.scica import (
     ZeroVarianceVoxelError,
     _reference_projection,
     constrained_unit_update,
-    extract_cohort,
     extract_subject,
     preprocess_subject,
 )
@@ -403,21 +402,6 @@ class TestExtractSubject:
         template = _small_template(seed=21)
         with pytest.raises(ValueError, match="voxels"):
             extract_subject(np.random.default_rng(0).standard_normal((10, 99)), template, ScicaConfig())
-
-    def test_extract_cohort_matches_thread_count(self):
-        template = _small_template(seed=22)
-        rng = np.random.default_rng(23)
-        bolds = [
-            rng.standard_normal((30, template.n_components)) @ template.maps
-            + 0.4 * rng.standard_normal((30, template.n_voxels))
-            for _ in range(4)
-        ]
-        serial = extract_cohort(bolds, template, ScicaConfig(), seed=5, threads=1)
-        threaded = extract_cohort(bolds, template, ScicaConfig(), seed=5, threads=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.spatial_maps, b.spatial_maps)
-            assert np.array_equal(a.time_courses, b.time_courses)
-            assert np.array_equal(a.converged, b.converged)
 
     def test_reference_projection_encodes_correlation(self):
         wd, sources = _whitened_with_sources(seed=24)

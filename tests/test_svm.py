@@ -86,7 +86,9 @@ def _padded_batch(problems):
 class TestBatchedSmo:
     def test_each_problem_matches_its_solo_solve(self):
         # indefinite tanh kernels of mixed sizes under every spectrum fix,
-        # three label rows sharing each kernel, all solved in one batch
+        # three label rows sharing each kernel, all solved in one batch;
+        # the problems stop on different steps, and at max_passes = 3 a
+        # third of them stop at the step cap while the rest step on
         rng = np.random.default_rng(31)
         problems = []
         for c in range(12):
@@ -99,17 +101,19 @@ class TestBatchedSmo:
                 y[:2] = (1.0, -1.0)
             problems.append((k, ys))
         stack, cells, rows = _padded_batch(problems)
-        cfg = SvmConfig(C=5.0)
-        batch = solve_smo_arrays(stack, cells, rows, cfg)
-        solo = [solve_binary_smo(k, y, cfg) for k, ys in problems for y in ys]
-        assert batch.alphas.shape[0] == len(solo) == 36
-        for b, s in enumerate(solo):
-            m = s.alphas.size
-            assert np.array_equal(batch.alphas[b, :m], s.alphas)
-            assert not batch.alphas[b, m:].any()
-            assert np.array_equal(batch.y[b, :m], s.y)
-            assert batch.bias[b] == s.bias
-            assert batch.converged[b] == s.converged
+        for max_passes, n_converged in ((3, 24), (10_000, 36)):
+            cfg = SvmConfig(C=5.0, max_passes=max_passes)
+            batch = solve_smo_arrays(stack, cells, rows, cfg)
+            solo = [solve_binary_smo(k, y, cfg) for k, ys in problems for y in ys]
+            assert batch.alphas.shape[0] == len(solo) == 36
+            assert batch.converged.sum() == n_converged
+            for b, s in enumerate(solo):
+                m = s.alphas.size
+                for name in ("alphas", "y", "box"):
+                    row = getattr(batch, name)[b]
+                    assert np.array_equal(row[:m], getattr(s, name)) and not row[m:].any()
+                assert batch.bias[b] == s.bias
+                assert batch.converged[b] == s.converged
 
     def test_step_cap_matches_serial_rule(self):
         # at most max_passes * n pair updates, then no further convergence

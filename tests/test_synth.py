@@ -104,7 +104,7 @@ class TestCohort:
         )
         dataset, truth = generate_cohort(cfg)
         assert dataset.n_subjects == 10
-        labels = dataset.labels()
+        labels = [s.label for s in dataset.subjects]
         assert labels.count("AD") == 4 and labels.count("MS") == 4 and labels.count("NR") == 2
         for s in dataset.subjects:
             assert s.bold.shape == (20, 8 * 8 * 4)
@@ -143,7 +143,7 @@ class TestCohort:
             class_counts=(("AD", 8), ("MS", 8)), spatial_effect=1.0, seed=9,
         )
         dataset, truth = generate_cohort(cfg)
-        labels = np.array(dataset.labels())
+        labels = np.array([s.label for s in dataset.subjects])
         maps = np.stack(truth.subject_maps)
         mean_ad = maps[labels == "AD"].mean(axis=0)
         mean_ms = maps[labels == "MS"].mean(axis=0)
