@@ -1,8 +1,10 @@
-"""Seed derivation and deterministic parallel mapping shared across modules."""
+"""Seed derivation, integer checks and deterministic parallel mapping
+shared across modules."""
 
 from __future__ import annotations
 
 import hashlib
+import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +17,19 @@ def derive_seed(master: int, *keys) -> int:
     """
     text = repr((int(master),) + tuple(keys)).encode()
     return int.from_bytes(hashlib.sha256(text).digest()[:8], "little")
+
+
+def is_int(x) -> bool:
+    """True for an integer, numpy's included, but not for a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_int(value, name: str) -> int:
+    """`value` as an int; ValueError naming `name` when it is a float, a
+    bool or anything else that is not an integer."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def parallel_imap(fn, items, threads: int = 1):

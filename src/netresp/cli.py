@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import derive_seed, parallel_imap
+from ._util import derive_seed, is_int, parallel_imap
 from .datamodel import (
     Manifest,
     ManifestError,
@@ -52,10 +52,6 @@ _TEMPLATE_PRESETS = {
 }
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _component_indices(values, n_components: int | None, what: str, error) -> list[int]:
     """`values` when it is a non-empty list of distinct integer component
     indices in [0, n_components), or >= 0 when `n_components` is None;
@@ -63,7 +59,7 @@ def _component_indices(values, n_components: int | None, what: str, error) -> li
     if not isinstance(values, list) or not values:
         raise error(f"{what} must be a non-empty list of component indices, got {values!r}")
     for i in values:
-        if not _is_int(i):
+        if not is_int(i):
             raise error(f"{what} holds {i!r}, not an integer")
         if i < 0 or (n_components is not None and i >= n_components):
             raise error(f"{what} index {i} out of range")
@@ -92,9 +88,9 @@ class RunConfig:
     fixed: tuple[int, ...] | None = dataclasses.field(default=None, init=False)
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+        if not is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
+        if not is_int(self.threads) or self.threads < 1:
             raise ConfigError(f"threads must be an integer >= 1, got {self.threads!r}")
         if self.features not in ("sm", "sm+fnc"):
             raise ConfigError(f"features must be 'sm' or 'sm+fnc', got {self.features!r}")
@@ -364,7 +360,7 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
     if truth_path.exists():
         truth = _read_json(truth_path, ("informative_indices",), "simulate")
         planted = truth["informative_indices"]
-        if not isinstance(planted, list) or not all(_is_int(i) for i in planted):
+        if not isinstance(planted, list) or not all(is_int(i) for i in planted):
             raise ManifestError(
                 f"{truth_path}: 'informative_indices' must be a list of integers, got {planted!r}"
             )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import parallel_map
+from ._util import check_int, parallel_map
 
 # run_experiment is not called here; it stays bound so that perfbench's
 # traced run, which wraps netresp.selection.run_experiment, still finds it.
@@ -40,13 +40,13 @@ class SsfsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beam_width < 1:
+        if check_int(self.beam_width, "beam_width") < 1:
             raise ValueError("beam_width must be at least 1")
-        if self.inner_folds < 2:
+        if check_int(self.inner_folds, "inner_folds") < 2:
             raise ValueError("inner_folds must be at least 2")
-        if self.inner_repeats < 1:
+        if check_int(self.inner_repeats, "inner_repeats") < 1:
             raise ValueError("inner_repeats must be at least 1")
-        if self.extra_passes < 0:
+        if check_int(self.extra_passes, "extra_passes") < 0:
             raise ValueError("extra_passes must be non-negative")
 
 

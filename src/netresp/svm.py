@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._util import check_int
 from .datamodel import as_matrix
 
 
@@ -38,7 +39,8 @@ class SvmConfig:
             raise ValueError(f"C must be positive, got {self.C}")
         if not self.smo_tol > 0:
             raise ValueError(f"smo_tol must be positive, got {self.smo_tol}")
-        if self.max_passes < 1:
+        # an integer, so that the step budget max_passes * n reaches exactly 0
+        if check_int(self.max_passes, "max_passes") < 1:
             raise ValueError("max_passes must be at least 1")
 
 

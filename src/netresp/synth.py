@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import derive_seed, parallel_map
+from ._util import check_int, derive_seed, parallel_map
 from .datamodel import Dataset, Subject, Template
 
 DOMAIN_TAGS_6 = ("VI", "CB", "TP", "SC", "SM", "HC")
@@ -38,11 +38,19 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))
+        object.__setattr__(self, "grid", tuple(check_int(g, "grid entry") for g in self.grid))
+        for key in ("n_components", "n_domains", "timepoints", "informative_components"):
+            check_int(getattr(self, key), key)
         counts = self.class_counts
         if isinstance(counts, Mapping):  # {"AD": 47, ...}, as in a JSON config
             counts = counts.items()
-        object.__setattr__(self, "class_counts", tuple((str(c), int(n)) for c, n in counts))
+        counts = tuple((str(c), check_int(n, f"class_counts[{c!r}]")) for c, n in counts)
+        object.__setattr__(self, "class_counts", counts)
+        names = [c for c, _ in counts]
+        if len(names) < 2 or len(set(names)) != len(names):
+            raise ValueError(f"class_counts needs at least 2 distinct classes, got {names}")
+        if any(n < 1 for _, n in counts):
+            raise ValueError(f"class_counts must be at least 1 each, got {dict(counts)}")
         if any(g < 2 for g in self.grid):
             raise ValueError(f"grid dims must be at least 2, got {self.grid}")
         if self.n_components < 1 or self.n_domains < 1 or self.timepoints < 2:
@@ -66,6 +74,7 @@ class SynthConfig:
         return nx * ny * nz
 
     def scaled_counts(self) -> tuple[tuple[str, int], ...]:
+        # a count that rounds to 0 under count_scale keeps one subject
         return tuple(
             (c, max(1, int(n * self.count_scale + 0.5))) for c, n in self.class_counts
         )

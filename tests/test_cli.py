@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -302,6 +303,36 @@ class TestDeterminism:
         sfs_sets = evaluated(out_sfs / "selection" / "trace.csv")
         ssfs_sets = evaluated(out / "selection" / "trace.csv")
         assert sfs_sets <= ssfs_sets
+
+
+# settings a stage would take silently or fail on halfway, each with that
+# stage: every one must be a configuration error before anything is touched
+BAD_SETTINGS = [
+    # a float count would raise TypeError mid-stage, in extract after
+    # features.json is removed
+    ("evaluate", "evaluation", "repeats", 2.5),
+    ("select", "selection", "beam_width", 1.5),
+    ("select", "selection", "inner_repeats", 1.5),
+    ("extract", "scica", "max_iters", 10.5),
+    # ... or run a protocol other than the one recorded: 3 folds for 2.5,
+    # an SMO step cap that never fires for 1.01, one repeat for true
+    ("evaluate", "evaluation", "outer_folds", 2.5),
+    ("evaluate", "svm", "max_passes", 1.01),
+    ("evaluate", "evaluation", "repeats", True),
+    # a repeated class would score F1 0 and weigh double; a string would
+    # split into one-letter classes
+    ("evaluate", "evaluation", "class_set", ["AD", "AD", "MS", "NR"]),
+    ("evaluate", "evaluation", "class_set", "AD"),
+    # a count below 1 would simulate one subject; one class or a repeated
+    # one would fail in write_subjects
+    ("simulate", "synth", "class_counts", {"AD": 0, "MS": 8, "NR": 4}),
+    ("simulate", "synth", "class_counts", {"AD": -4, "MS": 8, "NR": 4}),
+    ("simulate", "synth", "class_counts", {"AD": 8}),
+    ("simulate", "synth", "class_counts", [["AD", 4], ["AD", 4], ["MS", 4]]),
+    # a float count or grid size would be truncated
+    ("simulate", "synth", "class_counts", {"AD": 8.5, "MS": 8, "NR": 4}),
+    ("simulate", "synth", "grid", [8, 8, 6.5]),
+]
 
 
 class TestExitCodes:
@@ -660,6 +691,25 @@ class TestExitCodes:
         assert rc == 2
         assert "threads must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        BAD_SETTINGS,
+        ids=[f"{s}.{k}={json.dumps(v, separators=(',', ':'))}" for _, s, k, v in BAD_SETTINGS],
+    )
+    def test_bad_setting_exits_2_and_touches_nothing(
+        self, pipeline_dir, tmp_path, capsys, command, section, key, value
+    ):
+        _, out = pipeline_dir
+        run = _run_dir(tmp_path, out, copied=("dataset", "features", "selection"))
+        doc = dict(TINY_CONFIG, **{section: dict(TINY_CONFIG.get(section, {}), **{key: value})})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        rc = main([command, "--config", str(config), "--out", str(run), "--features", "sm+fnc"])
+        assert rc == 2
+        assert f"invalid {section} config: {key}" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
 
 class TestMatrixReads:
     """A fixed selection is checked before any subject matrix is read."""
@@ -830,6 +880,19 @@ class TestMasterSeed:
         for key, value in json.loads(config.read_text()).items():
             documented |= {f"{key}.{k}" for k in value} if key in sections else {key}
         assert documented == settable
+
+    def test_package_exports_what_the_readme_example_imports(self):
+        # the package namespace is the library example's calls, no more
+        section = README.read_text().split("## Library use\n", 1)[1]
+        example = section.split("```python\n", 1)[1].split("```", 1)[0]
+        imported = [
+            alias.name
+            for node in ast.walk(ast.parse(example))
+            if isinstance(node, ast.ImportFrom) and node.module == "netresp"
+            for alias in node.names
+        ]
+        assert sorted(netresp.__all__) == sorted(imported)
+        assert all(hasattr(netresp, name) for name in netresp.__all__)
 
 
 class TestRunConfig:

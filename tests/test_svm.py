@@ -140,6 +140,13 @@ class TestBatchedSmo:
         assert not batch.converged[updates_needed.index(0)]
         assert batch.converged[updates_needed.index(-1)]
 
+    @pytest.mark.parametrize("max_passes", [1.01, 1.0, True])
+    def test_step_cap_takes_an_integer(self, max_passes):
+        # the budget max_passes * n counts down to exactly 0; at 1.01 it never
+        # reaches 0, so a problem that does not converge would run unbounded
+        with pytest.raises(ValueError, match="max_passes must be an integer"):
+            SvmConfig(max_passes=max_passes)
+
     def test_malformed_batches_rejected(self):
         k = np.eye(3)[None]
         with pytest.raises(ValueError, match="padding"):

@@ -1,9 +1,10 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from netresp._util import parallel_imap, parallel_map
+from netresp._util import check_int, parallel_imap, parallel_map
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -42,3 +43,11 @@ def test_imap_raises_in_input_order():
         for i in parallel_imap(fail_from_two, range(6), 3):
             seen.append(i)
     assert seen == [0, 1]
+
+
+def test_check_int_takes_integers_only():
+    assert check_int(3, "n") == 3
+    assert type(check_int(np.int64(3), "n")) is int
+    for bad in (3.0, 2.5, True, np.bool_(True), "3", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            check_int(bad, "n")
