@@ -1,9 +1,11 @@
-"""Seed derivation, integer checks and deterministic parallel mapping
-shared across modules."""
+"""Seed derivation, integer and float checks and deterministic parallel
+mapping shared across modules."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +32,19 @@ def check_int(value, name: str) -> int:
     if not is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_float_fields(config) -> None:
+    """ValueError naming the field when a field of dataclass `config` that is
+    annotated `float` holds NaN or an infinity (JSON configs may spell both),
+    a bool or anything else that is not a real number."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.type not in ("float", float):
+            continue
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
+            raise ValueError(f"{field.name} must be a finite number, got {value!r}")
 
 
 def parallel_imap(fn, items, threads: int = 1):

@@ -209,6 +209,21 @@ def _manifest_for(cfg: RunConfig, out_dir: Path) -> Manifest:
     return read_manifest(manifest)
 
 
+def _write_features(feat_dir: Path, entry: dict, f: SubjectFeatures) -> dict:
+    """Write one subject's maps and time courses; return its features.json entry."""
+    sid = entry["id"]
+    write_matrix(f.spatial_maps, feat_dir / f"{sid}.sm.msmx")
+    write_matrix(f.time_courses, feat_dir / f"{sid}.tc.msmx")
+    return {
+        "id": sid,
+        "label": entry["label"],
+        "group": entry["group"],
+        "sm": f"{sid}.sm.msmx",
+        "tc": f"{sid}.tc.msmx",
+        "converged": [bool(c) for c in f.converged],
+    }
+
+
 def cmd_extract(cfg: RunConfig, out_dir: Path) -> int:
     manifest = _manifest_for(cfg, out_dir)
     feat_dir = out_dir / "features"
@@ -223,22 +238,10 @@ def cmd_extract(cfg: RunConfig, out_dir: Path) -> int:
             subject.bold, manifest.template, cfg.scica, seed=derive_seed(seed, "subject", idx)
         )
 
-    entries = []
     feats = parallel_imap(one, enumerate(manifest.subjects()), cfg.threads)
-    for subject, f in zip(manifest.entries, feats):
-        sid = subject["id"]
-        write_matrix(f.spatial_maps, feat_dir / f"{sid}.sm.msmx")
-        write_matrix(f.time_courses, feat_dir / f"{sid}.tc.msmx")
-        entries.append(
-            {
-                "id": sid,
-                "label": subject["label"],
-                "group": subject["group"],
-                "sm": f"{sid}.sm.msmx",
-                "tc": f"{sid}.tc.msmx",
-                "converged": [bool(c) for c in f.converged],
-            }
-        )
+    # each subject's features are passed straight to the writer, so nothing
+    # holds them while the next subject is extracted
+    entries = [_write_features(feat_dir, e, next(feats)) for e in manifest.entries]
     doc = {
         "subjects": entries,
         "class_set": list(manifest.class_set),
@@ -335,16 +338,20 @@ def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _class_entries(cfg: RunConfig, doc: dict) -> tuple[list[dict], tuple[str, ...]]:
-    """The features.json entries of the subjects in the configured classes
-    that the data has, and that class set."""
+def _class_entries(cfg: RunConfig, doc: dict) -> list[dict]:
+    """The features.json entries of the subjects in the configured classes,
+    each of which must have a subject in the data."""
     labels = {e["label"] for e in doc["subjects"]}
-    class_set = tuple(c for c in cfg.evaluation.class_set if c in labels)
-    if len(class_set) < 2:
+    class_set = cfg.evaluation.class_set
+    missing = [c for c in class_set if c not in labels]
+    if missing:
         raise ConfigError(
-            f"need at least 2 of the configured classes in the data, have {class_set}"
+            f"evaluation.class_set names {missing[0]!r}, but no subject in features.json "
+            f"has that label (labels: {sorted(labels)})"
         )
-    return [e for e in doc["subjects"] if e["label"] in class_set], class_set
+    if len(class_set) < 2:
+        raise ConfigError(f"evaluation.class_set needs at least 2 classes, got {list(class_set)}")
+    return [e for e in doc["subjects"] if e["label"] in class_set]
 
 
 def _fixed_set(cfg: RunConfig, doc: dict) -> list[int]:
@@ -354,7 +361,7 @@ def _fixed_set(cfg: RunConfig, doc: dict) -> list[int]:
 
 def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
     doc_path, doc = _features_doc(out_dir)
-    entries, class_set = _class_entries(cfg, doc)
+    entries = _class_entries(cfg, doc)
     truth_path = out_dir / "dataset" / "ground_truth.json"
     planted = None
     if truth_path.exists():
@@ -384,7 +391,7 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
             cfg.selection,
             cfg.kernel,
             cfg.svm,
-            class_set=class_set,
+            class_set=cfg.evaluation.class_set,
             use_fnc=cfg.use_fnc,
             threads=cfg.threads,
         )
@@ -416,7 +423,7 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
     doc_path, doc = _features_doc(out_dir)
-    entries, class_set = _class_entries(cfg, doc)
+    entries = _class_entries(cfg, doc)
     if cfg.fixed is not None:
         selected = _fixed_set(cfg, doc)
     else:
@@ -429,7 +436,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
         )
 
     labels = [e["label"] for e in entries]
-    eval_cfg = dataclasses.replace(cfg.evaluation, class_set=class_set)
+    eval_cfg = cfg.evaluation
     report = run_experiment(
         _load_features(doc_path.parent, entries, cfg.use_fnc),
         labels,
@@ -446,7 +453,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
     meta = {
         "selected": [int(i) for i in selected],
         "features": cfg.features,
-        "class_set": list(class_set),
+        "class_set": list(eval_cfg.class_set),
         "outer_folds": eval_cfg.outer_folds,
         "repeats": eval_cfg.repeats,
         "seed": eval_cfg.seed,
@@ -460,7 +467,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
         f"median macro F1 {agg['macro_f1'].median:.3f}"
     )
     if report.unconverged_solves:
-        solves = len(report.rows) * len(class_set)
+        solves = len(report.rows) * len(eval_cfg.class_set)
         print(
             f"warning: {report.unconverged_solves} of {solves} SMO solves stopped at the "
             f"svm.max_passes step cap without converging",

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_float_fields
 from .datamodel import SubjectFeatures, as_matrix
 from .fnc import fisher_z
 
@@ -59,6 +60,7 @@ class PabsKernelParams:
     spectrum_fix: str = "clip"
 
     def __post_init__(self):
+        check_float_fields(self)
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.fnc_gamma > 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_int, derive_seed
+from ._util import check_float_fields, check_int, derive_seed
 from .datamodel import SubjectFeatures, Template, as_matrix
 
 
@@ -46,6 +46,7 @@ class ScicaConfig:
     pca_retained: int | None = None  # None: match the template's K
 
     def __post_init__(self):
+        check_float_fields(self)
         if check_int(self.max_iters, "max_iters") < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0:
@@ -183,11 +184,14 @@ def _reference_projection(whitened: np.ndarray, refs_scaled: np.ndarray) -> np.n
     """Rows b_k with corr(w @ whitened, reference k) = <w, b_k> for unit w.
 
     One product serves every (K, V) reference row; a reference with no
-    variance projects to zero.
+    variance projects to zero. `refs_scaled` is centred in place, and its
+    row norms are summed as `np.linalg.norm` sums them, from one (K, V)
+    temporary.
     """
     v = whitened.shape[1]
-    rc = refs_scaled - refs_scaled.mean(axis=1, keepdims=True)
-    nrm = np.linalg.norm(rc, axis=1, keepdims=True)
+    rc = refs_scaled
+    rc -= rc.mean(axis=1, keepdims=True)
+    nrm = np.sqrt(np.add.reduce(rc * rc, axis=1, keepdims=True))
     b = rc @ whitened.T
     return np.divide(b, np.sqrt(v) * nrm, out=np.zeros_like(b), where=nrm > 0)
 
@@ -222,8 +226,8 @@ def extract_subject(
     k = template.n_components
     r = cfg.pca_retained if cfg.pca_retained is not None else min(k, t - 1, v)
     wd = preprocess_subject(bold, r)
-    w_data = wd.whitened
-    sd = wd.voxel_stds
+    w_data, sd, xz = wd.whitened, wd.voxel_stds, wd.normalized
+    del wd  # w_data is then the whitened rows' last reference
 
     b = _reference_projection(w_data, template.maps / sd)
     nb = np.linalg.norm(b, axis=1, keepdims=True)
@@ -250,6 +254,7 @@ def extract_subject(
     units[live] = w
 
     maps = units @ w_data
+    del w_data  # no longer needed once the maps exist
     maps *= sd  # back to data units so map shapes match the references
     maps -= maps.mean(axis=1, keepdims=True)
     m_sd = maps.std(axis=1, keepdims=True)
@@ -257,7 +262,7 @@ def extract_subject(
     flip = _rowdot(maps, template.maps - template.maps.mean(axis=1, keepdims=True)) < 0
     np.negative(maps, out=maps, where=flip[:, None])
 
-    tc = _time_courses(maps, wd.normalized, full_rank=r >= k)
+    tc = _time_courses(maps, xz, full_rank=r >= k)
     return SubjectFeatures(spatial_maps=maps, time_courses=tc, converged=converged)
 
 
@@ -284,7 +289,8 @@ def _time_courses(maps: np.ndarray, xz: np.ndarray, full_rank: bool) -> np.ndarr
         if ev[0] > 0 and ev[-1] <= GRAM_MAX_COND**2 * ev[0]:
             tc = np.linalg.solve(gram, maps @ xz.T)
             if ev[-1] > GRAM_REFINE_COND**2 * ev[0]:
-                resid = xz - tc.T @ maps
+                resid = tc.T @ maps
+                np.subtract(xz, resid, out=resid)  # the residual in the product's place
                 tc += np.linalg.solve(gram, maps @ resid.T)
             return tc.T
     return np.linalg.lstsq(maps.T, xz.T, rcond=None)[0].T

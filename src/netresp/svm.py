@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import check_int
+from ._util import check_float_fields, check_int
 from .datamodel import as_matrix
 
 
@@ -35,6 +35,7 @@ class SvmConfig:
     max_passes: int = 10_000
 
     def __post_init__(self):
+        check_float_fields(self)
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C}")
         if not self.smo_tol > 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_int, derive_seed, parallel_map
+from ._util import check_float_fields, check_int, derive_seed, parallel_map
 from .datamodel import Dataset, Subject, Template
 
 DOMAIN_TAGS_6 = ("VI", "CB", "TP", "SC", "SM", "HC")
@@ -41,6 +41,7 @@ class SynthConfig:
         object.__setattr__(self, "grid", tuple(check_int(g, "grid entry") for g in self.grid))
         for key in ("n_components", "n_domains", "timepoints", "informative_components"):
             check_int(getattr(self, key), key)
+        check_float_fields(self)
         counts = self.class_counts
         if isinstance(counts, Mapping):  # {"AD": 47, ...}, as in a JSON config
             counts = counts.items()
@@ -301,12 +302,16 @@ def make_subject(plan: CohortPlan, s_idx: int) -> tuple[Subject, np.ndarray, np.
     noise = srng.standard_normal((cfg.n_components, cfg.n_voxels))
     noise *= cfg.map_noise
     maps += noise
+    del noise  # not held while the bold is made
     maps -= maps.mean(axis=1, keepdims=True)
     maps /= maps.std(axis=1, keepdims=True)
     tc = srng.standard_normal((cfg.timepoints, cfg.n_components)) @ plan.class_chol[cls].T
-    bold = srng.standard_normal((cfg.timepoints, cfg.n_voxels))
-    bold *= cfg.noise_sigma
-    bold += tc @ maps
+    bold = tc @ maps
+    # the bold noise, drawn one timepoint at a time onto the signal; the
+    # draws are those of one (T, V) draw, and signal + noise adds as noise + signal
+    row_noise = np.empty(cfg.n_voxels)
+    for row in bold:
+        row += np.multiply(srng.standard_normal(out=row_noise), cfg.noise_sigma, out=row_noise)
     subject = Subject(id=f"s{s_idx:04d}", bold=bold, label=cls, group=cls)
     return subject, maps, tc
 

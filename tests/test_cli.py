@@ -334,6 +334,25 @@ BAD_SETTINGS = [
     ("simulate", "synth", "grid", [8, 8, 6.5]),
 ]
 
+# one row per float setting: NaN or an infinity, as JSON configs may spell
+# them, would pass the range checks or meet only a range message (as for
+# kernel.combine_weight), and count_scale Infinity would raise OverflowError
+NON_FINITE_SETTINGS = [
+    ("simulate", "synth", "count_scale", float("inf")),
+    ("simulate", "synth", "spatial_effect", float("nan")),
+    ("simulate", "synth", "spatial_scatter", float("inf")),
+    ("simulate", "synth", "fnc_effect", float("nan")),
+    ("simulate", "synth", "noise_sigma", float("nan")),
+    ("simulate", "synth", "map_noise", float("inf")),
+    ("extract", "scica", "tol", float("inf")),
+    ("extract", "scica", "constraint_weight", float("nan")),
+    ("select", "kernel", "gamma", float("inf")),
+    ("select", "kernel", "fnc_gamma", float("inf")),
+    ("select", "kernel", "combine_weight", float("nan")),
+    ("evaluate", "svm", "C", float("inf")),
+    ("evaluate", "svm", "smo_tol", float("inf")),
+]
+
 
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
@@ -691,6 +710,22 @@ class TestExitCodes:
         assert rc == 2
         assert "threads must be an integer >= 1" in capsys.readouterr().err
 
+    @staticmethod
+    def _config_error(pipeline_dir, tmp_path, capsys, command, section, updates) -> str:
+        """stderr of `command` run with `updates` to one config section on a
+        copy of the pipeline's inputs; it must exit 2 and change no file."""
+        _, out = pipeline_dir
+        run = _run_dir(tmp_path, out, copied=("dataset", "features", "selection"))
+        doc = dict(TINY_CONFIG, **{section: dict(TINY_CONFIG.get(section, {}), **updates)})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))  # NaN and infinities as JSON's NaN, Infinity
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        rc = main([command, "--config", str(config), "--out", str(run), "--features", "sm+fnc"])
+        assert rc == 2
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+        return capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, section, key, value",
         BAD_SETTINGS,
@@ -699,16 +734,28 @@ class TestExitCodes:
     def test_bad_setting_exits_2_and_touches_nothing(
         self, pipeline_dir, tmp_path, capsys, command, section, key, value
     ):
-        _, out = pipeline_dir
-        run = _run_dir(tmp_path, out, copied=("dataset", "features", "selection"))
-        doc = dict(TINY_CONFIG, **{section: dict(TINY_CONFIG.get(section, {}), **{key: value})})
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
-        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
-        rc = main([command, "--config", str(config), "--out", str(run), "--features", "sm+fnc"])
-        assert rc == 2
-        assert f"invalid {section} config: {key}" in capsys.readouterr().err
-        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+        err = self._config_error(pipeline_dir, tmp_path, capsys, command, section, {key: value})
+        assert f"invalid {section} config: {key}" in err
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        NON_FINITE_SETTINGS,
+        ids=[f"{s}.{k}={v}" for _, s, k, v in NON_FINITE_SETTINGS],
+    )
+    def test_non_finite_float_setting_exits_2(
+        self, pipeline_dir, tmp_path, capsys, command, section, key, value
+    ):
+        err = self._config_error(pipeline_dir, tmp_path, capsys, command, section, {key: value})
+        assert f"invalid {section} config: {key} must be a finite number" in err
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    def test_class_set_name_missing_from_data_exits_2(
+        self, pipeline_dir, tmp_path, capsys, command
+    ):
+        # a dropped name would run the protocol over the AD and MS subjects alone
+        updates = {"class_set": ["AD", "MS", "XX"]}
+        err = self._config_error(pipeline_dir, tmp_path, capsys, command, "evaluation", updates)
+        assert "evaluation.class_set names 'XX'" in err
 
 
 class TestMatrixReads:
@@ -812,6 +859,28 @@ class TestStreaming:
         for stage in ("simulate", "extract", "fnc"):
             growth = peaks[stage, 8] - peaks[stage, 4]
             assert growth < bold_bytes, (stage, peaks[stage, 4], peaks[stage, 8])
+
+    def test_each_stage_holds_one_subject_working_set(self, tmp_path):
+        # at the n105 sizes one subject's bold, 164 x 2048 doubles, is the
+        # largest array. simulate holds the bold being made, the one being
+        # written, the template and a subject's maps; extract holds the bold,
+        # its normalized and centred copies and the template and maps
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threads": 1, "synth": {"class_counts": {"AD": 3, "MS": 3}}}))
+        bold_bytes = 164 * 2048 * 8
+        budget = {"simulate": 4.5, "extract": 5.25, "fnc": 1.0}  # in bolds
+        peaks = {}
+        for run in ("warm", "measured"):  # the first pass takes one-time allocations
+            out = tmp_path / run
+            for stage in budget:
+                tracemalloc.start()
+                try:
+                    args = [stage, "--config", str(config), "--out", str(out), "--template", "n105"]
+                    assert main(args) == 0
+                    peaks[stage] = tracemalloc.get_traced_memory()[1] / bold_bytes
+                finally:
+                    tracemalloc.stop()
+        assert all(peaks[stage] <= budget[stage] for stage in budget), peaks
 
     def test_thread_count_gives_identical_artifacts(self, tmp_path):
         config = self._config(tmp_path, 5)

@@ -1,10 +1,11 @@
+import dataclasses
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from netresp._util import check_int, parallel_imap, parallel_map
+from netresp._util import check_float_fields, check_int, parallel_imap, parallel_map
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -51,3 +52,18 @@ def test_check_int_takes_integers_only():
     for bad in (3.0, 2.5, True, np.bool_(True), "3", None):
         with pytest.raises(ValueError, match="n must be an integer"):
             check_int(bad, "n")
+
+
+def test_check_float_fields_takes_finite_numbers_only():
+    @dataclasses.dataclass
+    class Config:
+        rate: float = 1.0
+        name: str = "x"
+        count: int = 2
+
+    for good in (0.5, 3, np.float32(2.5), np.int64(-1)):
+        check_float_fields(Config(rate=good))
+    check_float_fields(Config(name=float("nan"), count=float("inf")))  # not float fields
+    for bad in (float("nan"), float("inf"), -float("inf"), np.float64("nan"), True, "1.0", None):
+        with pytest.raises(ValueError, match="rate must be a finite number"):
+            check_float_fields(Config(rate=bad))
