@@ -1,14 +1,18 @@
-"""Seed derivation, integer and float checks and deterministic parallel
-mapping shared across modules."""
+"""Seed derivation, the checks of outside input (numbers, JSON objects,
+component indices, class names) and deterministic parallel mapping shared
+across modules. Each input check takes the error class to raise, so each
+caller keeps its own exit code."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 
 def derive_seed(master: int, *keys) -> int:
@@ -45,6 +49,62 @@ def check_float_fields(config) -> None:
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         if not (real and math.isfinite(value)):
             raise ValueError(f"{field.name} must be a finite number, got {value!r}")
+
+
+def check_keys(doc, required, allowed, where, error) -> dict:
+    """`doc` when it is a JSON object holding every key in `required` and,
+    unless `allowed` is None, no key outside `required` and `allowed`;
+    otherwise raises `error` naming `where` and the first key at fault."""
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be a JSON object, got {type(doc).__name__}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise error(f"{where}: missing key {missing[0]!r}")
+    unknown = [] if allowed is None else sorted(set(doc) - set(required) - set(allowed))
+    if unknown:
+        raise error(f"{where}: unknown key {unknown[0]!r}")
+    return doc
+
+
+def read_json_object(path, required=(), allowed=None, error=ValueError, hint: str = "") -> dict:
+    """The JSON object at `path`, its keys checked by :func:`check_keys`;
+    `error` names the file when it is missing (followed by `hint`), is not
+    JSON or fails the check."""
+    path = Path(path)
+    if not path.exists():
+        raise error(f"not found: {path}{hint}")
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise error(f"{path}: invalid JSON: {e}") from e
+    return check_keys(doc, required, allowed, path, error)
+
+
+def check_indices(values, n: int | None, what: str, error=ValueError, empty_ok=False) -> list[int]:
+    """`values` as a list when it is a list, tuple or range of distinct
+    integer indices in [0, n), or >= 0 when `n` is None, non-empty unless
+    `empty_ok`; otherwise raises `error` naming `what`. A float or a bool
+    is not an index."""
+    kind = "list of integers" if empty_ok else "non-empty list of integers"
+    if not isinstance(values, (list, tuple, range)) or not (values or empty_ok):
+        raise error(f"{what} must be a {kind}, got {values!r}")
+    for i in values:
+        if not is_int(i):
+            raise error(f"{what} must be a {kind}; it holds {i!r}, not an integer")
+        if i < 0 or (n is not None and i >= n):
+            raise error(f"{what} index {i} out of range" + ("" if n is None else f" [0, {n})"))
+    if len(set(values)) != len(values):
+        raise error(f"{what} repeats a component; indices must be distinct: {list(values)}")
+    return [int(i) for i in values]
+
+
+def check_class_names(names, what: str, error=ValueError) -> tuple[str, ...]:
+    """`names` as a tuple when it is a list or tuple of at least 2 distinct
+    strings; otherwise raises `error` naming `what`."""
+    strings = isinstance(names, (list, tuple)) and all(isinstance(c, str) for c in names)
+    if not strings or len(names) < 2 or len(set(names)) != len(names):
+        raise error(f"{what} must be a list of at least 2 distinct class names, got {names!r}")
+    return tuple(names)
 
 
 def parallel_imap(fn, items, threads: int = 1):

@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import derive_seed, is_int, parallel_imap
+from ._util import (
+    check_indices,
+    check_keys,
+    derive_seed,
+    is_int,
+    parallel_imap,
+    read_json_object,
+)
 from .datamodel import (
     Manifest,
     ManifestError,
@@ -50,22 +57,6 @@ _TEMPLATE_PRESETS = {
     "n53": {"n_components": 53, "n_domains": 7},
     "n105": {"n_components": 105, "n_domains": 6},
 }
-
-
-def _component_indices(values, n_components: int | None, what: str, error) -> list[int]:
-    """`values` when it is a non-empty list of distinct integer component
-    indices in [0, n_components), or >= 0 when `n_components` is None;
-    otherwise raises `error` naming `what`."""
-    if not isinstance(values, list) or not values:
-        raise error(f"{what} must be a non-empty list of component indices, got {values!r}")
-    for i in values:
-        if not is_int(i):
-            raise error(f"{what} holds {i!r}, not an integer")
-        if i < 0 or (n_components is not None and i >= n_components):
-            raise error(f"{what} index {i} out of range")
-    if len(set(values)) != len(values):
-        raise error(f"{what} repeats a component: {values}")
-    return values
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,7 +94,7 @@ class RunConfig:
                 indices = [int(x) for x in mode.split(":", 1)[1].split(",") if x.strip() != ""]
             except ValueError as e:
                 raise ConfigError(f"bad fixed selection {mode!r}: {e}") from e
-            fixed = _component_indices(indices, None, "fixed selection", ConfigError)
+            fixed = check_indices(indices, None, "fixed selection", ConfigError)
             object.__setattr__(self, "fixed", tuple(fixed))
         elif mode not in ("ssfs", "sfs"):
             raise ConfigError(
@@ -129,16 +120,14 @@ class RunConfig:
         return self.features == "sm+fnc"
 
 
-def _section_from_dict(cls, data: dict, path: str):
+def _section_from_dict(cls, data, name: str):
     # section seeds derive from the master seed, so none is settable
-    fields = {f.name for f in dataclasses.fields(cls)} - {"seed"}
-    unknown = set(data) - fields
-    if unknown:
-        raise ConfigError(f"unknown config key: {path}.{sorted(unknown)[0]}")
+    settable = {f.name for f in dataclasses.fields(cls)} - {"seed"}
+    check_keys(data, (), settable, f"config section {name!r}", ConfigError)
     try:
         return cls(**data)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid {path} config: {e}") from e
+        raise ConfigError(f"invalid {name} config: {e}") from e
 
 
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -147,26 +136,12 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
 
     Unknown keys anywhere in the document are rejected by name.
     """
-    data: dict = {}
-    if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        try:
-            data = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{p}: invalid JSON: {e}") from e
-        if not isinstance(data, dict):
-            raise ConfigError(f"{p}: config must be a JSON object")
+    data = {} if path is None else read_json_object(path, error=ConfigError)
     data.update({k: v for k, v in (overrides or {}).items() if v is not None})
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.init}
-    unknown = set(data) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
+    check_keys(data, (), defaults, "config", ConfigError)
     for key, value in data.items():
         if dataclasses.is_dataclass(defaults[key]):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
             data[key] = _section_from_dict(type(defaults[key]), value, key)
     return RunConfig(**data)
 
@@ -253,32 +228,11 @@ def cmd_extract(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _checked(doc, keys, where) -> dict:
-    """`doc` when it is a JSON object holding every key in `keys`."""
-    if not isinstance(doc, dict):
-        raise ManifestError(f"{where}: expected a JSON object")
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise ManifestError(f"{where}: missing key {missing[0]!r}")
-    return doc
-
-
-def _read_json(path: Path, keys, stage: str) -> dict:
-    """The JSON object at `path` holding every key in `keys`; `stage` is the
-    one that writes it, named when the file is missing."""
-    if not path.exists():
-        raise ManifestError(f"not found: {path} (run {stage} first)")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ManifestError(f"{path}: invalid JSON: {e}") from e
-    return _checked(doc, keys, path)
-
-
 def _features_doc(out_dir: Path) -> tuple[Path, dict]:
     """features.json, with its subject entries and domains checked; and its path."""
     doc_path = out_dir / "features" / "features.json"
-    doc = _read_json(doc_path, ("subjects", "domains"), "extract")
+    hint = " (run extract first)"
+    doc = read_json_object(doc_path, ("subjects", "domains"), None, ManifestError, hint)
     subjects, domains = doc["subjects"], doc["domains"]
     if not isinstance(subjects, list):
         raise ManifestError(f"{doc_path}: 'subjects' must be a list of entries, got {subjects!r}")
@@ -286,7 +240,7 @@ def _features_doc(out_dir: Path) -> tuple[Path, dict]:
         raise ManifestError(f"{doc_path}: 'domains' must be a list of names, got {domains!r}")
     for n, entry in enumerate(subjects):
         where = f"{doc_path}: subject entry {n}"
-        _checked(entry, ("id", "label", "sm", "tc"), where)
+        check_keys(entry, ("id", "label", "sm", "tc"), None, where, ManifestError)
         for key in ("id", "label", "sm", "tc", "fnc"):  # fnc is added by the fnc stage
             if not isinstance(entry.get(key, ""), str):
                 raise ManifestError(f"{where}: {key!r} must be a string, got {entry[key]!r}")
@@ -339,8 +293,9 @@ def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _class_entries(cfg: RunConfig, doc: dict) -> list[dict]:
-    """The features.json entries of the subjects in the configured classes,
-    each of which must have a subject in the data."""
+    """The features.json entries of the subjects in the configured classes
+    (`EvalConfig` checks the names), each of which must have a subject in
+    the data."""
     labels = {e["label"] for e in doc["subjects"]}
     class_set = cfg.evaluation.class_set
     missing = [c for c in class_set if c not in labels]
@@ -349,14 +304,12 @@ def _class_entries(cfg: RunConfig, doc: dict) -> list[dict]:
             f"evaluation.class_set names {missing[0]!r}, but no subject in features.json "
             f"has that label (labels: {sorted(labels)})"
         )
-    if len(class_set) < 2:
-        raise ConfigError(f"evaluation.class_set needs at least 2 classes, got {list(class_set)}")
     return [e for e in doc["subjects"] if e["label"] in class_set]
 
 
 def _fixed_set(cfg: RunConfig, doc: dict) -> list[int]:
     """The fixed selection, range-checked against features.json's domains."""
-    return _component_indices(list(cfg.fixed), len(doc["domains"]), "fixed selection", ConfigError)
+    return check_indices(cfg.fixed, len(doc["domains"]), "fixed selection", ConfigError)
 
 
 def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
@@ -365,15 +318,15 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
     truth_path = out_dir / "dataset" / "ground_truth.json"
     planted = None
     if truth_path.exists():
-        truth = _read_json(truth_path, ("informative_indices",), "simulate")
-        planted = truth["informative_indices"]
-        if not isinstance(planted, list) or not all(is_int(i) for i in planted):
-            raise ManifestError(
-                f"{truth_path}: 'informative_indices' must be a list of integers, got {planted!r}"
-            )
-        if planted:  # an empty list is valid: recall is then null
-            what = f"{truth_path}: 'informative_indices'"
-            _component_indices(planted, len(doc["domains"]), what, ManifestError)
+        truth = read_json_object(truth_path, ("informative_indices",), None, ManifestError)
+        # an empty list is valid: recall is then null
+        planted = check_indices(
+            truth["informative_indices"],
+            len(doc["domains"]),
+            f"{truth_path}: 'informative_indices'",
+            ManifestError,
+            empty_ok=True,
+        )
 
     if cfg.fixed is not None:  # reads no matrix
         fixed = tuple(_fixed_set(cfg, doc))
@@ -428,12 +381,10 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
         selected = _fixed_set(cfg, doc)
     else:
         result_path = out_dir / "selection" / "result.json"
-        selected = _component_indices(
-            _read_json(result_path, ("best_set",), "select")["best_set"],
-            len(doc["domains"]),
-            f"{result_path}: 'best_set'",
-            ManifestError,
-        )
+        hint = " (run select first)"
+        result = read_json_object(result_path, ("best_set",), None, ManifestError, hint)
+        what = f"{result_path}: 'best_set'"
+        selected = check_indices(result["best_set"], len(doc["domains"]), what, ManifestError)
 
     labels = [e["label"] for e in entries]
     eval_cfg = cfg.evaluation
@@ -451,7 +402,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
     (eval_dir / "report.csv").write_text(report.to_report_csv())
     (eval_dir / "summary.csv").write_text(report.to_summary_csv())
     meta = {
-        "selected": [int(i) for i in selected],
+        "selected": selected,
         "features": cfg.features,
         "class_set": list(eval_cfg.class_set),
         "outer_folds": eval_cfg.outer_folds,
@@ -493,6 +444,10 @@ def cmd_kernel(cfg: RunConfig, out_dir: Path) -> int:
     )
     print(f"wrote {len(features)}x{len(features)} kernel for components {selected}")
     return 0
+
+
+# the eval/summary.csv columns the box plot draws
+_SUMMARY_COLUMNS = ("metric", "median", "q1", "q3", "whisker_lo", "whisker_hi")
 
 
 def _svg_box_plot(rows: list[dict]) -> str:
@@ -557,8 +512,18 @@ def cmd_report(cfg: RunConfig, out_dir: Path) -> int:
     if not summary_path.exists():
         raise ManifestError(f"summary not found: {summary_path} (run evaluate first)")
     lines = summary_path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    header = lines[0].split(",") if lines else []
+    missing = [c for c in _SUMMARY_COLUMNS if c not in header]
+    if missing:
+        raise ManifestError(f"{summary_path}: missing column {missing[0]!r}")
+    rows = []
+    for n, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ManifestError(
+                f"{summary_path}: line {n} has {len(fields)} fields, the header {len(header)}"
+            )
+        rows.append(dict(zip(header, fields)))
     svg = _svg_box_plot(rows)
     (out_dir / "eval" / "report.svg").write_text(svg)
     print(f"wrote box plot for {len(rows)} metrics -> {out_dir / 'eval' / 'report.svg'}")

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._util import check_class_names, check_keys, read_json_object
+
 MAGIC = b"MSMX"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")  # magic, version u32, rows u64, cols u64
@@ -171,10 +173,7 @@ class Subject:
 def _checked_subjects(template: Template, class_set: tuple, subjects, error=ValueError):
     """Yield `subjects`, each checked against Dataset's invariants as it
     arrives: ids unique, labels in `class_set`, the template's voxel count."""
-    if len(class_set) < 2:
-        raise error("class_set needs at least 2 classes")
-    if len(set(class_set)) != len(class_set):
-        raise error("class_set contains duplicates")
+    check_class_names(class_set, "class_set", error)
     ids: set[str] = set()
     v = template.n_voxels
     for s in subjects:
@@ -197,7 +196,7 @@ class Dataset:
     class_set: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "class_set", tuple(self.class_set))
+        object.__setattr__(self, "class_set", check_class_names(self.class_set, "class_set"))
         subjects = tuple(_checked_subjects(self.template, self.class_set, self.subjects))
         object.__setattr__(self, "subjects", subjects)
 
@@ -251,9 +250,9 @@ class SubjectFeatures:
         return self.spatial_maps.shape[0]
 
 
-_MANIFEST_KEYS = {"template", "domains", "class_set", "subjects"}
-_MANIFEST_OPTIONAL = {"component_ids", "scale_order"}
-_SUBJECT_KEYS = {"id", "bold", "label", "group"}
+_MANIFEST_KEYS = ("template", "domains", "class_set", "subjects")
+_MANIFEST_OPTIONAL = ("component_ids", "scale_order")
+_SUBJECT_KEYS = ("id", "bold", "label", "group")
 
 
 @dataclass(frozen=True)
@@ -282,21 +281,10 @@ def read_manifest(manifest_path) -> Manifest:
     checked here; :meth:`Manifest.subjects` reads and checks the subjects.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise ManifestError(f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
-        raise ManifestError(f"{manifest_path}: invalid JSON: {e}") from e
-    if not isinstance(manifest, dict):
-        raise ManifestError(f"{manifest_path}: manifest must be a JSON object")
-    unknown = set(manifest) - _MANIFEST_KEYS - _MANIFEST_OPTIONAL
-    if unknown:
-        raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
-    missing = _MANIFEST_KEYS - set(manifest)
-    if missing:
-        raise ManifestError(f"missing manifest keys: {sorted(missing)}")
-
+    manifest = read_json_object(manifest_path, _MANIFEST_KEYS, _MANIFEST_OPTIONAL, ManifestError)
+    class_set = check_class_names(
+        manifest["class_set"], f"{manifest_path}: 'class_set'", ManifestError
+    )
     base = manifest_path.parent
 
     def _resolve(rel) -> Path:
@@ -321,20 +309,15 @@ def read_manifest(manifest_path) -> Manifest:
         scale_order=manifest.get("scale_order"),
     )
 
+    if not isinstance(manifest["subjects"], list):
+        raise ManifestError(f"{manifest_path}: 'subjects' must be a list of entries")
     entries = []
-    for entry in manifest["subjects"]:
-        if not isinstance(entry, dict):
-            raise ManifestError("subject entries must be JSON objects")
-        bad = set(entry) - _SUBJECT_KEYS
-        if bad:
-            raise ManifestError(f"unknown subject keys: {sorted(bad)}")
-        miss = _SUBJECT_KEYS - set(entry)
-        if miss:
-            raise ManifestError(f"subject entry missing keys: {sorted(miss)}")
+    for n, entry in enumerate(manifest["subjects"]):
+        where = f"{manifest_path}: subject entry {n}"
+        check_keys(entry, _SUBJECT_KEYS, (), where, ManifestError)
         entries.append(
             {k: _resolve(v) if k == "bold" else str(v) for k, v in entry.items()}
         )
-    class_set = tuple(str(c) for c in manifest["class_set"])
     return Manifest(template, class_set, tuple(entries))
 
 
@@ -368,7 +351,7 @@ def write_subjects(template: Template, class_set, subjects, out_dir) -> Path:
     }
     if template.scale_order is not None:
         manifest["scale_order"] = list(template.scale_order)
-    for s in _checked_subjects(template, tuple(class_set), subjects):
+    for s in _checked_subjects(template, class_set, subjects):
         bold_name = f"{s.id}.bold.msmx"
         write_matrix(s.bold, out_dir / bold_name)
         manifest["subjects"].append(

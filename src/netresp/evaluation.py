@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_int, derive_seed, parallel_map
+from ._util import check_class_names, check_int, derive_seed, parallel_map
 from .kernels import PabsKernelParams, SubspaceFactors, apply_spectrum_fix, build_kernel_matrix
 from .svm import SvmConfig, ovr_labels, solve_smo_arrays
 
@@ -46,12 +46,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.class_set, str):
-            raise ValueError(f"class_set must be a list of class names, got {self.class_set!r}")
-        names = tuple(self.class_set)
-        if not all(isinstance(c, str) for c in names) or len(set(names)) != len(names):
-            raise ValueError(f"class_set must hold distinct class names, got {list(names)}")
-        object.__setattr__(self, "class_set", names)
+        object.__setattr__(self, "class_set", check_class_names(self.class_set, "class_set"))
         if check_int(self.outer_folds, "outer_folds") < 2:
             raise ValueError("outer_folds must be at least 2")
         if check_int(self.repeats, "repeats") < 1:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_float_fields
+from ._util import check_float_fields, check_indices
 from .datamodel import SubjectFeatures, as_matrix
 from .fnc import fisher_z
 
@@ -121,16 +121,6 @@ def _subject_ids(features) -> tuple[str, ...]:
     return tuple(f.subject_id or f"s{i:04d}" for i, f in enumerate(features))
 
 
-def _component_list(selected, k: int) -> list[int]:
-    selected = [int(i) for i in selected]
-    if len(set(selected)) != len(selected):
-        raise ValueError(f"selected components must be distinct: {selected}")
-    for idx in selected:
-        if not 0 <= idx < k:
-            raise ValueError(f"component index {idx} out of range [0, {k})")
-    return selected
-
-
 @dataclass(frozen=True)
 class SubspaceFactors:
     """Every subject's map factors over one component set U.
@@ -157,7 +147,7 @@ def subspace_factors(features: list[SubjectFeatures], components) -> SubspaceFac
         raise ValueError("no subjects")
     k = features[0].n_components
     v = features[0].spatial_maps.shape[1]
-    components = _component_list(components, k)
+    components = check_indices(components, k, "factor components")
     p = min(v, len(components))
     q = np.empty((n, v, p))
     r = np.empty((n, p, len(components)))
@@ -203,7 +193,7 @@ def build_kernel_matrix(
     n = len(features)
     if n == 0:
         raise ValueError("no subjects")
-    selected = _component_list(selected, features[0].n_components)
+    selected = check_indices(selected, features[0].n_components, "selection")
     subject_ids = _subject_ids(features)
     if factors is None:
         factors = subspace_factors(features, selected)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_int, parallel_map
+from ._util import check_indices, check_int, parallel_map
 
 # run_experiment is not called here; it stays bound so that perfbench's
 # traced run, which wraps netresp.selection.run_experiment, still finds it.
@@ -104,9 +104,9 @@ def score_feature_set(
     factors over different component sets agree only within about 1e-14,
     so a score near a CV decision boundary can differ between them.
     """
-    selected = tuple(int(i) for i in selected)
     if not selected:
         raise SelectionError("candidate set is empty")
+    selected = tuple(check_indices(selected, None, "candidate"))
     try:
         raw = raw_kernel(features, selected, kernel_params, use_fnc, factors)
         report = cross_validate(raw, labels, parts, kernel_params, svm_cfg, class_set)

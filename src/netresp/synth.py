@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_float_fields, check_int, derive_seed, parallel_map
+from ._util import check_class_names, check_float_fields, check_int, derive_seed, parallel_map
 from .datamodel import Dataset, Subject, Template
 
 DOMAIN_TAGS_6 = ("VI", "CB", "TP", "SC", "SM", "HC")
@@ -45,11 +45,9 @@ class SynthConfig:
         counts = self.class_counts
         if isinstance(counts, Mapping):  # {"AD": 47, ...}, as in a JSON config
             counts = counts.items()
-        counts = tuple((str(c), check_int(n, f"class_counts[{c!r}]")) for c, n in counts)
+        counts = tuple((c, check_int(n, f"class_counts[{c!r}]")) for c, n in counts)
+        check_class_names([c for c, _ in counts], "class_counts' classes")
         object.__setattr__(self, "class_counts", counts)
-        names = [c for c, _ in counts]
-        if len(names) < 2 or len(set(names)) != len(names):
-            raise ValueError(f"class_counts needs at least 2 distinct classes, got {names}")
         if any(n < 1 for _, n in counts):
             raise ValueError(f"class_counts must be at least 1 each, got {dict(counts)}")
         if any(g < 2 for g in self.grid):

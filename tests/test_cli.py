@@ -380,7 +380,7 @@ class TestExitCodes:
         config.write_text(json.dumps({section: {name: 1}}))
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert f"unknown config key: {key}" in capsys.readouterr().err
+        assert f"config section '{section}': unknown key '{name}'" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         rc = main(
@@ -500,6 +500,25 @@ class TestExitCodes:
         assert main(["evaluate", "--config", str(config), "--out", str(run)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "result.json" in err and "'best_set'" in err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            # each was a traceback: KeyError 'whisker_lo', then IndexError
+            ("metric,median\nmacro_f1,0.9\n", "missing column 'q1'"),
+            ("", "missing column 'metric'"),
+            ("metric,median,q1,q3,whisker_lo,whisker_hi\nmacro_f1,0.9\n", "line 2 has 2 fields"),
+        ],
+        ids=["two-columns", "empty", "short-row"],
+    )
+    def test_malformed_summary_exits_1(self, tmp_path, capsys, text, reason):
+        summary = tmp_path / "run" / "eval" / "summary.csv"
+        summary.parent.mkdir(parents=True)
+        summary.write_text(text)
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {summary}: {reason}")
+        assert not (summary.parent / "report.svg").exists()
 
     @pytest.mark.parametrize(
         "rel, command",
@@ -686,7 +705,7 @@ class TestExitCodes:
         config.write_text(json.dumps({section: {"seed": 3}}))
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert f"{section}.seed" in capsys.readouterr().err
+        assert f"config section '{section}': unknown key 'seed'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["7", 7.9, True])
     def test_non_integer_seed_exits_2(self, tmp_path, capsys, seed):

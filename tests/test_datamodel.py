@@ -292,15 +292,22 @@ class TestManifest:
             lambda d: d["subjects"][0].pop("label"),
             lambda d: d["subjects"][0].__setitem__("extra", 1),
             lambda d: d.__setitem__("subjects", [{"id": "x"}]),
+            # each was read as a class set: "ADMS" as ('A', 'D', 'M', 'S'),
+            # ["AD", ["MS"]] as ('AD', "['MS']")
+            lambda d: d.__setitem__("class_set", "ADMS"),
+            lambda d: d.__setitem__("class_set", ["AD", ["MS"]]),
+            lambda d: d.__setitem__("class_set", ["AD", "AD", "MS"]),
         ],
     )
     def test_corrupted_manifests_never_yield_invalid_dataset(self, tmp_path, mutate):
+        # each is a fault of the manifest itself, so it is found before any
+        # subject is read
         manifest_path, _ = _write_tiny_dataset(tmp_path)
         doc = json.loads(manifest_path.read_text())
         mutate(doc)
         manifest_path.write_text(json.dumps(doc))
-        with pytest.raises((ManifestError, ValueError)):
-            load_dataset(manifest_path)
+        with pytest.raises(ManifestError):
+            read_manifest(manifest_path)
 
     def test_garbage_json_rejected(self, tmp_path):
         p = tmp_path / "manifest.json"

@@ -14,6 +14,8 @@ from netresp.kernels import (
     build_kernel_matrix,
     subspace_factors,
 )
+from netresp.selection import score_feature_set
+from netresp.svm import SvmConfig
 from oracles import fnc_kernel, orthonormalize, pabs_sum_via_gram, pairwise_kernel_matrix
 
 
@@ -343,9 +345,23 @@ class TestBuildKernelMatrix:
         assert peak <= 2 * n * v * m * 8, f"peak {peak / 1e6:.1f} MB"
 
     def test_out_of_range_index(self):
-        feats = _features(2, k=4)
-        with pytest.raises(ValueError, match="out of range"):
-            build_kernel_matrix(feats, [0, 9], PabsKernelParams())
+        feats = _features(4, k=4)
+        labels = ["P", "Q", "P", "Q"]
+        parts = [np.array([0, 0, 1, 1])]
+        # a float or a bool was truncated to an index: [1.5, 2.9] built the
+        # kernel of [1, 2]
+        for selected, reason in [
+            ([0, 9], "index 9 out of range"),
+            ([1.5, 2.9], "holds 1.5, not an integer"),
+            ([True, 2], "holds True, not an integer"),
+        ]:
+            with pytest.raises(ValueError, match=reason):
+                build_kernel_matrix(feats, selected, PabsKernelParams())
+        for selected in ([1.5, 2.9], [True, 2]):
+            with pytest.raises(ValueError, match="not an integer"):
+                score_feature_set(
+                    feats, labels, ("P", "Q"), selected, PabsKernelParams(), SvmConfig(), parts
+                )
 
     def test_duplicate_indices_rejected(self):
         feats = _features(2, k=4)
