@@ -66,6 +66,14 @@ def check_keys(doc, required, allowed, where, error) -> dict:
     return doc
 
 
+def check_strings(doc: dict, keys, where, error) -> None:
+    """Raise `error` naming `where` and the key when `doc` holds a value
+    that is not a string under one of `keys`."""
+    for key in keys:
+        if not isinstance(doc.get(key, ""), str):
+            raise error(f"{where}: {key!r} must be a string, got {doc[key]!r}")
+
+
 def read_json_object(path, required=(), allowed=None, error=ValueError, hint: str = "") -> dict:
     """The JSON object at `path`, its keys checked by :func:`check_keys`;
     `error` names the file when it is missing (followed by `hint`), is not

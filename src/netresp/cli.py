@@ -19,6 +19,7 @@ import numpy as np
 from ._util import (
     check_indices,
     check_keys,
+    check_strings,
     derive_seed,
     is_int,
     parallel_imap,
@@ -208,12 +209,14 @@ def cmd_extract(cfg: RunConfig, out_dir: Path) -> int:
     seed = derive_seed(cfg.seed, "extract")
 
     def one(item):
-        idx, subject = item
+        idx, bold = item
+        # each bold is read fresh and used nowhere else, so it is handed over
+        # to be z-scored in place
         return extract_subject(
-            subject.bold, manifest.template, cfg.scica, seed=derive_seed(seed, "subject", idx)
+            bold, manifest.template, cfg.scica, seed=derive_seed(seed, "subject", idx), copy=False
         )
 
-    feats = parallel_imap(one, enumerate(manifest.subjects()), cfg.threads)
+    feats = parallel_imap(one, enumerate(manifest.bolds()), cfg.threads)
     # each subject's features are passed straight to the writer, so nothing
     # holds them while the next subject is extracted
     entries = [_write_features(feat_dir, e, next(feats)) for e in manifest.entries]
@@ -241,9 +244,8 @@ def _features_doc(out_dir: Path) -> tuple[Path, dict]:
     for n, entry in enumerate(subjects):
         where = f"{doc_path}: subject entry {n}"
         check_keys(entry, ("id", "label", "sm", "tc"), None, where, ManifestError)
-        for key in ("id", "label", "sm", "tc", "fnc"):  # fnc is added by the fnc stage
-            if not isinstance(entry.get(key, ""), str):
-                raise ManifestError(f"{where}: {key!r} must be a string, got {entry[key]!r}")
+        # fnc is added by the fnc stage
+        check_strings(entry, ("id", "label", "sm", "tc", "fnc"), where, ManifestError)
         # extract writes one flag per component, so the count is checked without a read
         converged = entry.get("converged")
         if isinstance(converged, list) and len(converged) != len(domains):
@@ -451,7 +453,8 @@ _SUMMARY_COLUMNS = ("metric", "median", "q1", "q3", "whisker_lo", "whisker_hi")
 
 
 def _svg_box_plot(rows: list[dict]) -> str:
-    """Render summary rows as a standalone SVG box plot (no plot library)."""
+    """Render summary rows, their numbers parsed, as a standalone SVG box
+    plot (no plot library)."""
     width, height = 640, 360
     margin_l, margin_r, margin_t, margin_b = 60, 20, 30, 90
     plot_w = width - margin_l - margin_r
@@ -479,8 +482,7 @@ def _svg_box_plot(rows: list[dict]) -> str:
     box_w = min(60.0, plot_w / max(n, 1) * 0.5)
     for i, row in enumerate(rows):
         cx = margin_l + plot_w * (i + 0.5) / n
-        lo, q1 = float(row["whisker_lo"]), float(row["q1"])
-        med, q3, hi = float(row["median"]), float(row["q3"]), float(row["whisker_hi"])
+        lo, q1, med, q3, hi = (row[c] for c in ("whisker_lo", "q1", "median", "q3", "whisker_hi"))
         out.append(
             f'<line x1="{cx:.1f}" y1="{sy(lo):.1f}" x2="{cx:.1f}" y2="{sy(hi):.1f}" '
             f'stroke="#444"/>'
@@ -523,7 +525,15 @@ def cmd_report(cfg: RunConfig, out_dir: Path) -> int:
             raise ManifestError(
                 f"{summary_path}: line {n} has {len(fields)} fields, the header {len(header)}"
             )
-        rows.append(dict(zip(header, fields)))
+        row = dict(zip(header, fields))
+        for column in _SUMMARY_COLUMNS[1:]:
+            try:
+                row[column] = float(row[column])
+            except ValueError:
+                raise ManifestError(
+                    f"{summary_path}: line {n}, column {column!r}: {row[column]!r} is not a number"
+                ) from None
+        rows.append(row)
     svg = _svg_box_plot(rows)
     (out_dir / "eval" / "report.svg").write_text(svg)
     print(f"wrote box plot for {len(rows)} metrics -> {out_dir / 'eval' / 'report.svg'}")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import check_class_names, check_keys, read_json_object
+from ._util import check_class_names, check_int, check_keys, check_strings, read_json_object
 
 MAGIC = b"MSMX"
 FORMAT_VERSION = 1
@@ -70,7 +70,7 @@ def write_matrix(m, path) -> None:
     cols (u64 LE), then rows*cols float64 LE values in row-major order.
     The payload is written straight from the array's buffer.
     """
-    m = as_matrix(m).astype("<f8", copy=False)
+    m = as_matrix(m, f"matrix for {path}").astype("<f8", copy=False)
     rows, cols = m.shape
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, rows, cols))
@@ -121,10 +121,17 @@ class Template:
     def __post_init__(self):
         maps = _frozen(as_matrix(self.maps, "template maps"))
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "component_ids", tuple(self.component_ids))
+        ids = self.component_ids
+        if not isinstance(ids, (list, tuple)) or not all(isinstance(c, str) for c in ids):
+            raise ValueError(f"component_ids must be a list of strings, got {ids!r}")
+        object.__setattr__(self, "component_ids", tuple(ids))
         object.__setattr__(self, "domains", tuple(self.domains))
-        if self.scale_order is not None:
-            object.__setattr__(self, "scale_order", tuple(int(s) for s in self.scale_order))
+        order = self.scale_order
+        if order is not None:
+            if not isinstance(order, (list, tuple)):
+                raise ValueError(f"scale_order must be a list of integers, got {order!r}")
+            order = tuple(check_int(s, "each scale_order entry") for s in order)
+            object.__setattr__(self, "scale_order", order)
         k = maps.shape[0]
         if k < 1:
             raise ValueError("template needs at least one component")
@@ -152,7 +159,12 @@ class Template:
 
 @dataclass(frozen=True)
 class Subject:
-    """One subject's BOLD matrix (timepoints x voxels) plus labels."""
+    """One subject's BOLD matrix (timepoints x voxels) plus labels.
+
+    The bold's shape is checked here, its values where they are used:
+    :func:`write_matrix` and `scica.extract_subject` reject NaN and
+    infinities, so a bold is checked once on each path.
+    """
 
     id: str
     bold: np.ndarray
@@ -160,29 +172,32 @@ class Subject:
     group: str
 
     def __post_init__(self):
-        bold = _frozen(as_matrix(self.bold, f"bold[{self.id}]"))
+        bold = _frozen(np.ascontiguousarray(self.bold, dtype=np.float64))
         object.__setattr__(self, "bold", bold)
-        if bold.shape[0] < 2:
-            raise ValueError(f"subject {self.id}: needs at least 2 timepoints")
+        if bold.ndim != 2 or bold.shape[0] < 2:
+            raise ValueError(
+                f"subject {self.id}: bold must be 2-D with at least 2 timepoints, "
+                f"got shape {bold.shape}"
+            )
 
     @property
     def n_voxels(self) -> int:
         return self.bold.shape[1]
 
 
-def _checked_subjects(template: Template, class_set: tuple, subjects, error=ValueError):
+def _checked_subjects(template: Template, class_set: tuple, subjects):
     """Yield `subjects`, each checked against Dataset's invariants as it
     arrives: ids unique, labels in `class_set`, the template's voxel count."""
-    check_class_names(class_set, "class_set", error)
+    check_class_names(class_set, "class_set")
     ids: set[str] = set()
     v = template.n_voxels
     for s in subjects:
         if s.id in ids:
-            raise error(f"duplicate subject id: {s.id!r}")
+            raise ValueError(f"duplicate subject id: {s.id!r}")
         if s.n_voxels != v:
-            raise error(f"subject {s.id}: {s.n_voxels} voxels, template has {v}")
+            raise ValueError(f"subject {s.id}: {s.n_voxels} voxels, template has {v}")
         if s.label not in class_set:
-            raise error(f"subject {s.id}: label {s.label!r} not in class_set")
+            raise ValueError(f"subject {s.id}: label {s.label!r} not in class_set")
         ids.add(s.id)
         yield s
 
@@ -264,11 +279,24 @@ class Manifest:
     class_set: tuple[str, ...]
     entries: tuple[dict, ...]
 
+    def bolds(self):
+        """Yield each entry's bold matrix, read only when it is asked for
+        into a new array that the caller owns and may write to, its shape
+        checked against the template."""
+        v = self.template.n_voxels
+        for entry in self.entries:
+            bold = read_matrix(entry["bold"])
+            t, n_voxels = bold.shape
+            if n_voxels != v:
+                raise ManifestError(f"subject {entry['id']}: {n_voxels} voxels, template has {v}")
+            if t < 2:
+                raise ManifestError(f"subject {entry['id']}: needs at least 2 timepoints")
+            yield bold
+
     def subjects(self):
         """Yield each entry's Subject, reading its bold matrix only when the
-        subject is asked for, checked against Dataset's invariants."""
-        read = (Subject(**dict(e, bold=read_matrix(e["bold"]))) for e in self.entries)
-        return _checked_subjects(self.template, self.class_set, read, ManifestError)
+        subject is asked for."""
+        return (Subject(**dict(e, bold=b)) for e, b in zip(self.entries, self.bolds()))
 
 
 def read_manifest(manifest_path) -> Manifest:
@@ -277,8 +305,9 @@ def read_manifest(manifest_path) -> Manifest:
     The manifest lists the template matrix path, per-component domain tags,
     the class set and per-subject ``{id, bold, label, group}`` entries.
     Paths are resolved relative to the manifest's directory. The manifest's
-    structure, the template and the existence of every referenced file are
-    checked here; :meth:`Manifest.subjects` reads and checks the subjects.
+    structure, the template, the subject entries against Dataset's
+    invariants and the existence of every referenced file are checked here;
+    :meth:`Manifest.bolds` reads and checks the subjects' bolds.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json_object(manifest_path, _MANIFEST_KEYS, _MANIFEST_OPTIONAL, ManifestError)
@@ -302,22 +331,29 @@ def read_manifest(manifest_path) -> Manifest:
     component_ids = manifest.get(
         "component_ids", [f"c{i:03d}" for i in range(maps.shape[0])]
     )
-    template = Template(
-        maps=maps,
-        component_ids=component_ids,
-        domains=[str(d) for d in domains],
-        scale_order=manifest.get("scale_order"),
-    )
+    try:
+        template = Template(
+            maps=maps,
+            component_ids=component_ids,
+            domains=[str(d) for d in domains],
+            scale_order=manifest.get("scale_order"),
+        )
+    except ValueError as e:
+        raise ManifestError(f"{manifest_path}: {e}") from e
 
     if not isinstance(manifest["subjects"], list):
         raise ManifestError(f"{manifest_path}: 'subjects' must be a list of entries")
-    entries = []
+    entries, ids = [], set()
     for n, entry in enumerate(manifest["subjects"]):
         where = f"{manifest_path}: subject entry {n}"
         check_keys(entry, _SUBJECT_KEYS, (), where, ManifestError)
-        entries.append(
-            {k: _resolve(v) if k == "bold" else str(v) for k, v in entry.items()}
-        )
+        check_strings(entry, _SUBJECT_KEYS, where, ManifestError)
+        if entry["id"] in ids:
+            raise ManifestError(f"{where}: duplicate subject id {entry['id']!r}")
+        if entry["label"] not in class_set:
+            raise ManifestError(f"{where}: label {entry['label']!r} not in class_set")
+        ids.add(entry["id"])
+        entries.append(dict(entry, bold=_resolve(entry["bold"])))
     return Manifest(template, class_set, tuple(entries))
 
 

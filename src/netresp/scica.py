@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import check_float_fields, check_int, derive_seed
-from .datamodel import SubjectFeatures, Template, as_matrix
+from .datamodel import NonFiniteValueError, SubjectFeatures, Template
 
 
 class ZeroVarianceVoxelError(ValueError):
@@ -90,14 +90,30 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def preprocess_subject(bold, pca_retained: int | None = None) -> WhitenedData:
+def _own_bold(bold, copy: bool) -> np.ndarray:
+    """`bold` as a writable C-contiguous 2-D float64 array that preprocessing
+    may overwrite: a new array, or with `copy=False` `bold` itself when it
+    already is one."""
+    m = np.array(bold, np.float64, order="C") if copy else np.require(bold, np.float64, "CWE")
+    if m.ndim != 2:
+        raise ValueError(f"bold must be 2-D, got shape {m.shape}")
+    return m
+
+
+def preprocess_subject(bold, pca_retained: int | None = None, *, copy: bool = True) -> WhitenedData:
     """Normalize voxel amplitudes, center, and whiten to `pca_retained` rows.
 
     Each voxel's time series is z-scored (population convention), each
     timepoint's mean over voxels removed, then the rows are rotated and
     scaled so their sample covariance over voxels is the identity.
+
+    The z-scores are formed in a copy of `bold`; with `copy=False` the
+    caller hands `bold` over, and when it is a writable C-contiguous float64
+    array it is z-scored in place and returned as `normalized`. A NaN or an
+    infinity in a voxel's time series makes that voxel's standard deviation
+    non-finite, so the stds are checked, not every entry.
     """
-    bold = as_matrix(bold, "bold")
+    bold = _own_bold(bold, copy)
     t, v = bold.shape
     if t < 2:
         raise ValueError("bold needs at least 2 timepoints")
@@ -106,14 +122,20 @@ def preprocess_subject(bold, pca_retained: int | None = None) -> WhitenedData:
         raise ValueError(
             f"pca_retained={r} must be in [1, min(T-1, V)] = [1, {min(t - 1, v)}]"
         )
-    mu = bold.mean(axis=0)
-    sd = bold.std(axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite bold raises below
+        mu = bold.mean(axis=0)
+        xz = np.subtract(bold, mu, out=bold)
+        # the bits of bold.std(axis=0), from the centred values
+        sd = np.sqrt(np.add.reduce(xz * xz, axis=0) / t)
+    if not np.isfinite(sd).all():
+        raise NonFiniteValueError(
+            "bold contains NaN or infinite values (or its variance overflows)"
+        )
     dead = np.flatnonzero(sd <= 1e-12 * max(sd.max(), 1e-300))
     if dead.size:
         raise ZeroVarianceVoxelError(
             f"zero-variance voxels (first few): {dead[:8].tolist()}"
         )
-    xz = bold - mu
     xz /= sd
     xc = xz - xz.mean(axis=1, keepdims=True)
     cov = xc @ xc.T
@@ -197,7 +219,7 @@ def _reference_projection(whitened: np.ndarray, refs_scaled: np.ndarray) -> np.n
 
 
 def extract_subject(
-    bold, template: Template, cfg: ScicaConfig, seed: int = 0
+    bold, template: Template, cfg: ScicaConfig, seed: int = 0, *, copy: bool = True
 ) -> SubjectFeatures:
     """Recover one spatial map and time course per template component.
 
@@ -218,14 +240,16 @@ def extract_subject(
     Deterministic given the seed, which only matters for the degenerate
     case of a reference with no energy in the retained subspace: those
     units start from random draws, taken in component order.
+    With `copy=False` the caller hands `bold` over to be z-scored in place,
+    as :func:`preprocess_subject` says; by default it is left untouched.
     """
-    bold = as_matrix(bold, "bold")
+    bold = _own_bold(bold, copy)
     t, v = bold.shape
     if v != template.n_voxels:
         raise ValueError(f"bold has {v} voxels, template has {template.n_voxels}")
     k = template.n_components
     r = cfg.pca_retained if cfg.pca_retained is not None else min(k, t - 1, v)
-    wd = preprocess_subject(bold, r)
+    wd = preprocess_subject(bold, r, copy=False)  # bold is then wd.normalized
     w_data, sd, xz = wd.whitened, wd.voxel_stds, wd.normalized
     del wd  # w_data is then the whitened rows' last reference
 

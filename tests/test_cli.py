@@ -14,8 +14,9 @@ import pytest
 import netresp
 from netresp._util import derive_seed
 from netresp.cli import ConfigError, RunConfig, _load_features, load_run_config, main
-from netresp.datamodel import read_matrix, write_matrix
+from netresp.datamodel import read_manifest, read_matrix, write_matrix
 from netresp.kernels import PabsKernelParams, apply_spectrum_fix, build_kernel_matrix
+from netresp.scica import extract_subject
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -491,6 +492,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "features.json" in err and "'sm'" in err
 
+    def test_manifest_scale_order_not_integers_exits_1(self, pipeline_dir, tmp_path, capsys):
+        # [1.5, true, 2.9, ...] was read as (1, 1, 2, ...)
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, copied=("dataset",))
+        manifest = run / "dataset" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["scale_order"] = [1.5, True, 2.9] + doc["scale_order"][3:]
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["extract", "--config", str(config), "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ") and "scale_order" in err and "1.5" in err
+        assert not (run / "features").exists()
+
     def test_result_json_without_best_set_exits_1(self, pipeline_dir, tmp_path, capsys):
         config, out = pipeline_dir
         run = _run_dir(tmp_path, out, linked=("features",))
@@ -508,8 +523,13 @@ class TestExitCodes:
             ("metric,median\nmacro_f1,0.9\n", "missing column 'q1'"),
             ("", "missing column 'metric'"),
             ("metric,median,q1,q3,whisker_lo,whisker_hi\nmacro_f1,0.9\n", "line 2 has 2 fields"),
+            # exited 1 naming neither the file nor the value's place
+            (
+                "metric,median,q1,q3,whisker_lo,whisker_hi\nmacro_f1,1,1,1,1,1\nap_AD,x,0,1,0,1\n",
+                "line 3, column 'median': 'x' is not a number",
+            ),
         ],
-        ids=["two-columns", "empty", "short-row"],
+        ids=["two-columns", "empty", "short-row", "not-a-number"],
     )
     def test_malformed_summary_exits_1(self, tmp_path, capsys, text, reason):
         summary = tmp_path / "run" / "eval" / "summary.csv"
@@ -883,11 +903,11 @@ class TestStreaming:
         # at the n105 sizes one subject's bold, 164 x 2048 doubles, is the
         # largest array. simulate holds the bold being made, the one being
         # written, the template and a subject's maps; extract holds the bold,
-        # its normalized and centred copies and the template and maps
+        # z-scored in place, its centred copy and the template and maps
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"threads": 1, "synth": {"class_counts": {"AD": 3, "MS": 3}}}))
         bold_bytes = 164 * 2048 * 8
-        budget = {"simulate": 4.5, "extract": 5.25, "fnc": 1.0}  # in bolds
+        budget = {"simulate": 4.5, "extract": 4.25, "fnc": 1.0}  # in bolds
         peaks = {}
         for run in ("warm", "measured"):  # the first pass takes one-time allocations
             out = tmp_path / run
@@ -914,6 +934,27 @@ class TestStreaming:
         assert {str(f).split("/")[0] for f in files} == {"dataset", "features"}
         for rel in files:
             assert (t1 / rel).read_bytes() == (t3 / rel).read_bytes(), rel
+
+    def test_in_place_extract_writes_what_a_copy_gives(self, tmp_path):
+        # extract hands each bold it reads to extract_subject to be z-scored in
+        # place; the library's default call works on a copy of the caller's array
+        config, out = self._config(tmp_path, 3), tmp_path / "run"
+        for stage in ("simulate", "extract"):
+            assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+        cfg = load_run_config(config)
+        manifest = read_manifest(out / "dataset" / "manifest.json")
+        seed = derive_seed(cfg.seed, "extract")
+        for n, entry in enumerate(manifest.entries):
+            bold = read_matrix(entry["bold"])
+            kept = bold.copy()
+            f = extract_subject(
+                bold, manifest.template, cfg.scica, seed=derive_seed(seed, "subject", n)
+            )
+            assert bold.tobytes() == kept.tobytes()
+            for kind, m in (("sm", f.spatial_maps), ("tc", f.time_courses)):
+                write_matrix(m, tmp_path / "library.msmx")
+                written = out / "features" / f"{entry['id']}.{kind}.msmx"
+                assert (tmp_path / "library.msmx").read_bytes() == written.read_bytes()
 
     def test_truncated_bold_fails_extract_without_manifest(self, tmp_path, capsys):
         config, out = self._config(tmp_path, 3), tmp_path / "run"

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -309,6 +310,56 @@ class TestManifest:
         with pytest.raises(ManifestError):
             read_manifest(manifest_path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # each was read without an error: as (1, 2), (1, 0), ('1', 'None')
+            # and ('c0', '2.5')
+            ("scale_order", [1.5, 2]),
+            ("scale_order", [True, 0]),
+            ("scale_order", 3),
+            ("component_ids", [1, None]),
+            ("component_ids", ["c0", 2.5]),
+        ],
+    )
+    def test_template_keys_of_the_wrong_type_rejected(self, tmp_path, key, value):
+        manifest_path, _ = _write_tiny_dataset(tmp_path)
+        doc = json.loads(manifest_path.read_text())
+        doc[key] = value
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=f"{re.escape(str(manifest_path))}: .*{key}"):
+            read_manifest(manifest_path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        # "id": null was subject 'None' and "group": ["g", 1] group "['g', 1]"
+        [("id", None), ("id", 3), ("label", ["AD"]), ("group", ["g", 1]), ("bold", 7)],
+    )
+    def test_subject_entry_values_must_be_strings(self, tmp_path, key, value):
+        manifest_path, _ = _write_tiny_dataset(tmp_path)
+        doc = json.loads(manifest_path.read_text())
+        doc["subjects"][1][key] = value
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=f"subject entry 1: '{key}' must be a string"):
+            read_manifest(manifest_path)
+
+    def test_entries_checked_before_any_bold_is_read(self, tmp_path):
+        manifest_path, _ = _write_tiny_dataset(tmp_path, n_subjects=3)
+        (tmp_path / "s0.bold.msmx").write_bytes(b"")
+        doc = json.loads(manifest_path.read_text())
+        doc["subjects"][2]["id"] = "s0"
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="subject entry 2: duplicate subject id 's0'"):
+            read_manifest(manifest_path)
+
+    def test_bolds_are_new_writable_arrays(self, tmp_path):
+        manifest_path, ds = _write_tiny_dataset(tmp_path)
+        manifest = read_manifest(manifest_path)
+        first, again = list(manifest.bolds()), list(manifest.bolds())
+        for n, bold in enumerate(first):
+            assert bold.flags.writeable and not np.shares_memory(bold, again[n])
+            assert np.array_equal(bold, ds.subjects[n].bold)
+
     def test_garbage_json_rejected(self, tmp_path):
         p = tmp_path / "manifest.json"
         p.write_text("{not json")
@@ -348,6 +399,16 @@ class TestWriteSubjects:
             write_subjects(ds.template, ds.class_set, subjects(), tmp_path)
         assert written == ["s0", "s0"]
         assert not manifest_path.exists()  # the old manifest went before the first write
+
+    def test_non_finite_bold_rejected_naming_its_file(self, tmp_path):
+        # Subject checks the bold's shape; its values are checked where it is written
+        _, ds = _write_tiny_dataset(tmp_path / "src")
+        bold = ds.subjects[1].bold.copy()
+        bold[2, 3] = np.nan
+        s = Subject(id="s1", bold=bold, label="MS", group="g")
+        with pytest.raises(NonFiniteValueError, match="s1.bold.msmx"):
+            write_subjects(ds.template, ds.class_set, [ds.subjects[0], s], tmp_path / "out")
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("field", ["label", "voxels"])
     def test_rejects_what_dataset_rejects(self, tmp_path, field):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netresp import scica
-from netresp.datamodel import Template
+from netresp.datamodel import NonFiniteValueError, Template
 from netresp.scica import (
     DAMPING,
     RankError,
@@ -413,3 +413,64 @@ class TestExtractSubject:
         y = w @ wd.whitened
         r = np.corrcoef(y, ref)[0, 1]
         assert abs(r - w @ b) < 1e-8
+
+
+class TestCallerArrays:
+    """Both calls z-score a copy of the bold unless the caller hands it over."""
+
+    @staticmethod
+    def _subject(seed=26):
+        template = _small_template(seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        tc = rng.standard_normal((40, template.n_components))
+        bold = tc @ template.maps + 0.5 * rng.standard_normal((40, template.n_voxels))
+        return template, bold
+
+    def test_caller_array_untouched_by_default(self):
+        template, bold = self._subject()
+        kept = bold.tobytes()
+        assert bold.flags.writeable
+        wd = preprocess_subject(bold, pca_retained=5)
+        assert not np.shares_memory(wd.normalized, bold)
+        extract_subject(bold, template, ScicaConfig(), seed=0)
+        assert bold.tobytes() == kept
+
+    def test_handed_over_bold_z_scored_in_place_to_the_same_bits(self):
+        template, bold = self._subject(seed=28)
+        handed = bold.copy()
+        wd = preprocess_subject(handed, pca_retained=5, copy=False)
+        assert wd.normalized is handed
+        copied = preprocess_subject(bold, pca_retained=5)
+        for name in ("whitened", "mixing_back", "voxel_means", "voxel_stds", "normalized"):
+            assert getattr(wd, name).tobytes() == getattr(copied, name).tobytes(), name
+        a = extract_subject(bold, template, ScicaConfig(), seed=4)
+        b = extract_subject(bold.copy(), template, ScicaConfig(), seed=4, copy=False)
+        assert a.spatial_maps.tobytes() == b.spatial_maps.tobytes()
+        assert a.time_courses.tobytes() == b.time_courses.tobytes()
+
+    def test_read_only_bold_handed_over_is_copied(self):
+        template, bold = self._subject(seed=30)
+        kept = bold.tobytes()
+        bold.setflags(write=False)
+        extract_subject(bold, template, ScicaConfig(), seed=0, copy=False)
+        assert bold.tobytes() == kept
+
+    def test_voxel_statistics_are_the_bits_of_mean_and_std(self):
+        # the stds come from the centred values, not a second pass over the bold
+        _, bold = self._subject(seed=32)
+        bold *= np.random.default_rng(33).uniform(1e-3, 1e3, bold.shape[1])
+        wd = preprocess_subject(bold)
+        mu, sd = bold.mean(axis=0), bold.std(axis=0)
+        assert wd.voxel_means.tobytes() == mu.tobytes()
+        assert wd.voxel_stds.tobytes() == sd.tobytes()
+        assert wd.normalized.tobytes() == ((bold - mu) / sd).tobytes()
+
+    @pytest.mark.parametrize("copy", [True, False])
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+    def test_non_finite_bold_rejected(self, copy, bad):
+        template, bold = self._subject(seed=34)
+        bold[3 : 3 + len(bad), 7] = bad
+        with pytest.raises(NonFiniteValueError, match="NaN or infinite"):
+            preprocess_subject(bold.copy(), copy=copy)
+        with pytest.raises(NonFiniteValueError, match="NaN or infinite"):
+            extract_subject(bold, template, ScicaConfig(), copy=copy)
