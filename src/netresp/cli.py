@@ -29,6 +29,7 @@ from .datamodel import (
     Manifest,
     ManifestError,
     SubjectFeatures,
+    check_fnc,
     read_manifest,
     read_matrix,
     write_matrix,
@@ -239,8 +240,11 @@ def _features_doc(out_dir: Path) -> tuple[Path, dict]:
     subjects, domains = doc["subjects"], doc["domains"]
     if not isinstance(subjects, list):
         raise ManifestError(f"{doc_path}: 'subjects' must be a list of entries, got {subjects!r}")
-    if not isinstance(domains, list) or not all(isinstance(d, str) for d in domains):
-        raise ManifestError(f"{doc_path}: 'domains' must be a list of names, got {domains!r}")
+    # the kernel stages take K, the component count, from 'domains'
+    if not isinstance(domains, list) or not domains or not all(isinstance(d, str) for d in domains):
+        raise ManifestError(
+            f"{doc_path}: 'domains' must be a non-empty list of names, got {domains!r}"
+        )
     for n, entry in enumerate(subjects):
         where = f"{doc_path}: subject entry {n}"
         check_keys(entry, ("id", "label", "sm", "tc"), None, where, ManifestError)
@@ -256,23 +260,51 @@ def _features_doc(out_dir: Path) -> tuple[Path, dict]:
     return doc_path, doc
 
 
-def _read_features(feat_dir: Path, entry: dict, need_fnc: bool) -> SubjectFeatures:
-    """One subject's features, as listed by its features.json entry."""
+@dataclasses.dataclass(frozen=True)
+class StoredFeatures:
+    """One subject's features as a kernel stage holds them: its id, its
+    component count K (one per features.json 'domains' entry) and its
+    checked FNC, with its spatial maps left in their matrix file.
+
+    `spatial_maps` reads that file each time it is asked for, into a new
+    array checked to have K rows; `kernels.subspace_factors` asks once per
+    subject and factor set, so a stage holds no subject's maps between
+    factor sets. Time courses are not read.
+    """
+
+    subject_id: str
+    n_components: int
+    maps_path: Path
+    fnc: np.ndarray | None
+
+    @property
+    def spatial_maps(self) -> np.ndarray:
+        maps = read_matrix(self.maps_path)
+        if maps.shape[0] != self.n_components:
+            raise ManifestError(
+                f"{self.n_components} domain labels for {maps.shape[0]} components "
+                f"in {self.maps_path}"
+            )
+        return maps
+
+
+def _read_features(
+    feat_dir: Path, entry: dict, n_components: int, need_fnc: bool
+) -> StoredFeatures:
+    """One subject's features, as listed by its features.json entry; the
+    FNC is read and checked here when `need_fnc`, the maps when factored."""
     fnc = None
     if need_fnc:
         if "fnc" not in entry:
             raise ManifestError(f"subject {entry['id']}: FNC not computed (run fnc first)")
-        fnc = read_matrix(feat_dir / entry["fnc"])
-    return SubjectFeatures(
-        spatial_maps=read_matrix(feat_dir / entry["sm"]),
-        time_courses=read_matrix(feat_dir / entry["tc"]),
-        fnc=fnc,
-        subject_id=entry["id"],
-    )
+        fnc = check_fnc(read_matrix(feat_dir / entry["fnc"]), n_components)
+    return StoredFeatures(entry["id"], n_components, feat_dir / entry["sm"], fnc)
 
 
-def _load_features(feat_dir: Path, entries: list[dict], need_fnc: bool) -> list[SubjectFeatures]:
-    return [_read_features(feat_dir, e, need_fnc) for e in entries]
+def _load_features(
+    feat_dir: Path, entries: list[dict], n_components: int, need_fnc: bool
+) -> list[StoredFeatures]:
+    return [_read_features(feat_dir, e, n_components, need_fnc) for e in entries]
 
 
 def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
@@ -340,7 +372,7 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
         )
     else:
         result = ssfs(
-            _load_features(doc_path.parent, entries, cfg.use_fnc),
+            _load_features(doc_path.parent, entries, len(doc["domains"]), cfg.use_fnc),
             [e["label"] for e in entries],
             doc["domains"],
             cfg.selection,
@@ -391,7 +423,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
     labels = [e["label"] for e in entries]
     eval_cfg = cfg.evaluation
     report = run_experiment(
-        _load_features(doc_path.parent, entries, cfg.use_fnc),
+        _load_features(doc_path.parent, entries, len(doc["domains"]), cfg.use_fnc),
         labels,
         selected,
         cfg.kernel,
@@ -434,7 +466,7 @@ def cmd_kernel(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("kernel dump requires --selection fixed:<list>")
     doc_path, doc = _features_doc(out_dir)
     selected = _fixed_set(cfg, doc)
-    features = _load_features(doc_path.parent, doc["subjects"], cfg.use_fnc)
+    features = _load_features(doc_path.parent, doc["subjects"], len(doc["domains"]), cfg.use_fnc)
     kernel = build_kernel_matrix(features, selected, cfg.kernel, use_fnc=cfg.use_fnc)
     kdir = out_dir / "kernel"
     kdir.mkdir(parents=True, exist_ok=True)

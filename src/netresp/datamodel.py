@@ -58,9 +58,23 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+    """A read-only C-contiguous view of `arr`; the caller's own array keeps
+    its write flag, and a contiguous one is not copied."""
+    view = np.ascontiguousarray(arr).view()
+    view.setflags(write=False)
+    return view
+
+
+def check_fnc(fnc, k: int) -> np.ndarray:
+    """`fnc` as a read-only K x K matrix: finite, symmetric, unit diagonal."""
+    fnc = _frozen(as_matrix(fnc, "fnc"))
+    if fnc.shape != (k, k):
+        raise ValueError(f"fnc shape {fnc.shape}, expected ({k}, {k})")
+    if np.abs(fnc - fnc.T).max() > 1e-12:
+        raise ValueError("fnc is not symmetric")
+    if np.any(np.diag(fnc) != 1.0):
+        raise ValueError("fnc diagonal must be exactly 1")
+    return fnc
 
 
 def write_matrix(m, path) -> None:
@@ -125,7 +139,10 @@ class Template:
         if not isinstance(ids, (list, tuple)) or not all(isinstance(c, str) for c in ids):
             raise ValueError(f"component_ids must be a list of strings, got {ids!r}")
         object.__setattr__(self, "component_ids", tuple(ids))
-        object.__setattr__(self, "domains", tuple(self.domains))
+        domains = self.domains
+        if not isinstance(domains, (list, tuple)) or not all(isinstance(d, str) for d in domains):
+            raise ValueError(f"domains must be a list of strings, got {domains!r}")
+        object.__setattr__(self, "domains", tuple(domains))
         order = self.scale_order
         if order is not None:
             if not isinstance(order, (list, tuple)):
@@ -246,19 +263,9 @@ class SubjectFeatures:
                 f"time_courses has {tc.shape[1]} columns, expected {sm.shape[0]}"
             )
         if self.fnc is not None:
-            fnc = _frozen(as_matrix(self.fnc, "fnc"))
-            object.__setattr__(self, "fnc", fnc)
-            k = sm.shape[0]
-            if fnc.shape != (k, k):
-                raise ValueError(f"fnc shape {fnc.shape}, expected ({k}, {k})")
-            if np.abs(fnc - fnc.T).max() > 1e-12:
-                raise ValueError("fnc is not symmetric")
-            if np.any(np.diag(fnc) != 1.0):
-                raise ValueError("fnc diagonal must be exactly 1")
+            object.__setattr__(self, "fnc", check_fnc(self.fnc, sm.shape[0]))
         if self.converged is not None:
-            conv = np.asarray(self.converged, dtype=bool)
-            conv.setflags(write=False)
-            object.__setattr__(self, "converged", conv)
+            object.__setattr__(self, "converged", _frozen(np.asarray(self.converged, dtype=bool)))
 
     @property
     def n_components(self) -> int:
@@ -326,7 +333,7 @@ def read_manifest(manifest_path) -> Manifest:
     domains = manifest["domains"]
     if not isinstance(domains, list) or len(domains) != maps.shape[0]:
         raise ManifestError(
-            f"domains must list one tag per template row ({maps.shape[0]})"
+            f"{manifest_path}: 'domains' must list one tag per template row ({maps.shape[0]})"
         )
     component_ids = manifest.get(
         "component_ids", [f"c{i:03d}" for i in range(maps.shape[0])]
@@ -335,7 +342,7 @@ def read_manifest(manifest_path) -> Manifest:
         template = Template(
             maps=maps,
             component_ids=component_ids,
-            domains=[str(d) for d in domains],
+            domains=domains,
             scale_order=manifest.get("scale_order"),
         )
     except ValueError as e:

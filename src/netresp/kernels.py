@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import check_float_fields, check_indices
-from .datamodel import SubjectFeatures, as_matrix
+from .datamodel import as_matrix
 from .fnc import fisher_z
 
 SPECTRUM_FIXES = ("none", "clip")
@@ -135,9 +135,16 @@ class SubspaceFactors:
     cross: np.ndarray  # (N (N + 1) / 2, p, p)
 
 
-def subspace_factors(features: list[SubjectFeatures], components) -> SubspaceFactors:
+def subspace_factors(features, components) -> SubspaceFactors:
     """QR factors of each subject's maps over `components`, and the blocks
     Q_i^T Q_j of the upper triangle (one stacked matmul per subject row).
+
+    `features` are `SubjectFeatures` or any records with `n_components`,
+    `subject_id` and `spatial_maps`. Each subject's `spatial_maps` is asked
+    for once, as its factors are made, and dropped after them, so records
+    that read their maps from a file when asked (the CLI's
+    `StoredFeatures`) are held here one at a time. The voxel count is that
+    of the first subject's maps.
 
     Dependent maps are allowed here: the rank test belongs to each set
     whose kernel is later built from these factors.
@@ -146,15 +153,18 @@ def subspace_factors(features: list[SubjectFeatures], components) -> SubspaceFac
     if n == 0:
         raise ValueError("no subjects")
     k = features[0].n_components
-    v = features[0].spatial_maps.shape[1]
     components = check_indices(components, k, "factor components")
-    p = min(v, len(components))
-    q = np.empty((n, v, p))
-    r = np.empty((n, p, len(components)))
     for i, f in enumerate(features):
-        if f.spatial_maps.shape != (k, v):
+        maps = f.spatial_maps
+        if i == 0:
+            v = maps.shape[1]
+            p = min(v, len(components))
+            q = np.empty((n, v, p))
+            r = np.empty((n, p, len(components)))
+        if maps.shape != (k, v):
             raise ValueError(f"subject {_subject_ids(features)[i]}: spatial map shape mismatch")
-        q[i], r[i] = np.linalg.qr(f.spatial_maps[components].T)
+        q[i], r[i] = np.linalg.qr(maps[components].T)
+        del maps  # before the next subject's maps are read
     cross = np.empty((n * (n + 1) // 2, p, p))
     start = 0
     for i in range(n):
@@ -164,7 +174,7 @@ def subspace_factors(features: list[SubjectFeatures], components) -> SubspaceFac
 
 
 def build_kernel_matrix(
-    features: list[SubjectFeatures],
+    features,
     selected,
     params: PabsKernelParams,
     use_fnc: bool = False,
@@ -189,6 +199,9 @@ def build_kernel_matrix(
     The result is the raw kernel, generally indefinite: `params.spectrum_fix`
     is not applied here, but by `apply_spectrum_fix` wherever a training
     kernel is formed. Subjects are named by their features' `subject_id`.
+    `features` are records as `subspace_factors` takes them, with `fnc`
+    when `use_fnc`; K is the first one's `n_components`, so no maps are
+    read here before the factors are made.
     """
     n = len(features)
     if n == 0:

@@ -128,12 +128,11 @@ def _score_stage(
 ) -> list[float]:
     """Scores of one stage's candidates on the partitions `parts`, every
     kernel built from one factor set over the union of their components;
-    the factors are freed on return."""
+    the factors are freed on return. A subject's maps that cannot be
+    factored fail the stage with the error that names the subject or its
+    file, whatever the union."""
     union = sorted({c for cand in candidates for c in cand})
-    try:
-        factors = subspace_factors(features, union)
-    except ValueError as e:
-        raise SelectionError(f"components {union}: {e}") from e
+    factors = subspace_factors(features, union)
 
     def score_one(cand):
         return score_feature_set(

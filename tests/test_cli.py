@@ -164,8 +164,8 @@ class TestPipeline:
         assert main(args + ["--selection", "fixed:0,1,2"]) == 0
         k = read_matrix(run / "kernel" / "kernel.msmx")
         assert np.linalg.eigvalsh(k).min() >= -1e-8
-        entries = json.loads((run / "features" / "features.json").read_text())["subjects"]
-        features = _load_features(run / "features", entries, need_fnc=True)
+        doc = json.loads((run / "features" / "features.json").read_text())
+        features = _load_features(run / "features", doc["subjects"], len(doc["domains"]), True)
         raw = build_kernel_matrix(features, [0, 1, 2], PabsKernelParams(), use_fnc=True).values
         assert np.array_equal(k, apply_spectrum_fix(raw, PabsKernelParams()))
 
@@ -693,6 +693,8 @@ class TestExitCodes:
             (("subjects", 0, "fnc"), None, "evaluate", "fixed:0,1", "subject entry 0: 'fnc'"),
             # 11 domains for 6 components: exited 0 and wrote best_set [0, 8]
             (("domains",), ["D0"] * 11, "select", "fixed:0,8", "subject entry 0: 'converged'"),
+            # K is its length; was reported as a 'converged' count fault
+            (("domains",), [], "kernel", "fixed:0,1", "'domains'"),
         ],
     )
     def test_features_json_shape_exits_1(
@@ -968,6 +970,62 @@ class TestStreaming:
         assert rc == 1
         assert str(bold) in capsys.readouterr().err
         assert not (out / "features" / "features.json").exists()
+
+
+class TestKernelStages:
+    """select, evaluate and kernel read each subject's maps only while they
+    factor them, and never read time courses."""
+
+    def test_time_courses_are_not_read(self, pipeline_dir, tmp_path):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("dataset",), copied=("features",))
+        for tc in (run / "features").glob("*.tc.msmx"):
+            tc.unlink()
+        best = json.loads((out / "selection" / "result.json").read_text())["best_set"]
+        fixed = ["--selection", "fixed:" + ",".join(map(str, best))]
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        (ref / "features").symlink_to(out / "features")
+        args = ["--config", str(config), "--features", "sm+fnc"]
+        assert main(["select", "--out", str(run), *args]) == 0
+        assert main(["evaluate", "--out", str(run), *args, *fixed]) == 0
+        assert main(["kernel", "--out", str(run), *args, *fixed]) == 0
+        assert main(["kernel", "--out", str(ref), *args, *fixed]) == 0
+        for stage, name in [("selection", "result.json"), ("selection", "trace.csv"),
+                            ("selection", "selection_meta.json"), ("eval", "report.csv"),
+                            ("eval", "summary.csv")]:
+            assert (run / stage / name).read_bytes() == (out / stage / name).read_bytes(), name
+        for name in ("kernel.msmx", "subjects.json"):
+            assert (run / "kernel" / name).read_bytes() == (ref / "kernel" / name).read_bytes()
+
+    def test_evaluate_and_kernel_hold_no_cohort_maps(self, tmp_path):
+        # at the n105 sizes one subject's maps, 105 x 2048 doubles, are its
+        # largest feature array. The stages hold each subject's FNC and the
+        # Q factor of its six selected maps and, while factoring, one
+        # subject's maps; the budget allows one more subject's maps
+        n_subjects, maps_bytes = 8, 105 * 2048 * 8
+        held = n_subjects * (105 * 105 + 2048 * 6) * 8
+        budget = 2 * maps_bytes + held
+        assert budget < n_subjects * maps_bytes  # one copy of the cohort's maps
+        config = tmp_path / "config.json"
+        evaluation = {"class_set": ["AD", "MS"], "outer_folds": 2, "repeats": 2}
+        synth = {"class_counts": {"AD": n_subjects // 2, "MS": n_subjects // 2}}
+        config.write_text(json.dumps({"threads": 1, "synth": synth, "evaluation": evaluation}))
+        out = tmp_path / "run"
+        args = ["--config", str(config), "--out", str(out), "--template", "n105"]
+        for stage in ("simulate", "extract", "fnc"):
+            assert main([stage, *args]) == 0
+        args += ["--features", "sm+fnc", "--selection", "fixed:50,55,6,13,10,9"]
+        peaks = {}
+        for _ in ("warm", "measured"):  # the first pass takes one-time allocations
+            for stage in ("evaluate", "kernel"):
+                tracemalloc.start()
+                try:
+                    assert main([stage, *args]) == 0
+                    peaks[stage] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert all(peak <= budget for peak in peaks.values()), (peaks, budget)
 
 
 class TestMasterSeed:

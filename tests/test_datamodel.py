@@ -161,6 +161,24 @@ class TestTypes:
         with pytest.raises(ValueError):
             t.maps[0, 0] = 1.0
 
+    @pytest.mark.parametrize("kind", ["template", "subject", "features"])
+    def test_freezes_a_view_not_the_callers_array(self, kind):
+        # the caller's array stayed writable only when it had to be copied
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((2, 10))
+        if kind == "template":
+            t = Template(maps=a, component_ids=["c0", "c1"], domains=["A", "B"])
+            held = [(a, t.maps)]
+        elif kind == "subject":
+            held = [(a, Subject(id="s0", bold=a, label="AD", group="g").bold)]
+        else:
+            tc, fnc, conv = rng.standard_normal((5, 2)), np.eye(2), np.ones(2, dtype=bool)
+            f = SubjectFeatures(spatial_maps=a, time_courses=tc, fnc=fnc, converged=conv)
+            held = [(a, f.spatial_maps), (tc, f.time_courses), (fnc, f.fnc), (conv, f.converged)]
+        for mine, theirs in held:
+            assert mine.flags.writeable and not theirs.flags.writeable
+            assert np.shares_memory(mine, theirs)
+
     def test_subject_needs_two_timepoints(self):
         with pytest.raises(ValueError, match="timepoints"):
             Subject(id="s", bold=np.ones((1, 5)), label="AD", group="AD")
@@ -313,13 +331,16 @@ class TestManifest:
     @pytest.mark.parametrize(
         "key, value",
         [
-            # each was read without an error: as (1, 2), (1, 0), ('1', 'None')
-            # and ('c0', '2.5')
+            # each but the last was read without an error: as (1, 2), (1, 0),
+            # ('1', 'None'), ('c0', '2.5') and ('1', 'None'); one domain for two
+            # template rows was rejected without naming the manifest
             ("scale_order", [1.5, 2]),
             ("scale_order", [True, 0]),
             ("scale_order", 3),
             ("component_ids", [1, None]),
             ("component_ids", ["c0", 2.5]),
+            ("domains", [1, None]),
+            ("domains", ["A"]),
         ],
     )
     def test_template_keys_of_the_wrong_type_rejected(self, tmp_path, key, value):

@@ -197,7 +197,31 @@ def _features(n, k=6, v=120, seed=0, with_fnc=False):
     return out
 
 
+class _MapsOnRequest:
+    """A subject's features whose maps are handed out, and counted, only
+    when asked for, as the CLI's features read theirs from a file."""
+
+    def __init__(self, f: SubjectFeatures, i: int, asked: list):
+        self.subject_id, self.n_components, self.fnc = f"r{i}", f.n_components, f.fnc
+        self._maps, self._asked = f.spatial_maps, asked
+
+    @property
+    def spatial_maps(self) -> np.ndarray:
+        self._asked.append(self.subject_id)
+        return self._maps.copy()
+
+
 class TestBuildKernelMatrix:
+    def test_maps_asked_for_once_per_subject_as_factored(self):
+        feats = _features(5, seed=20, with_fnc=True)
+        asked = []
+        readers = [_MapsOnRequest(f, i, asked) for i, f in enumerate(feats)]
+        params = PabsKernelParams(gamma=0.7)
+        km = build_kernel_matrix(readers, [4, 1, 2], params, use_fnc=True)
+        assert asked == [f"r{i}" for i in range(5)]
+        own = build_kernel_matrix(feats, [4, 1, 2], params, use_fnc=True)
+        assert km.values.tobytes() == own.values.tobytes()
+
     def test_single_subject_diagonal(self):
         feats = _features(1, k=6)
         params = PabsKernelParams()
