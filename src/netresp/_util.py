@@ -30,25 +30,47 @@ def is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def check_int(value, name: str) -> int:
-    """`value` as an int; ValueError naming `name` when it is a float, a
-    bool or anything else that is not an integer."""
+def check_int(value, name: str, minimum=None, error=ValueError) -> int:
+    """`value` as an int; `error` naming `name` and the value when it is a
+    float, a bool or anything else that is not an integer, or is below
+    `minimum`."""
     if not is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
+    _check_bound(value, name, minimum, False, error)
     return int(value)
 
 
-def check_float_fields(config) -> None:
-    """ValueError naming the field when a field of dataclass `config` that is
-    annotated `float` holds NaN or an infinity (JSON configs may spell both),
-    a bool or anything else that is not a real number."""
+def check_fields(config, minimum=None, positive=(), error=ValueError) -> None:
+    """Raise `error` naming the field and its value when a field of dataclass
+    `config` annotated `int` holds anything but an integer, one annotated
+    `float` holds NaN or an infinity (JSON configs may spell both), a bool or
+    anything else that is not a real number, or either is below its bound in
+    `minimum` (field name to bound) or, named in `positive`, is not above 0.
+    A field annotated `int | None` or `float | None` may hold None; fields of
+    other types are not checked."""
+    minimum = minimum or {}
     for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
-        if field.type not in ("float", float):
+        name, value = field.name, getattr(config, field.name)
+        kind = getattr(field.type, "__name__", str(field.type))  # a class or, postponed, a str
+        if kind.endswith(" | None") and value is None:
             continue
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and math.isfinite(value)):
-            raise ValueError(f"{field.name} must be a finite number, got {value!r}")
+        kind = kind.removesuffix(" | None")
+        if kind == "int":
+            check_int(value, name, error=error)
+        elif kind == "float":
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise error(f"{name} must be a finite number, got {value!r}")
+        else:
+            continue
+        _check_bound(value, name, minimum.get(name), name in positive, error)
+
+
+def _check_bound(value, name: str, minimum, positive: bool, error) -> None:
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be at least {minimum}, got {value!r}")
+    if positive and not value > 0:
+        raise error(f"{name} must be positive, got {value!r}")
 
 
 def check_keys(doc, required, allowed, where, error) -> dict:

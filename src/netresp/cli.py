@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from ._util import (
+    check_fields,
     check_indices,
     check_keys,
     check_strings,
     derive_seed,
-    is_int,
     parallel_imap,
     read_json_object,
 )
@@ -81,10 +81,7 @@ class RunConfig:
     fixed: tuple[int, ...] | None = dataclasses.field(default=None, init=False)
 
     def __post_init__(self):
-        if not is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not is_int(self.threads) or self.threads < 1:
-            raise ConfigError(f"threads must be an integer >= 1, got {self.threads!r}")
+        check_fields(self, {"threads": 1}, error=ConfigError)
         if self.features not in ("sm", "sm+fnc"):
             raise ConfigError(f"features must be 'sm' or 'sm+fnc', got {self.features!r}")
         for key in ("selection_mode", "template"):
@@ -559,12 +556,13 @@ def cmd_report(cfg: RunConfig, out_dir: Path) -> int:
             )
         row = dict(zip(header, fields))
         for column in _SUMMARY_COLUMNS[1:]:
+            where, text = f"{summary_path}: line {n}, column {column!r}", row[column]
             try:
-                row[column] = float(row[column])
+                row[column] = float(text)
             except ValueError:
-                raise ManifestError(
-                    f"{summary_path}: line {n}, column {column!r}: {row[column]!r} is not a number"
-                ) from None
+                raise ManifestError(f"{where}: {text!r} is not a number") from None
+            if not np.isfinite(row[column]):  # float() reads 'nan' and 'inf'
+                raise ManifestError(f"{where}: {text!r} is not a finite number")
         rows.append(row)
     svg = _svg_box_plot(rows)
     (out_dir / "eval" / "report.svg").write_text(svg)

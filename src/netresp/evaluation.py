@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_class_names, check_int, derive_seed, parallel_map
+from ._util import check_class_names, check_fields, derive_seed, parallel_map
 from .kernels import PabsKernelParams, SubspaceFactors, apply_spectrum_fix, build_kernel_matrix
 from .svm import SvmConfig, ovr_labels, solve_smo_arrays
 
@@ -47,12 +47,7 @@ class EvalConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "class_set", check_class_names(self.class_set, "class_set"))
-        if check_int(self.outer_folds, "outer_folds") < 2:
-            raise ValueError("outer_folds must be at least 2")
-        if check_int(self.repeats, "repeats") < 1:
-            raise ValueError("repeats must be at least 1")
-        if check_int(self.permutation_rounds, "permutation_rounds") < 1:
-            raise ValueError("permutation_rounds must be at least 1")
+        check_fields(self, {"outer_folds": 2, "repeats": 1, "permutation_rounds": 1})
 
 
 def stratified_kfold(labels, k: int, seed) -> np.ndarray:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_float_fields, check_indices
-from .datamodel import as_matrix
+from ._util import check_fields, check_indices
+from .datamodel import _frozen, as_matrix
 from .fnc import fisher_z
 
 SPECTRUM_FIXES = ("none", "clip")
@@ -60,13 +60,9 @@ class PabsKernelParams:
     spectrum_fix: str = "clip"
 
     def __post_init__(self):
-        check_float_fields(self)
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.fnc_gamma > 0:
-            raise ValueError(f"fnc_gamma must be positive, got {self.fnc_gamma}")
-        if not 0.0 <= self.combine_weight <= 1.0:
-            raise ValueError(f"combine_weight must be in [0, 1], got {self.combine_weight}")
+        check_fields(self, {"combine_weight": 0}, positive=("gamma", "fnc_gamma"))
+        if self.combine_weight > 1:
+            raise ValueError(f"combine_weight must be at most 1, got {self.combine_weight!r}")
         if self.spectrum_fix not in SPECTRUM_FIXES:
             raise ValueError(
                 f"spectrum_fix must be one of {SPECTRUM_FIXES}, got {self.spectrum_fix!r}"
@@ -81,7 +77,7 @@ class KernelMatrix:
     subject_ids: tuple[str, ...]
 
     def __post_init__(self):
-        values = as_matrix(self.values, "kernel")
+        values = _frozen(as_matrix(self.values, "kernel"))
         n = values.shape[0]
         if values.shape != (n, n):
             raise ValueError(f"kernel must be square, got {values.shape}")
@@ -89,7 +85,6 @@ class KernelMatrix:
             raise ValueError("subject_ids length must match kernel size")
         if np.abs(values - values.T).max() > 1e-12:
             raise ValueError("kernel is not symmetric")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "subject_ids", tuple(self.subject_ids))
 

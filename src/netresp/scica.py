@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_float_fields, check_int, derive_seed
+from ._util import check_fields, derive_seed
 from .datamodel import NonFiniteValueError, SubjectFeatures, Template
 
 
@@ -46,15 +46,7 @@ class ScicaConfig:
     pca_retained: int | None = None  # None: match the template's K
 
     def __post_init__(self):
-        check_float_fields(self)
-        if check_int(self.max_iters, "max_iters") < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.constraint_weight < 0:
-            raise ValueError("constraint_weight must be non-negative")
-        if self.pca_retained is not None and check_int(self.pca_retained, "pca_retained") < 1:
-            raise ValueError("pca_retained must be at least 1")
+        check_fields(self, {"max_iters": 1, "constraint_weight": 0, "pca_retained": 1}, positive=("tol",))
 
 
 @dataclass(frozen=True)

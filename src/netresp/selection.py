@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_indices, check_int, parallel_map
+from ._util import check_fields, check_indices, parallel_map
 
 # run_experiment is not called here; it stays bound so that perfbench's
 # traced run, which wraps netresp.selection.run_experiment, still finds it.
@@ -40,14 +40,7 @@ class SsfsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if check_int(self.beam_width, "beam_width") < 1:
-            raise ValueError("beam_width must be at least 1")
-        if check_int(self.inner_folds, "inner_folds") < 2:
-            raise ValueError("inner_folds must be at least 2")
-        if check_int(self.inner_repeats, "inner_repeats") < 1:
-            raise ValueError("inner_repeats must be at least 1")
-        if check_int(self.extra_passes, "extra_passes") < 0:
-            raise ValueError("extra_passes must be non-negative")
+        check_fields(self, {"beam_width": 1, "inner_folds": 2, "inner_repeats": 1, "extra_passes": 0})
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import check_float_fields, check_int
+from ._util import check_fields
 from .datamodel import as_matrix
 
 
@@ -35,14 +35,8 @@ class SvmConfig:
     max_passes: int = 10_000
 
     def __post_init__(self):
-        check_float_fields(self)
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if not self.smo_tol > 0:
-            raise ValueError(f"smo_tol must be positive, got {self.smo_tol}")
-        # an integer, so that the step budget max_passes * n reaches exactly 0
-        if check_int(self.max_passes, "max_passes") < 1:
-            raise ValueError("max_passes must be at least 1")
+        # max_passes is an integer, so that the step budget max_passes * n reaches exactly 0
+        check_fields(self, {"max_passes": 1}, positive=("C", "smo_tol"))
 
 
 def per_sample_c(y, cfg: SvmConfig) -> np.ndarray:

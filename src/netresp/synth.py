@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_class_names, check_float_fields, check_int, derive_seed, parallel_map
+from ._util import check_class_names, check_fields, check_int, derive_seed, parallel_map
 from .datamodel import Dataset, Subject, Template
 
 DOMAIN_TAGS_6 = ("VI", "CB", "TP", "SC", "SM", "HC")
@@ -38,34 +38,22 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(check_int(g, "grid entry") for g in self.grid))
-        for key in ("n_components", "n_domains", "timepoints", "informative_components"):
-            check_int(getattr(self, key), key)
-        check_float_fields(self)
+        grid = tuple(check_int(g, f"grid[{i}]", 2) for i, g in enumerate(self.grid))
+        object.__setattr__(self, "grid", grid)
         counts = self.class_counts
         if isinstance(counts, Mapping):  # {"AD": 47, ...}, as in a JSON config
             counts = counts.items()
-        counts = tuple((c, check_int(n, f"class_counts[{c!r}]")) for c, n in counts)
+        counts = tuple((c, check_int(n, f"class_counts[{c!r}]", 1)) for c, n in counts)
         check_class_names([c for c, _ in counts], "class_counts' classes")
         object.__setattr__(self, "class_counts", counts)
-        if any(n < 1 for _, n in counts):
-            raise ValueError(f"class_counts must be at least 1 each, got {dict(counts)}")
-        if any(g < 2 for g in self.grid):
-            raise ValueError(f"grid dims must be at least 2, got {self.grid}")
-        if self.n_components < 1 or self.n_domains < 1 or self.timepoints < 2:
-            raise ValueError("counts must be positive (timepoints >= 2)")
+        minimum = {"n_components": 1, "n_domains": 1, "timepoints": 2, "informative_components": 0}
+        for key in ("spatial_effect", "spatial_scatter", "fnc_effect", "noise_sigma", "map_noise"):
+            minimum[key] = 0
+        check_fields(self, minimum, positive=("count_scale",))
         if self.n_voxels < self.n_components:
-            raise ValueError("need at least as many voxels as components")
-        if not 0 <= self.informative_components <= self.n_components:
-            raise ValueError("informative_components out of range")
-        if self.spatial_effect < 0 or self.fnc_effect < 0:
-            raise ValueError("effects must be non-negative")
-        if self.spatial_scatter < 0:
-            raise ValueError("spatial_scatter must be non-negative")
-        if self.noise_sigma < 0 or self.map_noise < 0:
-            raise ValueError("noise levels must be non-negative")
-        if self.count_scale <= 0:
-            raise ValueError("count_scale must be positive")
+            raise ValueError(f"grid {self.grid} has fewer voxels than n_components {self.n_components}")
+        if self.informative_components > self.n_components:
+            raise ValueError(f"informative_components {self.informative_components} > n_components")
 
     @property
     def n_voxels(self) -> int:

@@ -354,6 +354,43 @@ NON_FINITE_SETTINGS = [
     ("evaluate", "svm", "smo_tol", float("inf")),
 ]
 
+# one row per bounded setting, each just outside its bound: a count below
+# its minimum, a float below 0 or, where it must be positive, at 0, and
+# combine_weight above 1; each message names the key and the value, for
+# grid and class_counts the entry at fault
+RANGE_SETTINGS = [
+    ("simulate", "synth", "grid", [8, 8, 1]),
+    ("simulate", "synth", "n_components", 0),
+    ("simulate", "synth", "n_domains", 0),
+    ("simulate", "synth", "timepoints", 1),
+    ("simulate", "synth", "class_counts", {"AD": 8, "MS": 8, "NR": 0}),
+    ("simulate", "synth", "count_scale", 0),
+    ("simulate", "synth", "informative_components", -1),
+    ("simulate", "synth", "spatial_effect", -0.1),
+    ("simulate", "synth", "spatial_scatter", -0.1),
+    ("simulate", "synth", "fnc_effect", -0.1),
+    ("simulate", "synth", "noise_sigma", -0.1),
+    ("simulate", "synth", "map_noise", -0.1),
+    ("extract", "scica", "max_iters", 0),
+    ("extract", "scica", "tol", 0),
+    ("extract", "scica", "constraint_weight", -0.1),
+    ("extract", "scica", "pca_retained", 0),
+    ("select", "kernel", "gamma", 0),
+    ("select", "kernel", "fnc_gamma", 0),
+    ("select", "kernel", "combine_weight", -0.1),
+    ("select", "kernel", "combine_weight", 1.5),
+    ("evaluate", "svm", "C", 0),
+    ("evaluate", "svm", "smo_tol", 0),
+    ("evaluate", "svm", "max_passes", 0),
+    ("select", "selection", "beam_width", 0),
+    ("select", "selection", "inner_folds", 1),
+    ("select", "selection", "inner_repeats", 0),
+    ("select", "selection", "extra_passes", -1),
+    ("evaluate", "evaluation", "outer_folds", 1),
+    ("evaluate", "evaluation", "repeats", 0),
+    ("evaluate", "evaluation", "permutation_rounds", 0),
+]
+
 
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
@@ -528,8 +565,17 @@ class TestExitCodes:
                 "metric,median,q1,q3,whisker_lo,whisker_hi\nmacro_f1,1,1,1,1,1\nap_AD,x,0,1,0,1\n",
                 "line 3, column 'median': 'x' is not a number",
             ),
+            # drawn as y1="nan" and y1="-inf"
+            (
+                "metric,median,q1,q3,whisker_lo,whisker_hi\nmacro_f1,nan,1,1,inf,1\n",
+                "line 2, column 'median': 'nan' is not a finite number",
+            ),
+            (
+                "metric,median,q1,q3,whisker_lo,whisker_hi\nmacro_f1,1,1,1,-inf,1\n",
+                "line 2, column 'whisker_lo': '-inf' is not a finite number",
+            ),
         ],
-        ids=["two-columns", "empty", "short-row", "not-a-number"],
+        ids=["two-columns", "empty", "short-row", "not-a-number", "nan", "infinite"],
     )
     def test_malformed_summary_exits_1(self, tmp_path, capsys, text, reason):
         summary = tmp_path / "run" / "eval" / "summary.csv"
@@ -743,13 +789,14 @@ class TestExitCodes:
         config.write_text(json.dumps({"threads": threads}))
         rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "threads must be an integer >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "threads must be " in err and f"got {threads!r}" in err
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_invalid_threads_flag_exits_2(self, tmp_path, capsys, threads):
         rc = main(["simulate", "--threads", threads, "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "threads must be an integer >= 1" in capsys.readouterr().err
+        assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
 
     @staticmethod
     def _config_error(pipeline_dir, tmp_path, capsys, command, section, updates) -> str:
@@ -788,6 +835,22 @@ class TestExitCodes:
     ):
         err = self._config_error(pipeline_dir, tmp_path, capsys, command, section, {key: value})
         assert f"invalid {section} config: {key} must be a finite number" in err
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        RANGE_SETTINGS,
+        ids=[f"{s}.{k}={json.dumps(v, separators=(',', ':'))}" for _, s, k, v in RANGE_SETTINGS],
+    )
+    def test_out_of_range_setting_names_key_and_value(
+        self, pipeline_dir, tmp_path, capsys, command, section, key, value
+    ):
+        err = self._config_error(pipeline_dir, tmp_path, capsys, command, section, {key: value})
+        assert f"invalid {section} config: {key}" in err
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):  # grid and class_counts: the entry at fault is the last
+            value = value[-1]
+        assert f"got {value!r}" in err
 
     @pytest.mark.parametrize("command", ["select", "evaluate"])
     def test_class_set_name_missing_from_data_exits_2(

@@ -24,6 +24,7 @@ from netresp.datamodel import (
     write_matrix,
     write_subjects,
 )
+from netresp.kernels import KernelMatrix
 
 
 class TestMatrixContainer:
@@ -161,7 +162,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             t.maps[0, 0] = 1.0
 
-    @pytest.mark.parametrize("kind", ["template", "subject", "features"])
+    @pytest.mark.parametrize("kind", ["template", "subject", "features", "kernel"])
     def test_freezes_a_view_not_the_callers_array(self, kind):
         # the caller's array stayed writable only when it had to be copied
         rng = np.random.default_rng(3)
@@ -171,6 +172,9 @@ class TestTypes:
             held = [(a, t.maps)]
         elif kind == "subject":
             held = [(a, Subject(id="s0", bold=a, label="AD", group="g").bold)]
+        elif kind == "kernel":
+            k = np.eye(2)
+            held = [(k, KernelMatrix(k, ("s0", "s1")).values)]
         else:
             tc, fnc, conv = rng.standard_normal((5, 2)), np.eye(2), np.ones(2, dtype=bool)
             f = SubjectFeatures(spatial_maps=a, time_courses=tc, fnc=fnc, converged=conv)

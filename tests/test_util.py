@@ -1,11 +1,12 @@
 import dataclasses
+import re
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from netresp._util import check_float_fields, check_int, parallel_imap, parallel_map
+from netresp._util import check_fields, check_int, parallel_imap, parallel_map
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -52,9 +53,12 @@ def test_check_int_takes_integers_only():
     for bad in (3.0, 2.5, True, np.bool_(True), "3", None):
         with pytest.raises(ValueError, match="n must be an integer"):
             check_int(bad, "n")
+    assert check_int(2, "n", minimum=2) == 2
+    with pytest.raises(LookupError, match="n must be at least 2, got 1"):
+        check_int(1, "n", minimum=2, error=LookupError)
 
 
-def test_check_float_fields_takes_finite_numbers_only():
+def test_check_fields_takes_finite_numbers_only():
     @dataclasses.dataclass
     class Config:
         rate: float = 1.0
@@ -62,8 +66,30 @@ def test_check_float_fields_takes_finite_numbers_only():
         count: int = 2
 
     for good in (0.5, 3, np.float32(2.5), np.int64(-1)):
-        check_float_fields(Config(rate=good))
-    check_float_fields(Config(name=float("nan"), count=float("inf")))  # not float fields
+        check_fields(Config(rate=good))
+    check_fields(Config(name=float("nan")))  # not a number field
     for bad in (float("nan"), float("inf"), -float("inf"), np.float64("nan"), True, "1.0", None):
         with pytest.raises(ValueError, match="rate must be a finite number"):
-            check_float_fields(Config(rate=bad))
+            check_fields(Config(rate=bad))
+
+
+def test_check_fields_checks_integers_and_bounds():
+    @dataclasses.dataclass
+    class Config:
+        rate: float = 1.0
+        count: int = 2
+        cap: "int | None" = None  # a postponed annotation, as a string
+
+    check_fields(Config(rate=0.0, count=0), {"rate": 0, "count": 0})
+    check_fields(Config(cap=None), {"cap": 1})
+    rejected = [
+        (Config(count=2.0), {}, (), "count must be an integer, got 2.0"),
+        (Config(cap=1.5), {}, (), "cap must be an integer, got 1.5"),
+        (Config(count=1), {"count": 2}, (), "count must be at least 2, got 1"),
+        (Config(cap=0), {"cap": 1}, (), "cap must be at least 1, got 0"),
+        (Config(rate=-0.5), {"rate": 0}, (), "rate must be at least 0, got -0.5"),
+        (Config(rate=0.0), {}, ("rate",), "rate must be positive, got 0.0"),
+    ]
+    for config, minimum, positive, message in rejected:
+        with pytest.raises(LookupError, match=f"^{re.escape(message)}$"):
+            check_fields(config, minimum, positive, error=LookupError)
