@@ -35,11 +35,11 @@ from .datamodel import (
     write_matrix,
     write_subjects,
 )
-from .evaluation import EvalConfig, EvalError, run_experiment
+from .evaluation import SUMMARY_COLUMNS, EvalConfig, EvalError, run_experiment
 from .fnc import compute_fnc
 from .kernels import PabsKernelParams, apply_spectrum_fix, build_kernel_matrix
 from .scica import ScicaConfig, extract_subject
-from .selection import SelectionError, SelectionResult, SsfsConfig, ssfs
+from .selection import TRACE_HEADER, SelectionError, SsfsConfig, ssfs
 from .svm import SvmConfig
 from .synth import SynthConfig, make_subject, plan_cohort
 
@@ -285,23 +285,18 @@ class StoredFeatures:
         return maps
 
 
-def _read_features(
-    feat_dir: Path, entry: dict, n_components: int, need_fnc: bool
-) -> StoredFeatures:
-    """One subject's features, as listed by its features.json entry; the
-    FNC is read and checked here when `need_fnc`, the maps when factored."""
-    fnc = None
-    if need_fnc:
-        if "fnc" not in entry:
-            raise ManifestError(f"subject {entry['id']}: FNC not computed (run fnc first)")
-        fnc = check_fnc(read_matrix(feat_dir / entry["fnc"]), n_components)
-    return StoredFeatures(entry["id"], n_components, feat_dir / entry["sm"], fnc)
-
-
 def _load_features(
     feat_dir: Path, entries: list[dict], n_components: int, need_fnc: bool
 ) -> list[StoredFeatures]:
-    return [_read_features(feat_dir, e, n_components, need_fnc) for e in entries]
+    """The subjects' features, as listed by their features.json entries; each
+    FNC is read and checked here when `need_fnc`, the maps when factored."""
+    features = []
+    for entry in entries:
+        if need_fnc and "fnc" not in entry:
+            raise ManifestError(f"subject {entry['id']}: FNC not computed (run fnc first)")
+        fnc = check_fnc(read_matrix(feat_dir / entry["fnc"]), n_components) if need_fnc else None
+        features.append(StoredFeatures(entry["id"], n_components, feat_dir / entry["sm"], fnc))
+    return features
 
 
 def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
@@ -338,9 +333,15 @@ def _class_entries(cfg: RunConfig, doc: dict) -> list[dict]:
     return [e for e in doc["subjects"] if e["label"] in class_set]
 
 
-def _fixed_set(cfg: RunConfig, doc: dict) -> list[int]:
-    """The fixed selection, range-checked against features.json's domains."""
-    return check_indices(cfg.fixed, len(doc["domains"]), "fixed selection", ConfigError)
+def _selected_set(cfg: RunConfig, doc: dict, out_dir: Path) -> list[int]:
+    """The fixed selection, or else selection/result.json's best set,
+    range-checked against features.json's domains."""
+    n = len(doc["domains"])
+    if cfg.fixed is not None:
+        return check_indices(cfg.fixed, n, "fixed selection", ConfigError)
+    path = out_dir / "selection" / "result.json"
+    result = read_json_object(path, ("best_set",), None, ManifestError, " (run select first)")
+    return check_indices(result["best_set"], n, f"{path}: 'best_set'", ManifestError)
 
 
 def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
@@ -359,14 +360,8 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
             empty_ok=True,
         )
 
-    if cfg.fixed is not None:  # reads no matrix
-        fixed = tuple(_fixed_set(cfg, doc))
-        result = SelectionResult(
-            best_set=fixed,
-            best_score=float("nan"),
-            beam_trace=(),
-            final_beam=((fixed, float("nan")),),
-        )
+    if cfg.fixed is not None:  # an unscored set and no search: reads no matrix
+        final_beam, trace, ties = [(_selected_set(cfg, doc, out_dir), None)], TRACE_HEADER, []
     else:
         result = ssfs(
             _load_features(doc_path.parent, entries, len(doc["domains"]), cfg.use_fnc),
@@ -379,44 +374,35 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
             use_fnc=cfg.use_fnc,
             threads=cfg.threads,
         )
+        final_beam, trace, ties = result.final_beam, result.trace_csv(), result.top_ties()
 
+    best_set, best_score = list(final_beam[0][0]), final_beam[0][1]
     sel_dir = out_dir / "selection"
     sel_dir.mkdir(parents=True, exist_ok=True)
     out = {
-        "best_set": list(result.best_set),
-        "best_score": None if np.isnan(result.best_score) else result.best_score,
+        "best_set": best_set,
+        "best_score": best_score,
         "mode": cfg.selection_mode,
         "features": cfg.features,
-        "final_beam": [
-            {"set": list(s), "score": None if np.isnan(sc) else sc}
-            for s, sc in result.final_beam
-        ],
+        "final_beam": [{"set": list(s), "score": sc} for s, sc in final_beam],
     }
     (sel_dir / "result.json").write_text(json.dumps(out, indent=2) + "\n")
-    (sel_dir / "trace.csv").write_text(result.trace_csv())  # header only for a fixed set
-    meta: dict = {"top_ties": result.top_ties()}
+    (sel_dir / "trace.csv").write_text(trace)
+    meta: dict = {"top_ties": ties}
     if planted is not None:
-        hits = len(set(planted) & set(result.best_set))
+        hits = len(set(planted) & set(best_set))
         meta["informative_indices"] = planted
         meta["recall"] = hits / len(planted) if planted else None
-        meta["precision"] = hits / len(result.best_set)
+        meta["precision"] = hits / len(best_set)
     (sel_dir / "selection_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    print(f"selected components {list(result.best_set)} (mode {cfg.selection_mode})")
+    print(f"selected components {best_set} (mode {cfg.selection_mode})")
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
     doc_path, doc = _features_doc(out_dir)
     entries = _class_entries(cfg, doc)
-    if cfg.fixed is not None:
-        selected = _fixed_set(cfg, doc)
-    else:
-        result_path = out_dir / "selection" / "result.json"
-        hint = " (run select first)"
-        result = read_json_object(result_path, ("best_set",), None, ManifestError, hint)
-        what = f"{result_path}: 'best_set'"
-        selected = check_indices(result["best_set"], len(doc["domains"]), what, ManifestError)
-
+    selected = _selected_set(cfg, doc, out_dir)
     labels = [e["label"] for e in entries]
     eval_cfg = cfg.evaluation
     report = run_experiment(
@@ -462,7 +448,7 @@ def cmd_kernel(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.fixed is None:
         raise ConfigError("kernel dump requires --selection fixed:<list>")
     doc_path, doc = _features_doc(out_dir)
-    selected = _fixed_set(cfg, doc)
+    selected = _selected_set(cfg, doc, out_dir)
     features = _load_features(doc_path.parent, doc["subjects"], len(doc["domains"]), cfg.use_fnc)
     kernel = build_kernel_matrix(features, selected, cfg.kernel, use_fnc=cfg.use_fnc)
     kdir = out_dir / "kernel"
@@ -475,10 +461,6 @@ def cmd_kernel(cfg: RunConfig, out_dir: Path) -> int:
     )
     print(f"wrote {len(features)}x{len(features)} kernel for components {selected}")
     return 0
-
-
-# the eval/summary.csv columns the box plot draws
-_SUMMARY_COLUMNS = ("metric", "median", "q1", "q3", "whisker_lo", "whisker_hi")
 
 
 def _svg_box_plot(rows: list[dict]) -> str:
@@ -544,7 +526,7 @@ def cmd_report(cfg: RunConfig, out_dir: Path) -> int:
         raise ManifestError(f"summary not found: {summary_path} (run evaluate first)")
     lines = summary_path.read_text().strip().splitlines()
     header = lines[0].split(",") if lines else []
-    missing = [c for c in _SUMMARY_COLUMNS if c not in header]
+    missing = [c for c in SUMMARY_COLUMNS if c not in header]
     if missing:
         raise ManifestError(f"{summary_path}: missing column {missing[0]!r}")
     rows = []
@@ -555,7 +537,7 @@ def cmd_report(cfg: RunConfig, out_dir: Path) -> int:
                 f"{summary_path}: line {n} has {len(fields)} fields, the header {len(header)}"
             )
         row = dict(zip(header, fields))
-        for column in _SUMMARY_COLUMNS[1:]:
+        for column in SUMMARY_COLUMNS[1:]:
             where, text = f"{summary_path}: line {n}, column {column!r}", row[column]
             try:
                 row[column] = float(text)
@@ -572,14 +554,15 @@ def cmd_report(cfg: RunConfig, out_dir: Path) -> int:
 
 # ------------------------------------------------------------------ driver
 
+# each stage's function and its help text
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "extract": cmd_extract,
-    "fnc": cmd_fnc,
-    "kernel": cmd_kernel,
-    "select": cmd_select,
-    "evaluate": cmd_evaluate,
-    "report": cmd_report,
+    "simulate": (cmd_simulate, "generate a synthetic dataset (manifest + matrix containers)"),
+    "extract": (cmd_extract, "run constrained ICA against the dataset template"),
+    "fnc": (cmd_fnc, "compute per-subject FNC matrices from extracted time courses"),
+    "kernel": (cmd_kernel, "dump the subject kernel matrix for a fixed component set"),
+    "select": (cmd_select, "run (soft) sequential forward selection over domains"),
+    "evaluate": (cmd_evaluate, "outer cross-validation of the selected component set"),
+    "report": (cmd_report, "render summary.csv as an SVG box plot"),
 }
 
 
@@ -589,17 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-scale network-feature pipeline for medication-response prediction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "simulate": "generate a synthetic dataset (manifest + matrix containers)",
-        "extract": "run constrained ICA against the dataset template",
-        "fnc": "compute per-subject FNC matrices from extracted time courses",
-        "kernel": "dump the subject kernel matrix for a fixed component set",
-        "select": "run (soft) sequential forward selection over domains",
-        "evaluate": "outer cross-validation of the selected component set",
-        "report": "render summary.csv as an SVG box plot",
-    }
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=descriptions[name], description=descriptions[name])
+    for name, (_, description) in _COMMANDS.items():
+        p = sub.add_parser(name, help=description, description=description)
         p.add_argument("--config", type=str, default=None, help="JSON run config (default: built-in defaults)")
         p.add_argument("--out", type=str, required=True, help="pipeline output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -641,7 +615,7 @@ def main(argv=None) -> int:
         cfg = load_run_config(args.config, flags)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir)
+        return _COMMANDS[args.command][0](cfg, out_dir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

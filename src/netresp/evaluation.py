@@ -8,7 +8,7 @@ interpolation with ties broken by stable original order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -165,6 +165,10 @@ def box_stats(values) -> BoxStats:
     )
 
 
+# the eval/summary.csv header: the metric, then its BoxStats fields in order
+SUMMARY_COLUMNS = ("metric", *(f.name for f in fields(BoxStats)))
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """A cross-validation's results, one entry per (fold, repeat) cell in
@@ -200,11 +204,9 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def to_summary_csv(self) -> str:
-        lines = ["metric,median,q1,q3,whisker_lo,whisker_hi"]
+        lines = [",".join(SUMMARY_COLUMNS)]
         for m, s in self.aggregates().items():
-            lines.append(
-                f"{m},{s.median!r},{s.q1!r},{s.q3!r},{s.whisker_lo!r},{s.whisker_hi!r}"
-            )
+            lines.append(",".join([m, *map(repr, astuple(s))]))
         return "\n".join(lines) + "\n"
 
 

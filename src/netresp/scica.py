@@ -162,11 +162,11 @@ def constrained_unit_update(w, whitened, reference_projected, cfg: ScicaConfig) 
 
         w_next = normalize(w + DAMPING * (fp_hat - w) + mu * (b - <w, b> w))
 
-    Damping keeps the same fixed points as the raw fixed-point map while
-    making the constrained iteration a contraction; the constraint term
-    vanishes exactly when the output is fully aligned with the reference,
-    so an aligned fixed point is returned unchanged. A degenerate
-    zero-length update falls back to the incoming weight.
+    Damping keeps the raw map's fixed points but does not guarantee
+    convergence: a unit may cycle until max_iters and end with its
+    `converged` flag False. The constraint term vanishes exactly when the
+    output is fully aligned with the reference, so an aligned fixed point is
+    returned unchanged. A zero-length update falls back to the incoming weight.
 
     `w` and `reference_projected` may also be (B, R) stacks, one unit per
     row; each row then takes its own step, with the outputs and the

@@ -51,12 +51,24 @@ class BeamCandidate:
     kept: bool
 
 
+# trace.csv's header line, all of the file for a set that was not searched
+TRACE_HEADER = "stage,candidate,score,kept\n"
+
+
 @dataclass(frozen=True)
 class SelectionResult:
-    best_set: tuple[int, ...]
-    best_score: float
+    """Every candidate a search scored, and its last stage's beam, best first."""
+
     beam_trace: tuple[BeamCandidate, ...]
     final_beam: tuple[tuple[tuple[int, ...], float], ...]
+
+    @property
+    def best_set(self) -> tuple[int, ...]:
+        return self.final_beam[0][0]
+
+    @property
+    def best_score(self) -> float:
+        return self.final_beam[0][1]
 
     def top_ties(self) -> list[int]:
         """Per stage, how many candidates share that stage's top score; a
@@ -67,11 +79,11 @@ class SelectionResult:
         return [scores.count(max(scores)) for _, scores in sorted(by_stage.items())]
 
     def trace_csv(self) -> str:
-        lines = ["stage,candidate,score,kept"]
+        lines = [TRACE_HEADER]
         for c in self.beam_trace:
             cand = "|".join(str(i) for i in c.indices)
-            lines.append(f"{c.stage},{cand},{c.score!r},{int(c.kept)}")
-        return "\n".join(lines) + "\n"
+            lines.append(f"{c.stage},{cand},{c.score!r},{int(c.kept)}\n")
+        return "".join(lines)
 
 
 def score_feature_set(
@@ -172,7 +184,6 @@ def ssfs(
 
     beam: list[tuple[int, ...]] = [()]
     trace: list[BeamCandidate] = []
-    final: list[tuple[tuple[int, ...], float]] = []
     for stage_idx, pool in enumerate(stages):
         seen: set[tuple[int, ...]] = set()
         candidates: list[tuple[int, ...]] = []
@@ -193,20 +204,11 @@ def ssfs(
             features, labels, class_set, candidates, kernel_params, svm_cfg, parts, use_fnc, threads
         )
         ranked = sorted(zip(candidates, scores), key=lambda cs: (-cs[1], cs[0]))
-        kept = {cand for cand, _ in ranked[: cfg.beam_width]}
+        final = tuple((cand, float(score)) for cand, score in ranked[: cfg.beam_width])
+        beam = [cand for cand, _ in final]
         trace.extend(
-            BeamCandidate(
-                stage=stage_idx, indices=cand, score=score, kept=cand in kept
-            )
+            BeamCandidate(stage=stage_idx, indices=cand, score=score, kept=cand in beam)
             for cand, score in zip(candidates, scores)
         )
-        beam = [cand for cand, _ in ranked[: cfg.beam_width]]
-        final = ranked[: cfg.beam_width]
 
-    best_set, best_score = final[0]
-    return SelectionResult(
-        best_set=best_set,
-        best_score=float(best_score),
-        beam_trace=tuple(trace),
-        final_beam=tuple((cand, float(s)) for cand, s in final),
-    )
+    return SelectionResult(beam_trace=tuple(trace), final_beam=final)

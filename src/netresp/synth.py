@@ -38,11 +38,16 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        seq = (list, tuple)  # a JSON array, or a tuple in code
+        if not (isinstance(self.grid, seq) and len(self.grid) == 3):
+            raise ValueError(f"grid must be a list of 3 sizes, got {self.grid!r}")
         grid = tuple(check_int(g, f"grid[{i}]", 2) for i, g in enumerate(self.grid))
         object.__setattr__(self, "grid", grid)
         counts = self.class_counts
         if isinstance(counts, Mapping):  # {"AD": 47, ...}, as in a JSON config
             counts = counts.items()
+        elif not isinstance(counts, seq) or any(not isinstance(p, seq) or len(p) != 2 for p in counts):
+            raise ValueError(f"class_counts must be an object or [name, count] pairs, got {counts!r}")
         counts = tuple((c, check_int(n, f"class_counts[{c!r}]", 1)) for c, n in counts)
         check_class_names([c for c, _ in counts], "class_counts' classes")
         object.__setattr__(self, "class_counts", counts)

@@ -391,6 +391,18 @@ RANGE_SETTINGS = [
     ("evaluate", "evaluation", "permutation_rounds", 0),
 ]
 
+# synth values of the wrong shape: a grid that is not 3 sizes, class counts
+# that are neither an object nor [name, count] pairs; each message names the
+# key and the whole value
+SHAPE_SETTINGS = [
+    ("grid", 8),
+    ("grid", [8, 8]),
+    ("grid", [8, 8, 8, 8]),
+    ("grid", "abc"),
+    ("class_counts", 5),
+    ("class_counts", [["AD"]]),
+]
+
 
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
@@ -852,6 +864,18 @@ class TestExitCodes:
             value = value[-1]
         assert f"got {value!r}" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        SHAPE_SETTINGS,
+        ids=[f"synth.{k}={json.dumps(v, separators=(',', ':'))}" for k, v in SHAPE_SETTINGS],
+    )
+    def test_synth_shape_error_names_key_and_value(
+        self, pipeline_dir, tmp_path, capsys, key, value
+    ):
+        err = self._config_error(pipeline_dir, tmp_path, capsys, "simulate", "synth", {key: value})
+        assert f"invalid synth config: {key}" in err
+        assert f"got {value!r}" in err
+
     @pytest.mark.parametrize("command", ["select", "evaluate"])
     def test_class_set_name_missing_from_data_exits_2(
         self, pipeline_dir, tmp_path, capsys, command
@@ -915,6 +939,19 @@ class TestMatrixReads:
         }
         result = (run / "selection" / "result.json").read_text()
         assert result == json.dumps(expected, indent=2) + "\n"
+        # no search: the trace is its header alone, and no stage had ties
+        assert (run / "selection" / "trace.csv").read_text() == "stage,candidate,score,kept\n"
+        truth = json.loads((out / "dataset" / "ground_truth.json").read_text())
+        planted = truth["informative_indices"]
+        hits = len(set(planted) & {0, 1})
+        meta = {
+            "top_ties": [],
+            "informative_indices": planted,
+            "recall": hits / len(planted),
+            "precision": hits / 2,
+        }
+        written = (run / "selection" / "selection_meta.json").read_text()
+        assert written == json.dumps(meta, indent=2) + "\n"
 
 
 def test_rank_deficient_extraction_runs_through_evaluate(tmp_path):
