@@ -301,7 +301,6 @@ def _load_features(
 
 def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
     doc_path, doc = _features_doc(out_dir)
-    doc_path.unlink()
     n_components = len(doc["domains"])
     for entry in doc["subjects"]:
         tc = read_matrix(doc_path.parent / entry["tc"])
@@ -347,6 +346,10 @@ def _selected_set(cfg: RunConfig, doc: dict, out_dir: Path) -> list[int]:
 def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
     doc_path, doc = _features_doc(out_dir)
     entries = _class_entries(cfg, doc)
+    fixed = None if cfg.fixed is None else _selected_set(cfg, doc, out_dir)
+    sel_dir = out_dir / "selection"
+    # past the config checks: a select that fails leaves no result for evaluate
+    (sel_dir / "result.json").unlink(missing_ok=True)
     truth_path = out_dir / "dataset" / "ground_truth.json"
     planted = None
     if truth_path.exists():
@@ -360,8 +363,8 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
             empty_ok=True,
         )
 
-    if cfg.fixed is not None:  # an unscored set and no search: reads no matrix
-        final_beam, trace, ties = [(_selected_set(cfg, doc, out_dir), None)], TRACE_HEADER, []
+    if fixed is not None:  # an unscored set and no search: reads no matrix
+        final_beam, trace, ties = [(fixed, None)], TRACE_HEADER, []
     else:
         result = ssfs(
             _load_features(doc_path.parent, entries, len(doc["domains"]), cfg.use_fnc),
@@ -377,7 +380,6 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
         final_beam, trace, ties = result.final_beam, result.trace_csv(), result.top_ties()
 
     best_set, best_score = list(final_beam[0][0]), final_beam[0][1]
-    sel_dir = out_dir / "selection"
     sel_dir.mkdir(parents=True, exist_ok=True)
     out = {
         "best_set": best_set,
@@ -402,7 +404,11 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
     doc_path, doc = _features_doc(out_dir)
     entries = _class_entries(cfg, doc)
-    selected = _selected_set(cfg, doc, out_dir)
+    fixed = None if cfg.fixed is None else _selected_set(cfg, doc, out_dir)
+    eval_dir = out_dir / "eval"
+    # past the config checks: an evaluate that fails leaves no summary for report
+    (eval_dir / "summary.csv").unlink(missing_ok=True)
+    selected = fixed or _selected_set(cfg, doc, out_dir)
     labels = [e["label"] for e in entries]
     eval_cfg = cfg.evaluation
     report = run_experiment(
@@ -414,7 +420,6 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
         eval_cfg,
         use_fnc=cfg.use_fnc,
     )
-    eval_dir = out_dir / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
     (eval_dir / "report.csv").write_text(report.to_report_csv())
     (eval_dir / "summary.csv").write_text(report.to_summary_csv())

@@ -36,11 +36,10 @@ class SsfsConfig:
     beam_width: int = 5
     inner_folds: int = 5
     inner_repeats: int = 10
-    extra_passes: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, {"beam_width": 1, "inner_folds": 2, "inner_repeats": 1, "extra_passes": 0})
+        check_fields(self, {"beam_width": 1, "inner_folds": 2, "inner_repeats": 1})
 
 
 @dataclass(frozen=True)
@@ -158,15 +157,13 @@ def ssfs(
     use_fnc: bool = False,
     threads: int = 1,
 ) -> SelectionResult:
-    """Beam search choosing one component per domain (plus optional extras).
+    """Beam search choosing one component per domain.
 
-    Stage t extends every beam member with every unused component of
-    domain t; all candidates are scored and the top `beam_width` survive,
-    ties broken by the lexicographically smallest index list. Each
-    configured extra pass appends one more stage whose candidate pool is
-    every component not already in the set, regardless of domain (this is
-    how a 7th component can emerge from 6 domains). With beam_width=1 the
-    procedure is classic sequential forward selection.
+    Stage t extends every beam member with every component of domain t;
+    domains are disjoint, so no candidate repeats a component or another
+    candidate's set. All candidates are scored and the top `beam_width`
+    survive, ties broken by the lexicographically smallest index list.
+    With beam_width=1 the procedure is classic sequential forward selection.
     """
     labels = [str(x) for x in labels]
     if class_set is None:
@@ -174,9 +171,6 @@ def ssfs(
     n_comp = features[0].n_components
     if len(domains) != n_comp:
         raise SelectionError(f"{len(domains)} domain labels for {n_comp} components")
-    stages = _domain_pools(domains)
-    for _ in range(cfg.extra_passes):
-        stages.append(list(range(n_comp)))
     try:
         parts = partitions(labels, cfg.inner_folds, cfg.seed, cfg.inner_repeats)
     except ValueError as e:
@@ -184,22 +178,8 @@ def ssfs(
 
     beam: list[tuple[int, ...]] = [()]
     trace: list[BeamCandidate] = []
-    for stage_idx, pool in enumerate(stages):
-        seen: set[tuple[int, ...]] = set()
-        candidates: list[tuple[int, ...]] = []
-        for parent in beam:
-            for comp in pool:
-                if comp in parent:
-                    continue
-                cand = parent + (comp,)
-                key = tuple(sorted(cand))
-                if key in seen:
-                    continue
-                seen.add(key)
-                candidates.append(cand)
-        if not candidates:
-            raise SelectionError(f"stage {stage_idx}: no candidates to evaluate")
-
+    for stage_idx, pool in enumerate(_domain_pools(domains)):
+        candidates = [parent + (comp,) for parent in beam for comp in pool]
         scores = _score_stage(
             features, labels, class_set, candidates, kernel_params, svm_cfg, parts, use_fnc, threads
         )

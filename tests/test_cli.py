@@ -385,7 +385,6 @@ RANGE_SETTINGS = [
     ("select", "selection", "beam_width", 0),
     ("select", "selection", "inner_folds", 1),
     ("select", "selection", "inner_repeats", 0),
-    ("select", "selection", "extra_passes", -1),
     ("evaluate", "evaluation", "outer_folds", 1),
     ("evaluate", "evaluation", "repeats", 0),
     ("evaluate", "evaluation", "permutation_rounds", 0),
@@ -422,6 +421,7 @@ class TestExitCodes:
             "svm.class_weighted",
             "selection.scorer",
             "selection.domain_order",
+            "selection.extra_passes",
         ],
     )
     def test_unknown_nested_key_exits_2(self, tmp_path, capsys, key):
@@ -1070,6 +1070,53 @@ class TestStreaming:
         assert rc == 1
         assert str(bold) in capsys.readouterr().err
         assert not (out / "features" / "features.json").exists()
+
+
+
+class TestFailedStages:
+    """A stage that fails leaves no output the next stage would take as its own."""
+
+    def test_failed_fnc_keeps_features_json(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, threads=1)))
+        run, good = tmp_path / "run", tmp_path / "good"
+        for stage in ("simulate", "extract"):
+            assert main([stage, "--config", str(config), "--out", str(run)]) == 0
+        shutil.copytree(run / "features", good / "features")
+        doc_path = run / "features" / "features.json"
+        doc = doc_path.read_bytes()
+        tc = run / "features" / "s0003.tc.msmx"
+        intact = tc.read_bytes()
+        tc.write_bytes(intact[:-8])
+        capsys.readouterr()
+        assert main(["fnc", "--config", str(config), "--out", str(run)]) == 1
+        assert str(tc) in capsys.readouterr().err
+        assert doc_path.read_bytes() == doc
+        tc.write_bytes(intact)
+        for out in (run, good):
+            assert main(["fnc", "--config", str(config), "--out", str(out)]) == 0
+        files = sorted(p.name for p in (good / "features").iterdir())
+        assert sorted(p.name for p in (run / "features").iterdir()) == files
+        for name in files:
+            assert (run / "features" / name).read_bytes() == (good / "features" / name).read_bytes()
+
+    def test_failed_select_and_evaluate_leave_no_hand_off(self, pipeline_dir, tmp_path, capsys):
+        # 7 folds for 4 NR subjects: both stages fail after their config checks
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("dataset", "features"), copied=("selection", "eval"))
+        selection = dict(TINY_CONFIG["selection"], inner_folds=7)
+        evaluation = dict(TINY_CONFIG["evaluation"], outer_folds=7)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(TINY_CONFIG, selection=selection, evaluation=evaluation)))
+        for stage in ("select", "evaluate"):
+            assert main([stage, "--config", str(bad), "--out", str(run)]) == 1
+        assert not (run / "selection" / "result.json").exists()
+        assert not (run / "eval" / "summary.csv").exists()
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--out", str(run)]) == 1
+        assert "(run select first)" in capsys.readouterr().err
+        assert main(["report", "--config", str(config), "--out", str(run)]) == 1
+        assert "(run evaluate first)" in capsys.readouterr().err
 
 
 class TestKernelStages:

@@ -260,6 +260,23 @@ class TestSsfs:
         assert sum(c.kept for c in stage0) == 2
         assert sum(c.kept for c in stage1) == 4
 
+        # 3 domains with interleaved tags: each stage scores the previous
+        # stage's kept beam, best first, times its domain's components, in order
+        feats, labels = _two_class_features(n_per_class=6, k=7, seed=16)
+        domains = ["B", "C", "A", "B", "C", "B", "A"]
+        pools = [[0, 3, 5], [1, 4], [2, 6]]
+        cfg = SsfsConfig(beam_width=2, inner_folds=3, inner_repeats=1, seed=3)
+        result = ssfs(feats, labels, domains, cfg, KP, SVM, class_set=("P", "Q"))
+        beam = [()]
+        for stage, pool in enumerate(pools):
+            rows = [c for c in result.beam_trace if c.stage == stage]
+            assert [c.indices for c in rows] == [parent + (i,) for parent in beam for i in pool]
+            kept = sorted((c for c in rows if c.kept), key=lambda c: (-c.score, c.indices))
+            assert len(kept) == min(cfg.beam_width, len(rows))
+            beam = [c.indices for c in kept]
+        assert [s for s, _ in result.final_beam] == beam
+        assert {c.stage for c in result.beam_trace} == {0, 1, 2}
+
     def test_one_component_per_visited_domain(self):
         feats, labels, meta = generate_interaction_cohort(n_per_class=10, seed=9)
         cfg = SsfsConfig(beam_width=3, inner_folds=3, inner_repeats=1, seed=4)
@@ -291,13 +308,6 @@ class TestSsfs:
         # every cross-product set was evaluated with an identical score
         final_stage = {c.indices: c.score for c in result.beam_trace if c.stage == 1}
         assert final_stage == table
-
-    def test_extra_pass_adds_one_component(self):
-        feats, labels, meta = generate_interaction_cohort(n_per_class=10, seed=12)
-        cfg = SsfsConfig(beam_width=2, inner_folds=3, inner_repeats=1, extra_passes=1, seed=5)
-        result = ssfs(feats, labels, meta["domains"], cfg, KP, SVM, class_set=meta["class_set"])
-        assert len(result.best_set) == 3
-        assert len(set(result.best_set)) == 3
 
     def test_stages_follow_first_appearance_of_domains(self):
         feats, labels = _two_class_features(n_per_class=6, seed=15)
