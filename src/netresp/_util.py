@@ -1,7 +1,7 @@
 """Seed derivation, the checks of outside input (numbers, JSON objects,
-component indices, class names) and deterministic parallel mapping shared
-across modules. Each input check takes the error class to raise, so each
-caller keeps its own exit code."""
+subject entries, component indices, class names) and deterministic
+parallel mapping shared across modules. Each input check takes the error
+class to raise, so each caller keeps its own exit code."""
 
 from __future__ import annotations
 
@@ -88,12 +88,37 @@ def check_keys(doc, required, allowed, where, error) -> dict:
     return doc
 
 
-def check_strings(doc: dict, keys, where, error) -> None:
-    """Raise `error` naming `where` and the key when `doc` holds a value
-    that is not a string under one of `keys`."""
-    for key in keys:
-        if not isinstance(doc.get(key, ""), str):
-            raise error(f"{where}: {key!r} must be a string, got {doc[key]!r}")
+def check_file_name(value, what, error) -> None:
+    """Raise `error` naming `what` and the value unless `value` is a plain
+    file name: a non-empty string other than '.' and '..', with no '/',
+    '\\' or NUL, so a path joined from it stays in its directory."""
+    plain = isinstance(value, str) and value not in ("", ".", "..")
+    if not plain or any(c in value for c in "/\\\0"):
+        raise error(f"{what} must be a plain file name, got {value!r}")
+
+
+def check_subject_entries(entries, required, allowed, names, where, error) -> list:
+    """`entries` when it is a list of JSON objects, each passing
+    :func:`check_keys` for `required` and `allowed`, with a string under
+    each key in `required`, a plain file name under each key in `names`
+    that it holds and an id that no earlier entry has; otherwise raises
+    `error` naming `where`, the entry and the key."""
+    if not isinstance(entries, list):
+        raise error(f"{where}: 'subjects' must be a list of entries, got {entries!r}")
+    ids = set()
+    for n, entry in enumerate(entries):
+        at = f"{where}: subject entry {n}"
+        check_keys(entry, required, allowed, at, error)
+        for key in required:
+            if not isinstance(entry[key], str):
+                raise error(f"{at}: {key!r} must be a string, got {entry[key]!r}")
+        for key in names:
+            if key in entry:
+                check_file_name(entry[key], f"{at}: {key!r}", error)
+        if entry["id"] in ids:
+            raise error(f"{at}: duplicate subject id {entry['id']!r}")
+        ids.add(entry["id"])
+    return entries
 
 
 def read_json_object(path, required=(), allowed=None, error=ValueError, hint: str = "") -> dict:
@@ -130,10 +155,14 @@ def check_indices(values, n: int | None, what: str, error=ValueError, empty_ok=F
 
 def check_class_names(names, what: str, error=ValueError) -> tuple[str, ...]:
     """`names` as a tuple when it is a list or tuple of at least 2 distinct
-    strings; otherwise raises `error` naming `what`."""
+    strings, none holding a comma or a line break (each names a column of a
+    csv row); otherwise raises `error` naming `what`."""
     strings = isinstance(names, (list, tuple)) and all(isinstance(c, str) for c in names)
     if not strings or len(names) < 2 or len(set(names)) != len(names):
         raise error(f"{what} must be a list of at least 2 distinct class names, got {names!r}")
+    for name in names:
+        if any(c in name for c in ",\n\r"):
+            raise error(f"{what}: class name {name!r} holds a comma or a line break")
     return tuple(names)
 
 

@@ -20,13 +20,12 @@ from ._util import (
     check_fields,
     check_indices,
     check_keys,
-    check_strings,
+    check_subject_entries,
     derive_seed,
     parallel_imap,
     read_json_object,
 )
 from .datamodel import (
-    Manifest,
     ManifestError,
     SubjectFeatures,
     check_fnc,
@@ -154,33 +153,28 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
             f"simulate supports template presets {', '.join(map(repr, _TEMPLATE_PRESETS))}; "
             f"got {cfg.template!r} (external template paths apply to extract)"
         )
-    plan = plan_cohort(cfg.synth)
-    dataset_dir = out_dir / "dataset"
+    try:
+        plan = plan_cohort(cfg.synth)
+    except RuntimeError as e:  # the overlap constraint leaves no room for a component
+        k, grid = cfg.synth.n_components, list(cfg.synth.grid)
+        raise ConfigError(f"synth.n_components {k} is too many for synth.grid {grid}: {e}") from e
+    (truth_path,) = _clear_outputs(out_dir, "simulate")
     subjects = parallel_imap(
         lambda i: make_subject(plan, i)[0], range(len(plan.labels)), cfg.threads
     )
-    manifest_path = write_subjects(plan.template, plan.class_set, subjects, dataset_dir)
+    manifest_path = write_subjects(plan.template, plan.class_set, subjects, truth_path.parent)
     truth_doc = {
         "informative_indices": list(plan.informative_indices),
         "class_set": list(plan.class_set),
         "counts": {c: plan.labels.count(c) for c in plan.class_set},
         "seed": cfg.synth.seed,
     }
-    (dataset_dir / "ground_truth.json").write_text(json.dumps(truth_doc, indent=2) + "\n")
+    truth_path.write_text(json.dumps(truth_doc, indent=2) + "\n")
     print(
         f"simulated {len(plan.labels)} subjects, {plan.template.n_components} components, "
         f"{plan.template.n_voxels} voxels -> {manifest_path}"
     )
     return 0
-
-
-def _manifest_for(cfg: RunConfig, out_dir: Path) -> Manifest:
-    manifest = out_dir / "dataset" / "manifest.json"
-    if cfg.template not in _TEMPLATE_PRESETS:
-        # external dataset directory or manifest path
-        p = Path(cfg.template)
-        manifest = p / "manifest.json" if p.is_dir() else p
-    return read_manifest(manifest)
 
 
 def _write_features(feat_dir: Path, entry: dict, f: SubjectFeatures) -> dict:
@@ -199,11 +193,14 @@ def _write_features(feat_dir: Path, entry: dict, f: SubjectFeatures) -> dict:
 
 
 def cmd_extract(cfg: RunConfig, out_dir: Path) -> int:
-    manifest = _manifest_for(cfg, out_dir)
-    feat_dir = out_dir / "features"
+    (doc_path,) = _clear_outputs(out_dir, "extract")
+    manifest_path = out_dir / "dataset" / "manifest.json"
+    if cfg.template not in _TEMPLATE_PRESETS:  # an external dataset directory or manifest
+        p = Path(cfg.template)
+        manifest_path = p / "manifest.json" if p.is_dir() else p
+    manifest = read_manifest(manifest_path)
+    feat_dir = doc_path.parent
     feat_dir.mkdir(parents=True, exist_ok=True)
-    doc_path = feat_dir / "features.json"
-    doc_path.unlink(missing_ok=True)
     seed = derive_seed(cfg.seed, "extract")
 
     def one(item):
@@ -229,32 +226,30 @@ def cmd_extract(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _features_doc(out_dir: Path) -> tuple[Path, dict]:
-    """features.json, with its subject entries and domains checked; and its path."""
+def _features_doc(out_dir: Path) -> dict:
+    """features.json, with its subject entries and domains checked."""
     doc_path = out_dir / "features" / "features.json"
     hint = " (run extract first)"
     doc = read_json_object(doc_path, ("subjects", "domains"), None, ManifestError, hint)
-    subjects, domains = doc["subjects"], doc["domains"]
-    if not isinstance(subjects, list):
-        raise ManifestError(f"{doc_path}: 'subjects' must be a list of entries, got {subjects!r}")
+    domains = doc["domains"]
     # the kernel stages take K, the component count, from 'domains'
     if not isinstance(domains, list) or not domains or not all(isinstance(d, str) for d in domains):
         raise ManifestError(
             f"{doc_path}: 'domains' must be a non-empty list of names, got {domains!r}"
         )
-    for n, entry in enumerate(subjects):
-        where = f"{doc_path}: subject entry {n}"
-        check_keys(entry, ("id", "label", "sm", "tc"), None, where, ManifestError)
-        # fnc is added by the fnc stage
-        check_strings(entry, ("id", "label", "sm", "tc", "fnc"), where, ManifestError)
+    # each id names the fnc stage's <id>.fnc.msmx, and each file name a file
+    # beside features.json; fnc is added by the fnc stage
+    required, names = ("id", "label", "sm", "tc"), ("id", "sm", "tc", "fnc")
+    entries = check_subject_entries(doc["subjects"], required, None, names, doc_path, ManifestError)
+    for n, entry in enumerate(entries):
         # extract writes one flag per component, so the count is checked without a read
         converged = entry.get("converged")
         if isinstance(converged, list) and len(converged) != len(domains):
             raise ManifestError(
-                f"{where}: 'converged' must be a flag per 'domains' entry, "
-                f"got {len(converged)} flags for {len(domains)} domains"
+                f"{doc_path}: subject entry {n}: 'converged' must be a flag per 'domains' "
+                f"entry, got {len(converged)} flags for {len(domains)} domains"
             )
-    return doc_path, doc
+    return doc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -300,27 +295,31 @@ def _load_features(
 
 
 def cmd_fnc(cfg: RunConfig, out_dir: Path) -> int:
-    doc_path, doc = _features_doc(out_dir)
+    doc = _features_doc(out_dir)
+    feat_dir = out_dir / "features"
     n_components = len(doc["domains"])
     for entry in doc["subjects"]:
-        tc = read_matrix(doc_path.parent / entry["tc"])
+        tc = read_matrix(feat_dir / entry["tc"])
         if tc.shape[1] != n_components:
             raise ManifestError(
                 f"subject {entry['id']}: time courses have {tc.shape[1]} columns, "
                 f"expected {n_components}, one per 'domains' entry"
             )
         name = f"{entry['id']}.fnc.msmx"
-        write_matrix(compute_fnc(tc), doc_path.parent / name)
+        write_matrix(compute_fnc(tc), feat_dir / name)
         entry["fnc"] = name
-    doc_path.write_text(json.dumps(doc, indent=2) + "\n")
+    (feat_dir / "features.json").write_text(json.dumps(doc, indent=2) + "\n")
     print(f"computed FNC matrices for {len(doc['subjects'])} subjects")
     return 0
 
 
-def _class_entries(cfg: RunConfig, doc: dict) -> list[dict]:
-    """The features.json entries of the subjects in the configured classes
-    (`EvalConfig` checks the names), each of which must have a subject in
-    the data."""
+def _stage_inputs(cfg: RunConfig, out_dir: Path, command: str):
+    """features.json, its entries of the subjects in the configured classes,
+    the component set (the fixed selection, else selection/result.json's
+    best set, None for a select that searches) and the stage's output paths,
+    cleared once the config checks have passed: a config error touches no
+    file, and a stage that fails later leaves none of its old outputs."""
+    doc = _features_doc(out_dir)
     labels = {e["label"] for e in doc["subjects"]}
     class_set = cfg.evaluation.class_set
     missing = [c for c in class_set if c not in labels]
@@ -329,27 +328,19 @@ def _class_entries(cfg: RunConfig, doc: dict) -> list[dict]:
             f"evaluation.class_set names {missing[0]!r}, but no subject in features.json "
             f"has that label (labels: {sorted(labels)})"
         )
-    return [e for e in doc["subjects"] if e["label"] in class_set]
-
-
-def _selected_set(cfg: RunConfig, doc: dict, out_dir: Path) -> list[int]:
-    """The fixed selection, or else selection/result.json's best set,
-    range-checked against features.json's domains."""
-    n = len(doc["domains"])
-    if cfg.fixed is not None:
-        return check_indices(cfg.fixed, n, "fixed selection", ConfigError)
-    path = out_dir / "selection" / "result.json"
-    result = read_json_object(path, ("best_set",), None, ManifestError, " (run select first)")
-    return check_indices(result["best_set"], n, f"{path}: 'best_set'", ManifestError)
+    entries = [e for e in doc["subjects"] if e["label"] in class_set]
+    n, fixed = len(doc["domains"]), cfg.fixed
+    selected = None if fixed is None else check_indices(fixed, n, "fixed selection", ConfigError)
+    outputs = _clear_outputs(out_dir, command)
+    if selected is None and command != "select":
+        path = out_dir / "selection" / "result.json"
+        result = read_json_object(path, ("best_set",), None, ManifestError, " (run select first)")
+        selected = check_indices(result["best_set"], n, f"{path}: 'best_set'", ManifestError)
+    return doc, entries, selected, outputs
 
 
 def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
-    doc_path, doc = _features_doc(out_dir)
-    entries = _class_entries(cfg, doc)
-    fixed = None if cfg.fixed is None else _selected_set(cfg, doc, out_dir)
-    sel_dir = out_dir / "selection"
-    # past the config checks: a select that fails leaves no result for evaluate
-    (sel_dir / "result.json").unlink(missing_ok=True)
+    doc, entries, fixed, outputs = _stage_inputs(cfg, out_dir, "select")
     truth_path = out_dir / "dataset" / "ground_truth.json"
     planted = None
     if truth_path.exists():
@@ -367,7 +358,7 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
         final_beam, trace, ties = [(fixed, None)], TRACE_HEADER, []
     else:
         result = ssfs(
-            _load_features(doc_path.parent, entries, len(doc["domains"]), cfg.use_fnc),
+            _load_features(out_dir / "features", entries, len(doc["domains"]), cfg.use_fnc),
             [e["label"] for e in entries],
             doc["domains"],
             cfg.selection,
@@ -380,7 +371,8 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
         final_beam, trace, ties = result.final_beam, result.trace_csv(), result.top_ties()
 
     best_set, best_score = list(final_beam[0][0]), final_beam[0][1]
-    sel_dir.mkdir(parents=True, exist_ok=True)
+    result_path, trace_path, meta_path = outputs
+    result_path.parent.mkdir(parents=True, exist_ok=True)
     out = {
         "best_set": best_set,
         "best_score": best_score,
@@ -388,41 +380,31 @@ def cmd_select(cfg: RunConfig, out_dir: Path) -> int:
         "features": cfg.features,
         "final_beam": [{"set": list(s), "score": sc} for s, sc in final_beam],
     }
-    (sel_dir / "result.json").write_text(json.dumps(out, indent=2) + "\n")
-    (sel_dir / "trace.csv").write_text(trace)
+    result_path.write_text(json.dumps(out, indent=2) + "\n")
+    trace_path.write_text(trace)
     meta: dict = {"top_ties": ties}
     if planted is not None:
         hits = len(set(planted) & set(best_set))
         meta["informative_indices"] = planted
         meta["recall"] = hits / len(planted) if planted else None
         meta["precision"] = hits / len(best_set)
-    (sel_dir / "selection_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
     print(f"selected components {best_set} (mode {cfg.selection_mode})")
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
-    doc_path, doc = _features_doc(out_dir)
-    entries = _class_entries(cfg, doc)
-    fixed = None if cfg.fixed is None else _selected_set(cfg, doc, out_dir)
-    eval_dir = out_dir / "eval"
-    # past the config checks: an evaluate that fails leaves no summary for report
-    (eval_dir / "summary.csv").unlink(missing_ok=True)
-    selected = fixed or _selected_set(cfg, doc, out_dir)
+    doc, entries, selected, outputs = _stage_inputs(cfg, out_dir, "evaluate")
+    features = _load_features(out_dir / "features", entries, len(doc["domains"]), cfg.use_fnc)
     labels = [e["label"] for e in entries]
     eval_cfg = cfg.evaluation
     report = run_experiment(
-        _load_features(doc_path.parent, entries, len(doc["domains"]), cfg.use_fnc),
-        labels,
-        selected,
-        cfg.kernel,
-        cfg.svm,
-        eval_cfg,
-        use_fnc=cfg.use_fnc,
+        features, labels, selected, cfg.kernel, cfg.svm, eval_cfg, use_fnc=cfg.use_fnc
     )
-    eval_dir.mkdir(parents=True, exist_ok=True)
-    (eval_dir / "report.csv").write_text(report.to_report_csv())
-    (eval_dir / "summary.csv").write_text(report.to_summary_csv())
+    report_path, summary_path, meta_path, _ = outputs  # report.svg is report's to draw
+    report_path.parent.mkdir(parents=True, exist_ok=True)
+    report_path.write_text(report.to_report_csv())
+    summary_path.write_text(report.to_summary_csv())
     meta = {
         "selected": selected,
         "features": cfg.features,
@@ -432,7 +414,7 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
         "seed": eval_cfg.seed,
         "unconverged_solves": report.unconverged_solves,
     }
-    (eval_dir / "eval_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
     agg = report.aggregates()
     print(
         f"evaluated {len(labels)} subjects on components {list(selected)}: "
@@ -452,18 +434,14 @@ def cmd_evaluate(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_kernel(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.fixed is None:
         raise ConfigError("kernel dump requires --selection fixed:<list>")
-    doc_path, doc = _features_doc(out_dir)
-    selected = _selected_set(cfg, doc, out_dir)
-    features = _load_features(doc_path.parent, doc["subjects"], len(doc["domains"]), cfg.use_fnc)
+    doc, entries, selected, (kernel_path, ids_path) = _stage_inputs(cfg, out_dir, "kernel")
+    features = _load_features(out_dir / "features", entries, len(doc["domains"]), cfg.use_fnc)
     kernel = build_kernel_matrix(features, selected, cfg.kernel, use_fnc=cfg.use_fnc)
-    kdir = out_dir / "kernel"
-    kdir.mkdir(parents=True, exist_ok=True)
+    kernel_path.parent.mkdir(parents=True, exist_ok=True)
     # the dump is the kernel a training block would see: spectrum-fixed
-    write_matrix(apply_spectrum_fix(kernel.values, cfg.kernel), kdir / "kernel.msmx")
-    (kdir / "subjects.json").write_text(
-        json.dumps({"subject_ids": list(kernel.subject_ids), "selected": selected}, indent=2)
-        + "\n"
-    )
+    write_matrix(apply_spectrum_fix(kernel.values, cfg.kernel), kernel_path)
+    ids = {"subject_ids": list(kernel.subject_ids), "selected": selected}
+    ids_path.write_text(json.dumps(ids, indent=2) + "\n")
     print(f"wrote {len(features)}x{len(features)} kernel for components {selected}")
     return 0
 
@@ -499,6 +477,8 @@ def _svg_box_plot(rows: list[dict]) -> str:
     for i, row in enumerate(rows):
         cx = margin_l + plot_w * (i + 0.5) / n
         lo, q1, med, q3, hi = (row[c] for c in ("whisker_lo", "q1", "median", "q3", "whisker_hi"))
+        # metric names hold class names, whose & or < would break the XML
+        name = row["metric"].replace("&", "&amp;").replace("<", "&lt;")
         out.append(
             f'<line x1="{cx:.1f}" y1="{sy(lo):.1f}" x2="{cx:.1f}" y2="{sy(hi):.1f}" '
             f'stroke="#444"/>'
@@ -519,13 +499,14 @@ def _svg_box_plot(rows: list[dict]) -> str:
         out.append(
             f'<text x="{cx:.1f}" y="{height - margin_b + 16}" text-anchor="end" '
             f'font-size="11" font-family="sans-serif" '
-            f'transform="rotate(-40 {cx:.1f} {height - margin_b + 16})">{row["metric"]}</text>'
+            f'transform="rotate(-40 {cx:.1f} {height - margin_b + 16})">{name}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
 def cmd_report(cfg: RunConfig, out_dir: Path) -> int:
+    (svg_path,) = _clear_outputs(out_dir, "report")
     summary_path = out_dir / "eval" / "summary.csv"
     if not summary_path.exists():
         raise ManifestError(f"summary not found: {summary_path} (run evaluate first)")
@@ -551,24 +532,39 @@ def cmd_report(cfg: RunConfig, out_dir: Path) -> int:
             if not np.isfinite(row[column]):  # float() reads 'nan' and 'inf'
                 raise ManifestError(f"{where}: {text!r} is not a finite number")
         rows.append(row)
-    svg = _svg_box_plot(rows)
-    (out_dir / "eval" / "report.svg").write_text(svg)
-    print(f"wrote box plot for {len(rows)} metrics -> {out_dir / 'eval' / 'report.svg'}")
+    svg_path.write_text(_svg_box_plot(rows))
+    print(f"wrote box plot for {len(rows)} metrics -> {svg_path}")
     return 0
 
 
 # ------------------------------------------------------------------ driver
 
-# each stage's function and its help text
+# each stage's function, its help text and the files it writes under the
+# output directory, which it clears once its config has passed. evaluate
+# also clears report.svg, drawn from its summary; fnc clears nothing, so a
+# failed fnc leaves extract's features.json valid
 _COMMANDS = {
-    "simulate": (cmd_simulate, "generate a synthetic dataset (manifest + matrix containers)"),
-    "extract": (cmd_extract, "run constrained ICA against the dataset template"),
-    "fnc": (cmd_fnc, "compute per-subject FNC matrices from extracted time courses"),
-    "kernel": (cmd_kernel, "dump the subject kernel matrix for a fixed component set"),
-    "select": (cmd_select, "run (soft) sequential forward selection over domains"),
-    "evaluate": (cmd_evaluate, "outer cross-validation of the selected component set"),
-    "report": (cmd_report, "render summary.csv as an SVG box plot"),
+    "simulate": (cmd_simulate, "generate a synthetic dataset (manifest + matrix containers)",
+                 ("dataset/ground_truth.json",)),  # write_subjects clears the manifest
+    "extract": (cmd_extract, "run constrained ICA against the dataset template",
+                ("features/features.json",)),
+    "fnc": (cmd_fnc, "compute per-subject FNC matrices from extracted time courses", ()),
+    "kernel": (cmd_kernel, "dump the subject kernel matrix for a fixed component set",
+               ("kernel/kernel.msmx", "kernel/subjects.json")),
+    "select": (cmd_select, "run (soft) sequential forward selection over domains",
+               ("selection/result.json", "selection/trace.csv", "selection/selection_meta.json")),
+    "evaluate": (cmd_evaluate, "outer cross-validation of the selected component set",
+                 ("eval/report.csv", "eval/summary.csv", "eval/eval_meta.json", "eval/report.svg")),
+    "report": (cmd_report, "render summary.csv as an SVG box plot", ("eval/report.svg",)),
 }
+
+
+def _clear_outputs(out_dir: Path, command: str) -> list[Path]:
+    """The paths of `command`'s outputs, in `_COMMANDS` order, each file removed."""
+    paths = [out_dir / name for name in _COMMANDS[command][2]]
+    for path in paths:
+        path.unlink(missing_ok=True)
+    return paths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-scale network-feature pipeline for medication-response prediction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, description) in _COMMANDS.items():
+    for name, (_, description, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=description, description=description)
         p.add_argument("--config", type=str, default=None, help="JSON run config (default: built-in defaults)")
         p.add_argument("--out", type=str, required=True, help="pipeline output directory")

@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import check_class_names, check_int, check_keys, check_strings, read_json_object
+from ._util import (
+    check_class_names, check_file_name, check_int, check_subject_entries, read_json_object
+)
 
 MAGIC = b"MSMX"
 FORMAT_VERSION = 1
@@ -204,11 +206,14 @@ class Subject:
 
 def _checked_subjects(template: Template, class_set: tuple, subjects):
     """Yield `subjects`, each checked against Dataset's invariants as it
-    arrives: ids unique, labels in `class_set`, the template's voxel count."""
+    arrives: ids unique plain file names, labels in `class_set`, the
+    template's voxel count."""
     check_class_names(class_set, "class_set")
     ids: set[str] = set()
     v = template.n_voxels
     for s in subjects:
+        # its bold is written to <id>.bold.msmx
+        check_file_name(s.id, "subject id", ValueError)
         if s.id in ids:
             raise ValueError(f"duplicate subject id: {s.id!r}")
         if s.n_voxels != v:
@@ -348,20 +353,17 @@ def read_manifest(manifest_path) -> Manifest:
     except ValueError as e:
         raise ManifestError(f"{manifest_path}: {e}") from e
 
-    if not isinstance(manifest["subjects"], list):
-        raise ManifestError(f"{manifest_path}: 'subjects' must be a list of entries")
-    entries, ids = [], set()
-    for n, entry in enumerate(manifest["subjects"]):
-        where = f"{manifest_path}: subject entry {n}"
-        check_keys(entry, _SUBJECT_KEYS, (), where, ManifestError)
-        check_strings(entry, _SUBJECT_KEYS, where, ManifestError)
-        if entry["id"] in ids:
-            raise ManifestError(f"{where}: duplicate subject id {entry['id']!r}")
+    # extract writes <id>.sm.msmx and the rest, so an id is a plain file name
+    subjects = check_subject_entries(
+        manifest["subjects"], _SUBJECT_KEYS, (), ("id",), manifest_path, ManifestError
+    )
+    for n, entry in enumerate(subjects):
         if entry["label"] not in class_set:
-            raise ManifestError(f"{where}: label {entry['label']!r} not in class_set")
-        ids.add(entry["id"])
-        entries.append(dict(entry, bold=_resolve(entry["bold"])))
-    return Manifest(template, class_set, tuple(entries))
+            raise ManifestError(
+                f"{manifest_path}: subject entry {n}: label {entry['label']!r} not in class_set"
+            )
+    entries = tuple(dict(entry, bold=_resolve(entry["bold"])) for entry in subjects)
+    return Manifest(template, class_set, entries)
 
 
 def load_dataset(manifest_path) -> Dataset:

@@ -17,7 +17,8 @@ Time courses regress the z-scored bold, kept from whitening, onto the
 maps. They are solved on the K x K Gram of the maps, with one correction
 against the full residual where cond(maps) exceeds GRAM_REFINE_COND;
 `np.linalg.lstsq` solves instead where the maps are rank-deficient by
-construction (pca_retained < K) or cond(maps) exceeds GRAM_MAX_COND.
+construction (fewer whitened rows than components, as when pca_retained < K
+or T - 1 < K) or cond(maps) exceeds GRAM_MAX_COND.
 """
 
 from __future__ import annotations
@@ -227,8 +228,9 @@ def extract_subject(
     least-squares regression of the normalized bold onto the maps, solved
     on the maps' Gram and corrected once against the full residual when
     cond(maps) > GRAM_REFINE_COND; `np.linalg.lstsq` solves instead when
-    pca_retained < K makes the maps rank-deficient, or when cond(maps) >
-    GRAM_MAX_COND (see :func:`_time_courses`).
+    fewer whitened rows than components (pca_retained < K, or T - 1 < K)
+    make the maps rank-deficient, or when cond(maps) > GRAM_MAX_COND (see
+    :func:`_time_courses`).
     Deterministic given the seed, which only matters for the degenerate
     case of a reference with no energy in the retained subspace: those
     units start from random draws, taken in component order.

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,37 @@ class TestPipeline:
         doc = json.loads((out / "kernel" / "subjects.json").read_text())
         assert k.shape == (20, 20)
         assert len(doc["subject_ids"]) == 20
+
+    def test_kernel_dumps_the_class_set(self, pipeline_dir, tmp_path):
+        # the dump took every subject, whatever evaluation.class_set named
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("features",))
+        evaluation = dict(TINY_CONFIG["evaluation"], class_set=["AD", "NR"])
+        two = tmp_path / "two.json"
+        two.write_text(json.dumps(dict(TINY_CONFIG, evaluation=evaluation)))
+        args = ["kernel", "--config", str(two), "--out", str(run), "--selection", "fixed:0,1"]
+        assert main(args) == 0
+        doc = json.loads((run / "features" / "features.json").read_text())
+        entries = [e for e in doc["subjects"] if e["label"] in ("AD", "NR")]
+        assert len(entries) == 12
+        dumped = json.loads((run / "kernel" / "subjects.json").read_text())
+        assert dumped["subject_ids"] == [e["id"] for e in entries]
+        k = read_matrix(run / "kernel" / "kernel.msmx")
+        features = _load_features(run / "features", entries, len(doc["domains"]), False)
+        raw = build_kernel_matrix(features, [0, 1], PabsKernelParams(), use_fnc=False).values
+        assert np.array_equal(k, apply_spectrum_fix(raw, PabsKernelParams()))
+
+    def test_svg_escapes_metric_names(self, tmp_path):
+        # class names reach the plot as metric names: 'A&B' and 'C<D' made
+        # report.svg malformed XML
+        summary = tmp_path / "run" / "eval" / "summary.csv"
+        summary.parent.mkdir(parents=True)
+        names = ["macro_pr_auc", "ap_A&B", "ap_C<D"]
+        rows = [f"{name},0.5,0.25,0.75,0.0,1.0" for name in names]
+        summary.write_text("\n".join(["metric,median,q1,q3,whisker_lo,whisker_hi", *rows]) + "\n")
+        assert main(["report", "--out", str(tmp_path / "run")]) == 0
+        svg = xml.dom.minidom.parse(str(summary.parent / "report.svg"))
+        assert [t.firstChild.data for t in svg.getElementsByTagName("text")][-3:] == names
 
     def test_clip_default_on_dumped_kernel(self, pipeline_dir, tmp_path):
         # build_kernel_matrix gives the raw kernel; the dump carries the
@@ -324,6 +356,11 @@ BAD_SETTINGS = [
     # split into one-letter classes
     ("evaluate", "evaluation", "class_set", ["AD", "AD", "MS", "NR"]),
     ("evaluate", "evaluation", "class_set", "AD"),
+    # a comma split each summary.csv row of that class, which report then
+    # rejected; a line break split the row in two
+    ("evaluate", "evaluation", "class_set", ["AD,MS", "NR"]),
+    ("evaluate", "evaluation", "class_set", ["AD", "MS\nNR"]),
+    ("simulate", "synth", "class_counts", {"A,D": 8, "MS": 8}),
     # a count below 1 would simulate one subject; one class or a repeated
     # one would fail in write_subjects
     ("simulate", "synth", "class_counts", {"AD": 0, "MS": 8, "NR": 4}),
@@ -753,6 +790,11 @@ class TestExitCodes:
             (("domains",), ["D0"] * 11, "select", "fixed:0,8", "subject entry 0: 'converged'"),
             # K is its length; was reported as a 'converged' count fault
             (("domains",), [], "kernel", "fixed:0,1", "'domains'"),
+            # fnc wrote features/../escaped.fnc.msmx; the file names were read
+            # wherever they pointed
+            (("subjects", 0, "id"), "../escaped", "fnc", "ssfs", "subject entry 0: 'id'"),
+            (("subjects", 0, "sm"), "sub/s.sm.msmx", "evaluate", "fixed:0,1", "subject entry 0: 'sm'"),
+            (("subjects", 1, "fnc"), "..", "kernel", "fixed:0,1", "subject entry 1: 'fnc'"),
         ],
     )
     def test_features_json_shape_exits_1(
@@ -772,6 +814,22 @@ class TestExitCodes:
         assert main(args + ["--selection", selection]) == 1
         assert capsys.readouterr().err.startswith(f"error: {doc_path}: {message} must be a")
         assert not (run / "selection").exists()
+
+    @pytest.mark.parametrize("command", ["fnc", "select"])
+    def test_repeated_features_id_exits_1(self, pipeline_dir, tmp_path, capsys, command):
+        # fnc wrote both FNCs to s0000.fnc.msmx, so subject 0 took subject
+        # 1's, and select exited 0
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, copied=("features",))
+        doc_path = run / "features" / "features.json"
+        doc = json.loads(doc_path.read_text())
+        doc["subjects"][1]["id"] = "s0000"
+        doc_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        args = [command, "--config", str(config), "--out", str(run), "--features", "sm+fnc"]
+        assert main(args) == 1
+        message = f"error: {doc_path}: subject entry 1: duplicate subject id 's0000'"
+        assert capsys.readouterr().err.startswith(message)
 
     def test_invalid_features_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -875,6 +933,12 @@ class TestExitCodes:
         err = self._config_error(pipeline_dir, tmp_path, capsys, "simulate", "synth", {key: value})
         assert f"invalid synth config: {key}" in err
         assert f"got {value!r}" in err
+
+    def test_components_the_grid_cannot_hold_exit_2(self, pipeline_dir, tmp_path, capsys):
+        # was a RuntimeError traceback from placing the template's components
+        updates = {"n_components": 1000, "grid": [16, 16, 8]}
+        err = self._config_error(pipeline_dir, tmp_path, capsys, "simulate", "synth", updates)
+        assert "synth.n_components 1000 is too many for synth.grid [16, 16, 8]" in err
 
     @pytest.mark.parametrize("command", ["select", "evaluate"])
     def test_class_set_name_missing_from_data_exits_2(
@@ -1117,6 +1181,46 @@ class TestFailedStages:
         assert "(run select first)" in capsys.readouterr().err
         assert main(["report", "--config", str(config), "--out", str(run)]) == 1
         assert "(run evaluate first)" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("stage", ["extract", "select", "evaluate", "kernel", "report"])
+    def test_failed_stage_leaves_none_of_its_outputs(self, pipeline_dir, tmp_path, stage):
+        config, out = pipeline_dir
+        run = _run_dir(tmp_path, out, linked=("dataset",), copied=("features", "selection", "eval"))
+        args = ["--config", str(config), "--out", str(run), "--features", "sm+fnc"]
+        assert main(["kernel", *args, "--selection", "fixed:0,1"]) == 0
+        assert main(["report", *args]) == 0  # an earlier test re-ran evaluate
+        outputs = {
+            "extract": ["features.json"],
+            "select": ["result.json", "trace.csv", "selection_meta.json"],
+            "evaluate": ["report.csv", "summary.csv", "eval_meta.json", "report.svg"],
+            "kernel": ["kernel.msmx", "subjects.json"],
+            "report": ["report.svg"],
+        }[stage]
+        dirs = {"extract": "features", "select": "selection", "kernel": "kernel"}
+        stage_dir = run / dirs.get(stage, "eval")
+        assert all((stage_dir / name).exists() for name in outputs)
+        # each stage fails past its config checks: select and evaluate on 7
+        # folds for 4 NR subjects (they left their old trace.csv, report.csv
+        # and the rest beside the removed hand-off), kernel on a truncated
+        # maps file, report on a summary without its quartiles and extract on
+        # a dataset path that does not exist
+        selection = dict(TINY_CONFIG["selection"], inner_folds=7)
+        evaluation = dict(TINY_CONFIG["evaluation"], outer_folds=7)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(TINY_CONFIG, selection=selection, evaluation=evaluation)))
+        extra = []
+        if stage == "kernel":
+            maps = run / "features" / "s0003.sm.msmx"
+            maps.write_bytes(maps.read_bytes()[:-8])
+            extra = ["--selection", "fixed:0,1"]
+        elif stage == "report":
+            (run / "eval" / "summary.csv").write_text("metric,median\nmacro_f1,1\n")
+        elif stage == "extract":
+            extra = ["--template", str(tmp_path / "missing")]
+        args = [stage, "--config", str(bad), "--out", str(run), "--features", "sm+fnc"]
+        assert main(args + extra) == 1
+        assert [name for name in outputs if (stage_dir / name).exists()] == []
 
 
 class TestKernelStages:

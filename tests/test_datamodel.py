@@ -368,6 +368,17 @@ class TestManifest:
         with pytest.raises(ManifestError, match=f"subject entry 1: '{key}' must be a string"):
             read_manifest(manifest_path)
 
+    @pytest.mark.parametrize("sid", ["../escaped", "/abs/s1", "a\\b", "a\0b", "", ".", ".."])
+    def test_subject_id_must_be_a_plain_file_name(self, tmp_path, sid):
+        # extract wrote '../escaped' to <out>/escaped.sm.msmx, outside features/
+        manifest_path, _ = _write_tiny_dataset(tmp_path)
+        doc = json.loads(manifest_path.read_text())
+        doc["subjects"][1]["id"] = sid
+        manifest_path.write_text(json.dumps(doc))
+        message = f"{manifest_path}: subject entry 1: 'id' must be a plain file name"
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            read_manifest(manifest_path)
+
     def test_entries_checked_before_any_bold_is_read(self, tmp_path):
         manifest_path, _ = _write_tiny_dataset(tmp_path, n_subjects=3)
         (tmp_path / "s0.bold.msmx").write_bytes(b"")
@@ -435,12 +446,14 @@ class TestWriteSubjects:
             write_subjects(ds.template, ds.class_set, [ds.subjects[0], s], tmp_path / "out")
         assert not (tmp_path / "out" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("field", ["label", "voxels"])
+    @pytest.mark.parametrize("field", ["label", "voxels", "id"])
     def test_rejects_what_dataset_rejects(self, tmp_path, field):
         _, ds = _write_tiny_dataset(tmp_path / "src")
         s = ds.subjects[1]
         if field == "label":
             s = Subject(id=s.id, bold=s.bold, label="nope", group=s.group)
+        elif field == "id":  # was written to tmp_path/s1.bold.msmx, outside out/
+            s = Subject(id="../s1", bold=s.bold, label=s.label, group=s.group)
         else:
             s = Subject(id=s.id, bold=s.bold[:, :-1], label=s.label, group=s.group)
         with pytest.raises(ValueError) as streamed:
