@@ -614,9 +614,8 @@ def main(argv=None) -> int:
         # every flag but these is named after the config key it overrides
         flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
         cfg = load_run_config(args.config, flags)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command][0](cfg, out_dir)
+        # each stage makes the directories it writes once its config has passed
+        return _COMMANDS[args.command][0](cfg, Path(args.out))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

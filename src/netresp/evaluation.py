@@ -1,4 +1,4 @@
-"""Outer evaluation protocol: repeated stratified k-fold CV, PR metrics, baselines.
+"""Outer evaluation protocol: repeated stratified k-fold CV, PR metrics, chance level.
 
 Each of the configured repeats draws a fresh stratified fold partition
 from the master seed; the SVM solver is deterministic, so repeats differ
@@ -12,7 +12,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from ._util import check_class_names, check_fields, derive_seed, parallel_map
+from ._util import check_class_names, check_fields, derive_seed
 from .kernels import PabsKernelParams, SubspaceFactors, apply_spectrum_fix, build_kernel_matrix
 from .svm import SvmConfig, ovr_labels, solve_smo_arrays
 
@@ -42,12 +42,11 @@ class EvalConfig:
     outer_folds: int = 5
     repeats: int = 50
     class_set: tuple[str, ...] = ("AD", "MS", "NR")
-    permutation_rounds: int = 100
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "class_set", check_class_names(self.class_set, "class_set"))
-        check_fields(self, {"outer_folds": 2, "repeats": 1, "permutation_rounds": 1})
+        check_fields(self, {"outer_folds": 2, "repeats": 1})
 
 
 def stratified_kfold(labels, k: int, seed) -> np.ndarray:
@@ -357,63 +356,6 @@ def run_experiment(
     raw = raw_kernel(features, selected, kernel_params, use_fnc)
     parts = partitions(labels, eval_cfg.outer_folds, eval_cfg.seed, eval_cfg.repeats)
     return cross_validate(raw, labels, parts, kernel_params, svm_cfg, eval_cfg.class_set)
-
-
-@dataclass(frozen=True)
-class PermutationBaseline:
-    scores: tuple[float, ...]
-    mean: float
-    p95: float
-
-
-def permutation_baseline(
-    features,
-    labels,
-    selected,
-    kernel_params: PabsKernelParams,
-    svm_cfg: SvmConfig,
-    eval_cfg: EvalConfig,
-    use_fnc: bool = False,
-    threads: int = 1,
-) -> PermutationBaseline:
-    """Distribution of macro PR-AUC when labels are randomly permuted.
-
-    Runs `eval_cfg.permutation_rounds` rounds seeded by `eval_cfg.seed`.
-    Each round shuffles the labels, runs one outer CV pass, and computes a
-    single macro PR-AUC from the held-out scores of all subjects pooled
-    across folds (per-fold AP on a class with one member is biased far
-    above prevalence). Pooling does not make the baseline reach random
-    ranking, though: the pooled scores come from separately trained fold
-    models, so they are not exchangeable across folds, and the baseline
-    sits above a random-ranking oracle (16-subject cohorts, 2 folds, 8
-    rounds: in 35 of 40 draws, by +0.024 on average and up to +0.082).
-    Read it as chance for this protocol, not as the asymptotic chance
-    level; ROADMAP item 3 tracks the null-cohort gate meant to calibrate
-    it. The raw kernel does not depend on the labels, so it is built once
-    and shared by every round.
-    """
-    labels = _class_labels(labels, eval_cfg.class_set)
-    raw = raw_kernel(features, selected, kernel_params, use_fnc)
-
-    def one_round(r):
-        rng = np.random.default_rng(derive_seed(eval_cfg.seed, "permutation", r))
-        permuted = labels[rng.permutation(labels.size)]
-        seed = derive_seed(eval_cfg.seed, "permutation-eval", r)
-        parts = partitions(permuted, eval_cfg.outer_folds, seed, 1)
-        scores = np.zeros((labels.size, len(eval_cfg.class_set)))
-        for _, te, cell_scores, _ in _held_out(
-            raw, permuted, parts, kernel_params, svm_cfg, eval_cfg.class_set
-        ):
-            scores[te] = cell_scores.transpose(0, 2, 1)
-        return macro_pr_auc(permuted, scores, eval_cfg.class_set)
-
-    scores = parallel_map(one_round, range(eval_cfg.permutation_rounds), threads)
-    arr = np.asarray(scores)
-    return PermutationBaseline(
-        scores=tuple(float(x) for x in scores),
-        mean=float(arr.mean()),
-        p95=float(np.percentile(arr, 95.0)),
-    )
 
 
 def chance_level(labels, class_set) -> float:

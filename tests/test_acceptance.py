@@ -18,7 +18,6 @@ from netresp.evaluation import (
     EvalConfig,
     average_precision,
     chance_level,
-    permutation_baseline,
     run_experiment,
 )
 from netresp.fnc import compute_fnc
@@ -34,6 +33,7 @@ from oracles import (
     generate_interaction_cohort,
     orthonormalize,
     pabs_sum_via_gram,
+    permutation_baseline,
     qp_dual_oracle,
 )
 
@@ -242,7 +242,7 @@ def test_c07_end_to_end_signal_detection(strong_cohort):
     median_auc = float(np.median(report.metric_values("macro_pr_auc")))
     baseline = permutation_baseline(
         feats, labels, truth.informative_indices, kernel_params, svm_cfg,
-        dataclasses.replace(eval_cfg, permutation_rounds=40, seed=13), use_fnc=True, threads=4,
+        dataclasses.replace(eval_cfg, seed=13), rounds=40, use_fnc=True, threads=4,
     )
     chance = chance_level(labels, eval_cfg.class_set)
     ok = median_auc >= 0.85 and abs(baseline.mean - chance) <= 0.1

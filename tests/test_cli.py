@@ -135,15 +135,16 @@ class TestPipeline:
             "precision": hits / len(best),
         }
 
-    def test_kernel_dump(self, pipeline_dir):
+    def test_kernel_dump(self, pipeline_dir, tmp_path):
         config, out = pipeline_dir
+        run = shutil.copytree(out, tmp_path / "run")
         rc = main(
             [
                 "kernel",
                 "--config",
                 str(config),
                 "--out",
-                str(out),
+                str(run),
                 "--selection",
                 "fixed:0,1,2",
             ]
@@ -151,8 +152,8 @@ class TestPipeline:
         assert rc == 0
         from netresp.datamodel import read_matrix
 
-        k = read_matrix(out / "kernel" / "kernel.msmx")
-        doc = json.loads((out / "kernel" / "subjects.json").read_text())
+        k = read_matrix(run / "kernel" / "kernel.msmx")
+        doc = json.loads((run / "kernel" / "subjects.json").read_text())
         assert k.shape == (20, 20)
         assert len(doc["subject_ids"]) == 20
 
@@ -212,13 +213,14 @@ class TestPipeline:
 
     def test_evaluate_with_fixed_selection(self, pipeline_dir, tmp_path):
         config, out = pipeline_dir
+        run = shutil.copytree(out, tmp_path / "run")
         rc = main(
             [
                 "evaluate",
                 "--config",
                 str(config),
                 "--out",
-                str(out),
+                str(run),
                 "--features",
                 "sm",
                 "--selection",
@@ -260,22 +262,24 @@ class TestDeterminism:
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
-    def test_evaluate_rerun_byte_identical(self, pipeline_dir):
+    def test_evaluate_rerun_byte_identical(self, pipeline_dir, tmp_path):
         config, out = pipeline_dir
-        args = ["evaluate", "--config", str(config), "--out", str(out), "--features", "sm+fnc"]
+        run = shutil.copytree(out, tmp_path / "run")
+        args = ["evaluate", "--config", str(config), "--out", str(run), "--features", "sm+fnc"]
         assert main(args) == 0
-        report = (out / "eval" / "report.csv").read_bytes()
-        summary = (out / "eval" / "summary.csv").read_bytes()
+        report = (run / "eval" / "report.csv").read_bytes()
+        summary = (run / "eval" / "summary.csv").read_bytes()
         assert main(args) == 0
-        assert (out / "eval" / "report.csv").read_bytes() == report
-        assert (out / "eval" / "summary.csv").read_bytes() == summary
+        assert (run / "eval" / "report.csv").read_bytes() == report
+        assert (run / "eval" / "summary.csv").read_bytes() == summary
 
     def test_unconverged_solves_in_eval_meta(self, pipeline_dir, tmp_path, capsys):
         config, out = pipeline_dir
-        args = ["evaluate", "--config", str(config), "--out", str(out), "--features", "sm+fnc"]
+        base = shutil.copytree(out, tmp_path / "base")
+        args = ["evaluate", "--config", str(config), "--out", str(base), "--features", "sm+fnc"]
         capsys.readouterr()
         assert main(args) == 0
-        assert json.loads((out / "eval" / "eval_meta.json").read_text())["unconverged_solves"] == 0
+        assert json.loads((base / "eval" / "eval_meta.json").read_text())["unconverged_solves"] == 0
         assert "warning" not in capsys.readouterr().err
         # the same evaluation with the SMO step cap at one pass per point
         capped = tmp_path / "capped.json"
@@ -424,7 +428,6 @@ RANGE_SETTINGS = [
     ("select", "selection", "inner_repeats", 0),
     ("evaluate", "evaluation", "outer_folds", 1),
     ("evaluate", "evaluation", "repeats", 0),
-    ("evaluate", "evaluation", "permutation_rounds", 0),
 ]
 
 # synth values of the wrong shape: a grid that is not 3 sizes, class counts
@@ -459,6 +462,7 @@ class TestExitCodes:
             "selection.scorer",
             "selection.domain_order",
             "selection.extra_passes",
+            "evaluation.permutation_rounds",
         ],
     )
     def test_unknown_nested_key_exits_2(self, tmp_path, capsys, key):
@@ -519,15 +523,16 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: fold 0, repeat 0:")
 
-    def test_bad_fixed_selection_exits_2(self, pipeline_dir):
+    def test_bad_fixed_selection_exits_2(self, pipeline_dir, tmp_path):
         config, out = pipeline_dir
+        run = shutil.copytree(out, tmp_path / "run")
         rc = main(
             [
                 "evaluate",
                 "--config",
                 str(config),
                 "--out",
-                str(out),
+                str(run),
                 "--selection",
                 "fixed:0,99",
             ]
@@ -714,6 +719,22 @@ class TestExitCodes:
         assert main(args) == 0
         meta = json.loads((run / "selection" / "selection_meta.json").read_text())
         assert meta["informative_indices"] == [] and meta["recall"] is None
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [("simulate", {"synth": {"n_components": 1000}}), ("kernel", {})],
+        ids=["simulate", "kernel"],
+    )
+    def test_stage_config_error_leaves_no_out(self, tmp_path, capsys, command, doc):
+        # --out was made before the stage ran, so a config error the stage
+        # raised left an empty --out, and its parents, behind
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "new" / "out"
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "new").exists()
 
     def test_kernel_without_fixed_selection_exits_2(self, tmp_path, capsys):
         # the mode alone is a config error, so no features need to exist
@@ -1189,7 +1210,6 @@ class TestFailedStages:
         run = _run_dir(tmp_path, out, linked=("dataset",), copied=("features", "selection", "eval"))
         args = ["--config", str(config), "--out", str(run), "--features", "sm+fnc"]
         assert main(["kernel", *args, "--selection", "fixed:0,1"]) == 0
-        assert main(["report", *args]) == 0  # an earlier test re-ran evaluate
         outputs = {
             "extract": ["features.json"],
             "select": ["result.json", "trace.csv", "selection_meta.json"],

@@ -13,7 +13,6 @@ from netresp.evaluation import (
     chance_level,
     f1_macro,
     macro_pr_auc,
-    permutation_baseline,
     run_experiment,
     stratified_kfold,
 )
@@ -21,7 +20,13 @@ from netresp.fnc import compute_fnc
 from netresp.kernels import SPECTRUM_FIXES, PabsKernelParams
 from netresp.svm import SmoSolution, SvmConfig
 from netresp.synth import SynthConfig, generate_cohort
-from oracles import ap_step_oracle, check_kkt, cv_rows_per_cell, worst_case_ap
+from oracles import (
+    ap_step_oracle,
+    check_kkt,
+    cv_rows_per_cell,
+    permutation_baseline,
+    worst_case_ap,
+)
 
 
 class TestStratifiedKfold:
@@ -379,7 +384,7 @@ class TestPermutationBaseline:
         cfg = EvalConfig(outer_folds=2, repeats=1, seed=3)
         base = permutation_baseline(
             feats, labels, [0], PabsKernelParams(), SvmConfig(),
-            dataclasses.replace(cfg, permutation_rounds=8, seed=1),
+            dataclasses.replace(cfg, seed=1), rounds=8,
         )
         y = np.asarray(labels)
         oracle_rng = np.random.default_rng(999)
@@ -401,7 +406,7 @@ class TestPermutationBaseline:
         cfg = EvalConfig(outer_folds=2, repeats=1, seed=3)
         permutation_baseline(
             feats, labels, [1, 0], PabsKernelParams(), SvmConfig(),
-            dataclasses.replace(cfg, permutation_rounds=5, seed=2),
+            dataclasses.replace(cfg, seed=2), rounds=5,
         )
         assert kernel_builds == [(1, 0)]
 
@@ -546,9 +551,11 @@ class TestCrossValidateMatchesPerCellOracle:
         feats, labels = _planted_features({"AD": 7, "MS": 7, "NR": 6}, seed=8)
         raw = evaluation.raw_kernel(feats, [0, 1], PabsKernelParams(), use_fnc=False)
         labels = np.array([{"AD": "A", "MS": "B"}.get(lab, "Z") for lab in labels])
-        cfg = EvalConfig(outer_folds=2, class_set=("A", "B"), permutation_rounds=1)
+        cfg = EvalConfig(outer_folds=2, class_set=("A", "B"))
         with pytest.raises(ValueError, match=r"outside class_set: \['Z'\]"):
-            permutation_baseline(feats, labels, [0, 1], PabsKernelParams(), SvmConfig(), cfg)
+            permutation_baseline(
+                feats, labels, [0, 1], PabsKernelParams(), SvmConfig(), cfg, rounds=1
+            )
         with pytest.raises(ValueError, match=r"outside class_set: \['Z'\]"):
             evaluation.cross_validate(
                 raw, labels, evaluation.partitions(labels, 2, 0, 1), PabsKernelParams(),
