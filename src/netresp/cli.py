@@ -201,17 +201,13 @@ def cmd_extract(cfg: RunConfig, out_dir: Path) -> int:
     manifest = read_manifest(manifest_path)
     feat_dir = doc_path.parent
     feat_dir.mkdir(parents=True, exist_ok=True)
-    seed = derive_seed(cfg.seed, "extract")
 
-    def one(item):
-        idx, bold = item
+    def one(bold):
         # each bold is read fresh and used nowhere else, so it is handed over
         # to be z-scored in place
-        return extract_subject(
-            bold, manifest.template, cfg.scica, seed=derive_seed(seed, "subject", idx), copy=False
-        )
+        return extract_subject(bold, manifest.template, cfg.scica, copy=False)
 
-    feats = parallel_imap(one, enumerate(manifest.bolds()), cfg.threads)
+    feats = parallel_imap(one, manifest.bolds(), cfg.threads)
     # each subject's features are passed straight to the writer, so nothing
     # holds them while the next subject is extracted
     entries = [_write_features(feat_dir, e, next(feats)) for e in manifest.entries]
@@ -438,7 +434,9 @@ def cmd_kernel(cfg: RunConfig, out_dir: Path) -> int:
     features = _load_features(out_dir / "features", entries, len(doc["domains"]), cfg.use_fnc)
     kernel = build_kernel_matrix(features, selected, cfg.kernel, use_fnc=cfg.use_fnc)
     kernel_path.parent.mkdir(parents=True, exist_ok=True)
-    # the dump is the kernel a training block would see: spectrum-fixed
+    # the dump is the whole cohort's kernel with the spectrum fix applied to
+    # the full matrix; the CV fixes each training block on its own, and the
+    # fix of the full matrix is not the fix of its blocks
     write_matrix(apply_spectrum_fix(kernel.values, cfg.kernel), kernel_path)
     ids = {"subject_ids": list(kernel.subject_ids), "selected": selected}
     ids_path.write_text(json.dumps(ids, indent=2) + "\n")

@@ -1,6 +1,6 @@
 """Spatially constrained ICA: one anchored unit per template component.
 
-Each template row seeds a one-unit fixed-point ICA iteration (negentropy
+Each template row anchors a one-unit fixed-point ICA iteration (negentropy
 contrast, g = tanh) augmented with a penalty pulling the unit's output map
 toward positive correlation with its reference. Units are not orthogonalized
 against each other, so constrained components may correlate; each one is
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_fields, derive_seed
+from ._util import check_fields
 from .datamodel import NonFiniteValueError, SubjectFeatures, Template
 
 
@@ -52,18 +52,18 @@ class ScicaConfig:
 
 @dataclass(frozen=True)
 class WhitenedData:
-    """Whitened spatial views of one subject's bold run.
+    """Whitened spatial view of one subject's bold run.
 
-    `normalized` is the bold with each voxel z-scored over time; `whitened`
-    rows are zero-mean, unit-variance and mutually uncorrelated over
-    voxels, and `mixing_back @ whitened` reconstructs the normalized,
-    row-centered bold up to PCA truncation.
+    `normalized` is the bold with each voxel z-scored over time, by the
+    population `voxel_stds`. `whitened` rows are zero-mean, unit-variance
+    and mutually uncorrelated over voxels, and span the leading principal
+    subspace of the row-centred `normalized` bold, so
+    `(xc @ whitened.T / V) @ whitened` reconstructs that centred bold `xc`
+    up to PCA truncation.
     """
 
     whitened: np.ndarray  # (R, V)
-    mixing_back: np.ndarray  # (T, R)
-    voxel_means: np.ndarray
-    voxel_stds: np.ndarray
+    voxel_stds: np.ndarray  # (V,)
     normalized: np.ndarray  # (T, V)
 
 
@@ -97,8 +97,10 @@ def preprocess_subject(bold, pca_retained: int | None = None, *, copy: bool = Tr
     """Normalize voxel amplitudes, center, and whiten to `pca_retained` rows.
 
     Each voxel's time series is z-scored (population convention), each
-    timepoint's mean over voxels removed, then the rows are rotated and
-    scaled so their sample covariance over voxels is the identity.
+    timepoint's mean over voxels removed, then the leading `pca_retained`
+    principal directions over time are scaled so the rows' sample
+    covariance over voxels is the identity. Returns those rows, the voxel
+    stds and the z-scored bold, which is all extraction reads.
 
     The z-scores are formed in a copy of `bold`; with `copy=False` the
     caller hands `bold` over, and when it is a writable C-contiguous float64
@@ -140,26 +142,22 @@ def preprocess_subject(bold, pca_retained: int | None = None, *, copy: bool = Tr
         raise RankError(
             f"data rank below pca_retained={r}: eigenvalue {lam[-1]:.3e}"
         )
-    e = evecs[:, order]
-    whitened = (e / np.sqrt(lam)).T @ xc
-    mixing_back = e * np.sqrt(lam)
-    return WhitenedData(
-        whitened=whitened, mixing_back=mixing_back, voxel_means=mu, voxel_stds=sd,
-        normalized=xz,
-    )
+    whitened = (evecs[:, order] / np.sqrt(lam)).T @ xc
+    return WhitenedData(whitened=whitened, voxel_stds=sd, normalized=xz)
 
 
 DAMPING = 0.3
 
 
 def constrained_unit_update(w, whitened, reference_projected, cfg: ScicaConfig) -> np.ndarray:
-    """One damped constrained fixed-point step for a unit-norm weight vector.
+    """One damped constrained fixed-point step for a (B, R) stack of
+    unit-norm weights, one unit per row.
 
-    The negentropy fixed-point direction (sign-aligned with the incoming
-    weight so the iteration cannot oscillate between antipodes) is applied
-    as a damped displacement on the unit sphere and combined with the
-    spherical gradient of the output's correlation with the reference,
-    weighted by constraint_weight:
+    Each row's negentropy fixed-point direction (sign-aligned with the
+    incoming weight so the iteration cannot oscillate between antipodes) is
+    applied as a damped displacement on the unit sphere and combined with
+    the spherical gradient of the output's correlation with that row's
+    reference in `reference_projected`, weighted by constraint_weight:
 
         w_next = normalize(w + DAMPING * (fp_hat - w) + mu * (b - <w, b> w))
 
@@ -168,15 +166,10 @@ def constrained_unit_update(w, whitened, reference_projected, cfg: ScicaConfig) 
     `converged` flag False. The constraint term vanishes exactly when the
     output is fully aligned with the reference, so an aligned fixed point is
     returned unchanged. A zero-length update falls back to the incoming weight.
-
-    `w` and `reference_projected` may also be (B, R) stacks, one unit per
-    row; each row then takes its own step, with the outputs and the
-    fixed-point directions of all rows computed by one matrix product each.
+    One matrix product gives the outputs of all rows and one more their
+    fixed-point directions; every other step acts row by row.
     """
-    w = np.asarray(w, dtype=np.float64)
-    single = w.ndim == 1
-    w = np.atleast_2d(w)
-    b = np.atleast_2d(np.asarray(reference_projected, dtype=np.float64))
+    b = reference_projected
     v = whitened.shape[1]
     gy, gp_mean = _apply_contrast(w @ whitened)
     w_fp = gy @ whitened.T
@@ -191,8 +184,7 @@ def constrained_unit_update(w, whitened, reference_projected, cfg: ScicaConfig) 
     step += DAMPING * (fp_hat - w)
     w_next = w + step
     norm = np.sqrt(_rowdot(w_next, w_next))[:, None]
-    w_next = np.divide(w_next, norm, out=w.copy(), where=norm >= 1e-12)
-    return w_next[0] if single else w_next
+    return np.divide(w_next, norm, out=w.copy(), where=norm >= 1e-12)
 
 
 def _reference_projection(whitened: np.ndarray, refs_scaled: np.ndarray) -> np.ndarray:
@@ -211,9 +203,7 @@ def _reference_projection(whitened: np.ndarray, refs_scaled: np.ndarray) -> np.n
     return np.divide(b, np.sqrt(v) * nrm, out=np.zeros_like(b), where=nrm > 0)
 
 
-def extract_subject(
-    bold, template: Template, cfg: ScicaConfig, seed: int = 0, *, copy: bool = True
-) -> SubjectFeatures:
+def extract_subject(bold, template: Template, cfg: ScicaConfig, *, copy: bool = True) -> SubjectFeatures:
     """Recover one spatial map and time course per template component.
 
     The unit for component k is initialized from the whitening-space
@@ -231,9 +221,10 @@ def extract_subject(
     fewer whitened rows than components (pca_retained < K, or T - 1 < K)
     make the maps rank-deficient, or when cond(maps) > GRAM_MAX_COND (see
     :func:`_time_courses`).
-    Deterministic given the seed, which only matters for the degenerate
-    case of a reference with no energy in the retained subspace: those
-    units start from random draws, taken in component order.
+    The result depends only on `bold`, `template` and `cfg`. A degenerate
+    reference, one with no energy in the retained subspace, has no
+    projection to start from, so the unit of component k starts from
+    whitened axis k mod R; with R >= K no two of them start alike.
     With `copy=False` the caller hands `bold` over to be z-scored in place,
     as :func:`preprocess_subject` says; by default it is left untouched.
     """
@@ -249,11 +240,8 @@ def extract_subject(
 
     b = _reference_projection(w_data, template.maps / sd)
     nb = np.linalg.norm(b, axis=1, keepdims=True)
-    units = np.divide(b, nb, out=np.empty_like(b), where=nb > 1e-8)
-    rng = np.random.default_rng(derive_seed(seed, "scica-degenerate"))
-    for comp in np.flatnonzero(nb[:, 0] <= 1e-8):
-        w = rng.standard_normal(r)
-        units[comp] = w / np.linalg.norm(w)
+    # a degenerate unit (|b_k| <= 1e-8) starts from whitened axis k mod r
+    units = np.divide(b, nb, out=np.eye(r)[np.arange(k) % r], where=nb > 1e-8)
 
     # w and b_live hold the rows of the units in `live`; a unit's final
     # weight goes back to `units` when it leaves the batch

@@ -256,12 +256,13 @@ def unit_update_1d(w, whitened, b, cfg) -> np.ndarray:
     return w_next / norm
 
 
-def per_unit_extract(bold, template, cfg, seed: int = 0):
+def per_unit_extract(bold, template, cfg):
     """Constrained ICA one unit at a time: each component's unit iterates
     alone until it converges or hits max_iters, then its map is
-    back-projected, z-scored and sign-aligned on its own. Whitening is the
-    library's; everything after it is written out here. Returns
-    (spatial_maps, time_courses, converged)."""
+    back-projected, z-scored and sign-aligned on its own. A reference with
+    no energy in the retained subspace starts its unit from whitened axis
+    comp mod r. Whitening is the library's; everything after it is written
+    out here. Returns (spatial_maps, time_courses, converged)."""
     bold = np.asarray(bold, dtype=np.float64)
     t, v = bold.shape
     k = template.n_components
@@ -270,7 +271,6 @@ def per_unit_extract(bold, template, cfg, seed: int = 0):
     x, sd = wd.whitened, wd.voxel_stds
     maps = np.zeros((k, v))
     converged = np.zeros(k, dtype=bool)
-    rng = np.random.default_rng(derive_seed(seed, "scica-degenerate"))
     for comp in range(k):
         ref = template.maps[comp]
         rc = ref / sd - (ref / sd).mean()
@@ -280,8 +280,8 @@ def per_unit_extract(bold, template, cfg, seed: int = 0):
         if nb > 1e-8:
             w = b / nb
         else:
-            w = rng.standard_normal(r)
-            w /= np.linalg.norm(w)
+            w = np.zeros(r)
+            w[comp % r] = 1.0
         for _ in range(cfg.max_iters):
             w_new = unit_update_1d(w, x, b, cfg)
             done = abs(float(w_new @ w)) > 1.0 - cfg.tol
@@ -296,7 +296,7 @@ def per_unit_extract(bold, template, cfg, seed: int = 0):
         if float(m @ (ref - ref.mean())) < 0:
             m = -m
         maps[comp] = m
-    xz = (bold - wd.voxel_means) / sd
+    xz = (bold - bold.mean(axis=0)) / sd
     tc = np.linalg.lstsq(maps.T, xz.T, rcond=None)[0].T
     return maps, tc, converged
 

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from netresp._util import derive_seed, parallel_map
+from netresp._util import parallel_map
 from netresp.cli import main as cli_main
 from netresp.datamodel import SubjectFeatures
 from netresp.evaluation import (
@@ -51,17 +51,13 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 # ------------------------------------------------------------ heavy fixtures
 
 
-def _extract_cohort(dataset, seed: int) -> list[SubjectFeatures]:
-    """Every subject's features in cohort order, subject i extracted with
-    the seed derive_seed(seed, "subject", i), four subjects at a time."""
+def _extract_cohort(dataset) -> list[SubjectFeatures]:
+    """Every subject's features in cohort order, four subjects at a time."""
 
-    def one(i):
-        bold = dataset.subjects[i].bold
-        return extract_subject(
-            bold, dataset.template, ScicaConfig(), seed=derive_seed(seed, "subject", i)
-        )
+    def one(subject):
+        return extract_subject(subject.bold, dataset.template, ScicaConfig())
 
-    return parallel_map(one, range(dataset.n_subjects), 4)
+    return parallel_map(one, dataset.subjects, 4)
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +65,7 @@ def default_cohort():
     """The default-scale synthetic cohort with extracted features."""
     cfg = SynthConfig(seed=17)
     dataset, truth = generate_cohort(cfg, threads=4)
-    feats = _extract_cohort(dataset, seed=3)
+    feats = _extract_cohort(dataset)
     return cfg, dataset, truth, feats
 
 
@@ -88,7 +84,7 @@ def strong_cohort():
         fnc_effect=1.0,
     )
     dataset, truth = generate_cohort(cfg, threads=4)
-    feats = _extract_cohort(dataset, seed=5)
+    feats = _extract_cohort(dataset)
     feats = [dataclasses.replace(f, fnc=compute_fnc(f.time_courses)) for f in feats]
     return cfg, dataset, truth, feats
 

@@ -15,9 +15,17 @@ import pytest
 import netresp
 from netresp._util import derive_seed
 from netresp.cli import ConfigError, RunConfig, _load_features, load_run_config, main
-from netresp.datamodel import read_manifest, read_matrix, write_matrix
+from netresp.datamodel import (
+    Subject,
+    Template,
+    read_manifest,
+    read_matrix,
+    write_matrix,
+    write_subjects,
+)
 from netresp.kernels import PabsKernelParams, apply_spectrum_fix, build_kernel_matrix
 from netresp.scica import extract_subject
+from netresp.synth import SynthConfig, generate_template
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -1130,13 +1138,10 @@ class TestStreaming:
             assert main([stage, "--config", str(config), "--out", str(out)]) == 0
         cfg = load_run_config(config)
         manifest = read_manifest(out / "dataset" / "manifest.json")
-        seed = derive_seed(cfg.seed, "extract")
-        for n, entry in enumerate(manifest.entries):
+        for entry in manifest.entries:
             bold = read_matrix(entry["bold"])
             kept = bold.copy()
-            f = extract_subject(
-                bold, manifest.template, cfg.scica, seed=derive_seed(seed, "subject", n)
-            )
+            f = extract_subject(bold, manifest.template, cfg.scica)
             assert bold.tobytes() == kept.tobytes()
             for kind, m in (("sm", f.spatial_maps), ("tc", f.time_courses)):
                 write_matrix(m, tmp_path / "library.msmx")
@@ -1311,6 +1316,36 @@ class TestMasterSeed:
 
     def test_no_seed_equals_seed_zero(self):
         assert load_run_config() == load_run_config(None, {"seed": 0})
+
+    def test_extracted_features_depend_only_on_the_subject(self, tmp_path):
+        # subject a's template row 3 is its own voxel stds, so that row has no
+        # energy in a's whitened subspace and its unit needs a start that is
+        # not the reference's projection; that start must not come from the
+        # master seed or from a's place in the manifest
+        cfg = SynthConfig(grid=(8, 8, 8), n_components=6, n_domains=3, seed=40)
+        template, _ = generate_template(cfg)
+        rng = np.random.default_rng(41)
+        bolds = {
+            sid: rng.standard_normal((40, 6)) @ template.maps + 0.4 * rng.standard_normal((40, 512))
+            for sid in "abc"
+        }
+        maps = template.maps.copy()
+        maps[3] = bolds["a"].std(axis=0)
+        template = Template(maps, template.component_ids, template.domains)
+        classes = ("AD", "MS", "NR")
+        subjects = {sid: Subject(sid, bolds[sid], c, "g") for sid, c in zip("abc", classes)}
+        for order in ("abc", "bca"):
+            write_subjects(template, classes, [subjects[sid] for sid in order], tmp_path / order)
+        runs = []
+        for order, seed in (("abc", "0"), ("bca", "0"), ("abc", "7"), ("bca", "7")):
+            out = tmp_path / f"run-{order}-{seed}"
+            args = ["--out", str(out), "--template", str(tmp_path / order), "--seed", seed]
+            assert main(["extract", *args]) == 0
+            runs.append(out / "features")
+        for kind in ("sm", "tc"):
+            first = (runs[0] / f"a.{kind}.msmx").read_bytes()
+            for run in runs[1:]:
+                assert (run / f"a.{kind}.msmx").read_bytes() == first, (run, kind)
 
     def test_flag_seed_overrides_file_seed(self, tmp_path):
         config = tmp_path / "config.json"
